@@ -14,16 +14,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .arrangement import (ArrangementGraph, TruncatedGraph,
                           specialization_graph)
 from .errors import (InternalInconsistencyError, InvalidQuiverError,
                      ShapeError, UnsupportedError)
-from .linalg import (Matrix, Q0, Q1, image_basis, kernel_basis, rref,
-                     solve_matrix)
+from .linalg import (Matrix, Q0, Q1, _int_product, image_basis, kernel_basis,
+                     product_is_zero, rref, solve_matrix)
 from .oscomplex import flag_space, os_space
-from .quiver import (LevelQuiver, Quiver, QuiverMorphism, check_quiver,
-                     hom_space, morphism_from_coords)
+from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _level_map,
+                     check_quiver, hom_space, morphism_from_coords)
 
 
 class SubquotientWitness:
@@ -89,27 +90,48 @@ def as_level_quiver(v) -> LevelQuiver:
 
 # -- one-step direct images -----------------------------------------------------------
 
-def _boundary_data(v: LevelQuiver, beta):
-    """Ambient sum over the vertices one level up from beta, with offsets."""
-    full = v.tgraph.full
-    ups = sorted(full.up(beta))
+class _Boundary(NamedTuple):
+    """The sum over the vertices one level up from a new vertex beta, in
+    sorted order with their offsets, and the maps between them and the
+    vertices two levels up (deltas): `up` (deltas x ambient) carries the
+    * constraints, the columns of `down` (ambient x deltas) the !
+    relations."""
+    ups: list
+    offsets: dict
+    ambient: int
+    up: Matrix
+    down: Matrix
+
+    def inclusion(self):
+        """The canonical inclusion of the * subspace, the kernel of `up`
+        (basis in RREF, as columns)."""
+        return kernel_basis(self.up).basis.transpose()
+
+
+def _boundary(v: LevelQuiver, beta) -> _Boundary:
+    ups = sorted(v.tgraph.full.up(beta))
     offsets = {}
     pos = 0
     for g in ups:
         offsets[g] = pos
         pos += v.dim(g)
-    return ups, offsets, pos
+    deltas = sorted({d for g in ups for d in v.tgraph.full.up(g)})
+    return _Boundary(ups, offsets, pos, _level_map(v, deltas, ups), _level_map(v, ups, deltas))
 
 
-def _slot(ambient_dim, offsets, g, m: Matrix):
-    """Place the columns of m into the slot of summand g."""
-    rows = []
-    for i in range(m.rows):
-        rows.append(m.row(i))
-    out = [[Q0] * m.cols for _ in range(ambient_dim)]
-    for i in range(m.rows):
-        out[offsets[g] + i] = list(rows[i])
-    return Matrix.from_rows(out, cols=m.cols)
+def _boundary_op(v: LevelQuiver, beta, bd: _Boundary) -> Matrix:
+    """The operator on the ambient sum at beta whose column block a is the
+    downward map of the * image at a, and whose row block a is the upward
+    map of the ! image at a: the loop A_a^beta on the diagonal block, and
+    minus the paths A_{a2,d} A_{d,a} through the deltas d off it."""
+    through = bd.down * bd.up
+    ents = [-x if x else Q0 for x in through.entries]
+    n = bd.ambient
+    for a in bd.ups:
+        o, loop = bd.offsets[a], v.loop(a, beta)
+        for i in range(loop.rows):
+            ents[(o + i) * n + o:(o + i) * n + o + loop.cols] = loop.row(i)
+    return Matrix._raw(n, n, tuple(ents))
 
 
 def _loop_sum_ambient(v, ups, offsets, ambient_dim, beta, c):
@@ -136,7 +158,8 @@ def _loop_sum_ambient(v, ups, offsets, ambient_dim, beta, c):
 def push_star_step(v: LevelQuiver):
     """One-step direct image of the * kind: at each new vertex the space is
     the subspace of the sum one level up cut out by the downward relations.
-    Returns (level quiver, witness)."""
+    The downward maps into a new vertex come from one solve against its
+    inclusion.  Returns (level quiver, witness)."""
     full = v.tgraph.full
     n = v.level + 1
     if n > max(full.level.values()):
@@ -147,60 +170,27 @@ def push_star_step(v: LevelQuiver):
     witness = SubquotientWitness()
     incl = {}
     for beta in full.levels(n):
-        ups, offsets, ambient = _boundary_data(v, beta)
-        deltas = sorted({d for g in ups for d in full.up(g)})
-        crows = []
-        for d in deltas:
-            block = [[Q0] * ambient for _ in range(v.dim(d))]
-            for g in ups:
-                if full.adjacent(d, g):
-                    m = v.map(d, g)
-                    for i in range(m.rows):
-                        r = m.row(i)
-                        for j in range(m.cols):
-                            block[i][offsets[g] + j] = r[j]
-            crows.extend(block)
-        constraints = Matrix.from_rows(crows, cols=ambient)
-        w = kernel_basis(constraints)
-        inc = w.basis.transpose()
-        incl[beta] = (ups, offsets, ambient, inc)
-        spaces[beta] = w.dim
-        witness.record(beta, "inclusion", ups, inc)
+        bd = _boundary(v, beta)
+        inc = bd.inclusion()
+        incl[beta] = (bd, inc)
+        spaces[beta] = inc.cols
+        witness.record(beta, "inclusion", bd.ups, inc)
     for beta in full.levels(n):
-        ups, offsets, ambient, inc = incl[beta]
-        for a in ups:
+        bd, inc = incl[beta]
+        x = solve_matrix(inc, _boundary_op(v, beta, bd))
+        if x is None:
+            raise InternalInconsistencyError(
+                f"downward image misses the subspace at {beta}")
+        for a in bd.ups:
+            block = range(bd.offsets[a], bd.offsets[a] + v.dim(a))
             # projection of the subspace onto the summand V_a
-            maps[(a, beta)] = inc.submatrix(
-                range(offsets[a], offsets[a] + v.dim(a)), range(inc.cols))
+            maps[(a, beta)] = inc.submatrix(block, range(inc.cols))
             # downward map, landing inside the subspace
-            cols = []
-            for j in range(v.dim(a)):
-                e = tuple(Q1 if i == j else Q0 for i in range(v.dim(a)))
-                vec = [Q0] * ambient
-                la = v.loop(a, beta).apply(e)
-                for i, x in enumerate(la):
-                    vec[offsets[a] + i] += x
-                for a2 in ups:
-                    if a2 == a:
-                        continue
-                    acc = tuple([Q0] * v.dim(a2))
-                    for d in set(full.up(a)) & set(full.up(a2)):
-                        acc = tuple(x + y for x, y in zip(
-                            acc, (v.map(a2, d) * v.map(d, a)).apply(e)))
-                    for i, x in enumerate(acc):
-                        vec[offsets[a2] + i] -= x
-                x = solve_matrix(inc, Matrix(ambient, 1, vec))
-                if x is None:
-                    raise InternalInconsistencyError(
-                        f"downward image misses the subspace at {beta}")
-                cols.append(x.col(0))
-            maps[(beta, a)] = Matrix.from_rows(
-                [[cols[j][i] for j in range(v.dim(a))] for i in range(spaces[beta])],
-                cols=v.dim(a))
+            maps[(beta, a)] = x.submatrix(range(x.rows), block)
     loops = {}
     for (at, via) in t.loops:
-        ups, offsets, ambient, inc = incl[at]
-        amb_op = _loop_sum_ambient(v, ups, offsets, ambient, at, via)
+        bd, inc = incl[at]
+        amb_op = _loop_sum_ambient(v, bd.ups, bd.offsets, bd.ambient, at, via)
         x = solve_matrix(inc, amb_op * inc)
         if x is None:
             raise InternalInconsistencyError(f"loop does not preserve the subspace at {at}")
@@ -208,10 +198,11 @@ def push_star_step(v: LevelQuiver):
     return LevelQuiver(t, spaces, maps, loops), witness
 
 
-def _quotient_matrices(relation_rows, ambient):
-    """Projection / lift pair for ambient modulo the span of the rows:
-    coordinates on the non-pivot columns of the RREF."""
-    rel = Matrix.from_rows(relation_rows, cols=ambient)
+def _quotient_matrices(rel: Matrix):
+    """The ambient space modulo the span of the rows of rel, in
+    coordinates on the non-pivot columns of the RREF: the projection, and
+    those columns (the lift is the inclusion of their unit vectors)."""
+    ambient = rel.cols
     r, pivots = rref(rel)
     pivset = set(pivots)
     free = [c for c in range(ambient) if c not in pivset]
@@ -222,17 +213,14 @@ def _quotient_matrices(relation_rows, ambient):
         for i, p in enumerate(pivots):
             row[p] = -r[i, cq]
         proj_rows.append(row)
-    proj = Matrix.from_rows(proj_rows, cols=ambient)
-    lift = Matrix.from_rows(
-        [[Q1 if c == free[q] else Q0 for q in range(len(free))] for c in range(ambient)],
-        cols=len(free))
-    return proj, lift
+    return Matrix.from_rows(proj_rows, cols=ambient), free
 
 
 def push_shriek_step(v: LevelQuiver):
     """One-step direct image of the ! kind: at each new vertex the space is
     the quotient of the sum one level up by the images of the downward
-    maps.  Returns (level quiver, witness)."""
+    maps (the columns of `_Boundary.down`).  Returns (level quiver,
+    witness)."""
     full = v.tgraph.full
     n = v.level + 1
     if n > max(full.level.values()):
@@ -243,60 +231,35 @@ def push_shriek_step(v: LevelQuiver):
     witness = SubquotientWitness()
     quo = {}
     for beta in full.levels(n):
-        ups, offsets, ambient = _boundary_data(v, beta)
-        deltas = sorted({d for g in ups for d in full.up(g)})
-        rel_rows = []
-        for d in deltas:
-            for j in range(v.dim(d)):
-                e = tuple(Q1 if i == j else Q0 for i in range(v.dim(d)))
-                vec = [Q0] * ambient
-                for g in ups:
-                    if full.adjacent(d, g):
-                        for i, x in enumerate(v.map(g, d).apply(e)):
-                            vec[offsets[g] + i] += x
-                rel_rows.append(vec)
-        proj, lift = _quotient_matrices(rel_rows, ambient)
-        quo[beta] = (ups, offsets, ambient, proj, lift, rel_rows)
+        bd = _boundary(v, beta)
+        proj, free = _quotient_matrices(bd.down.transpose())
+        quo[beta] = (bd, proj, free)
         spaces[beta] = proj.rows
-        witness.record(beta, "projection", ups, proj)
+        witness.record(beta, "projection", bd.ups, proj)
     for beta in full.levels(n):
-        ups, offsets, ambient, proj, lift, rel_rows = quo[beta]
-        for a in ups:
-            maps[(beta, a)] = proj.submatrix(
-                range(proj.rows), range(offsets[a], offsets[a] + v.dim(a)))
+        bd, proj, free = quo[beta]
+        op = _boundary_op(v, beta, bd)
+        # the rows of op that vanish on the relations
+        defined = [not any(acc) for acc, _ in _int_product(op, bd.down)]
+        for a in bd.ups:
+            block = range(bd.offsets[a], bd.offsets[a] + v.dim(a))
+            maps[(beta, a)] = proj.submatrix(range(proj.rows), block)
             # upward map: the three-case rule on single-summand representatives
-            amb_map = [[Q0] * ambient for _ in range(v.dim(a))]
-            la = v.loop(a, beta)
-            for i in range(v.dim(a)):
-                for j in range(v.dim(a)):
-                    amb_map[i][offsets[a] + j] = la[i, j]
-            for a2 in ups:
-                if a2 == a:
-                    continue
-                ds = sorted(set(full.up(a)) & set(full.up(a2)))
-                if not ds:
-                    continue
-                if len(ds) > 1:
+            for a2 in bd.ups:
+                if a2 != a and len(set(full.up(a)) & set(full.up(a2))) > 1:
                     raise InternalInconsistencyError(
                         f"multiple connecting vertices above {a}, {a2}")
-                m = (v.map(a, ds[0]) * v.map(ds[0], a2)).scale(-1)
-                for i in range(v.dim(a)):
-                    for j in range(v.dim(a2)):
-                        amb_map[i][offsets[a2] + j] = m[i, j]
-            phi = Matrix.from_rows(amb_map, cols=ambient)
-            for row in rel_rows:
-                if any(x != 0 for x in phi.apply(tuple(row))):
-                    raise InternalInconsistencyError(
-                        f"upward map not defined on the quotient at {beta}")
-            maps[(a, beta)] = phi * lift
+            if not all(defined[i] for i in block):
+                raise InternalInconsistencyError(
+                    f"upward map not defined on the quotient at {beta}")
+            maps[(a, beta)] = op.submatrix(block, free)
     loops = {}
     for (at, via) in t.loops:
-        ups, offsets, ambient, proj, lift, rel_rows = quo[at]
-        amb_op = _loop_sum_ambient(v, ups, offsets, ambient, at, via)
-        loops[(at, via)] = proj * amb_op * lift
-        for row in rel_rows:
-            if any(x != 0 for x in proj.apply(amb_op.apply(tuple(row)))):
-                raise InternalInconsistencyError(f"loop not defined on the quotient at {at}")
+        bd, proj, free = quo[at]
+        amb_op = proj * _loop_sum_ambient(v, bd.ups, bd.offsets, bd.ambient, at, via)
+        loops[(at, via)] = amb_op.submatrix(range(amb_op.rows), free)
+        if not product_is_zero(amb_op, bd.down):
+            raise InternalInconsistencyError(f"loop not defined on the quotient at {at}")
     return LevelQuiver(t, spaces, maps, loops), witness
 
 
@@ -332,54 +295,15 @@ def adjoint_transport(u: LevelQuiver, phi: QuiverMorphism) -> QuiverMorphism:
     full = u.tgraph.full
     comps = {a: phi.component(a) for a in v.tgraph.vertices}
     for beta in full.levels(n):
-        ups = sorted(full.up(beta))
-        offsets = {}
-        pos = 0
-        for g in ups:
-            offsets[g] = pos
-            pos += v.dim(g)
-        cols = []
-        for j in range(u.dim(beta)):
-            e = tuple(Q1 if i == j else Q0 for i in range(u.dim(beta)))
-            vec = [Q0] * pos
-            for a in ups:
-                img = phi.component(a).apply(u.map(a, beta).apply(e))
-                for i, x in enumerate(img):
-                    vec[offsets[a] + i] += x
-            cols.append(vec)
-        ups_w, off_w, amb_w, inc = _incl_of(w, v, beta)
-        sol = solve_matrix(inc, Matrix.from_rows(
-            [[cols[j][i] for j in range(u.dim(beta))] for i in range(pos)],
-            cols=u.dim(beta)))
+        bd = _boundary(v, beta)
+        blocks = [phi.component(a) * u.map(a, beta) for a in bd.ups]
+        rhs = Matrix(bd.ambient, u.dim(beta), [x for m in blocks for x in m.entries])
+        sol = solve_matrix(bd.inclusion(), rhs)
         if sol is None:
             raise InternalInconsistencyError("transported morphism misses the subspace")
         comps[beta] = sol
     return QuiverMorphism(u, w, comps)
 
-
-def _incl_of(w: LevelQuiver, v: LevelQuiver, beta):
-    """Recompute the canonical inclusion used by push_star_step at beta."""
-    full = w.tgraph.full
-    ups = sorted(full.up(beta))
-    offsets = {}
-    pos = 0
-    for g in ups:
-        offsets[g] = pos
-        pos += v.dim(g)
-    deltas = sorted({d for g in ups for d in full.up(g)})
-    crows = []
-    for d in deltas:
-        block = [[Q0] * pos for _ in range(v.dim(d))]
-        for g in ups:
-            if full.adjacent(d, g):
-                m = v.map(d, g)
-                for i in range(m.rows):
-                    r = m.row(i)
-                    for j in range(m.cols):
-                        block[i][offsets[g] + j] = r[j]
-        crows.extend(block)
-    inc = kernel_basis(Matrix.from_rows(crows, cols=pos)).basis.transpose()
-    return ups, offsets, pos, inc
 
 # -- explicit level-zero direct images ----------------------------------------------
 

@@ -9,13 +9,18 @@ Matrices are immutable values; operations return new matrices.  A vector
 is a tuple of Fractions.  A polynomial is a tuple of Fractions, lowest
 degree first.
 
-The two hot kernels, elimination (`rref`, `rank`) and the matrix product,
-keep Fractions only at their edges: each clears the denominators of its
-input rows, works over Python ints, and builds one Fraction per output
-entry.  Elimination is fraction-free in the manner of Bareiss (1968):
-every row combination is integral and each new row is divided by its
-content, so the integers stay small.  Results are exactly those of the
-plain Fraction algorithms.
+The hot kernels, elimination (`rref`, `rank`), the matrix product and the
+characteristic polynomial, keep Fractions only at their edges: each
+clears the denominators of its input rows, works over Python ints, and
+builds one Fraction per output entry.  Elimination is fraction-free in
+the manner of Bareiss (1968): every row combination is integral and each
+new row is divided by its content, so the integers stay small.  The
+product's integer core (`_int_product`) also serves zero tests that never
+form the Fractions (`product_is_zero`).  Characteristic polynomials run
+Berkowitz's division-free algorithm (1984) on the matrix cleared of
+denominators, and a product x y is taken from its smaller side through
+det(tI_n - x y) = t^(n-k) det(tI_k - y x) (`char_poly_of_product`).
+Results are exactly those of the plain Fraction algorithms.
 """
 
 from __future__ import annotations
@@ -133,43 +138,23 @@ class Matrix:
         return Matrix._raw(self.rows, self.cols, tuple(c * a if a else Q0 for a in self.entries))
 
     def __mul__(self, other):
-        """Matrix product, or scaling by a number.
-
-        Each row of self is put on its own common denominator and other on
-        one common denominator, so the sums run over Python ints; every
-        output entry becomes one Fraction.  Zero entries are skipped, and
-        an all-zero operand gives the zero product at once."""
+        """Matrix product (see `_int_product`), or scaling by a number.
+        Every output entry becomes one Fraction, and an all-zero operand
+        gives the zero product at once."""
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, m, p = self.rows, self.cols, other.cols
+        zero_row = (Q0,) * other.cols
         if self.is_zero() or other.is_zero():
-            return Matrix._raw(n, p, (Q0,) * (n * p))
-        b = other.entries
-        db = lcm(*{x.denominator for x in b})
-        bnz = []
-        for k in range(m):
-            brow = b[k * p:(k + 1) * p]
-            bnz.append([(j, y.numerator * (db // y.denominator))
-                        for j, y in enumerate(brow) if y])
-        a = self.entries
+            return Matrix._raw(self.rows, other.cols, zero_row * self.rows)
         out = []
-        for i in range(n):
-            arow = a[i * m:(i + 1) * m]
-            nz = [(k, x) for k, x in enumerate(arow) if x]
-            if not nz:
-                out.extend((Q0,) * p)
-                continue
-            da = lcm(*{x.denominator for _, x in nz})
-            acc = [0] * p
-            for k, x in nz:
-                aik = x.numerator * (da // x.denominator)
-                for j, y in bnz[k]:
-                    acc[j] += aik * y
-            d = da * db
-            out.extend(Fraction(s, d) if s else Q0 for s in acc)
-        return Matrix._raw(n, p, tuple(out))
+        for acc, d in _int_product(self, other):
+            if any(acc):
+                out.extend(Fraction(s, d) if s else Q0 for s in acc)
+            else:
+                out.extend(zero_row)
+        return Matrix._raw(self.rows, other.cols, tuple(out))
 
     __rmul__ = scale
 
@@ -211,6 +196,43 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.row_list()!r})"
+
+
+def _int_product(a: Matrix, b: Matrix):
+    """The product a b over the integers: one pair (numerators, d) per row
+    of a, that row of a b being the numerators over d.  Each row of a is
+    put on its own common denominator and b on one common denominator, so
+    the sums run over Python ints; zero entries are skipped.  Shapes are
+    the caller's to check."""
+    m, p = a.cols, b.cols
+    bv = b.entries
+    db = lcm(*{y.denominator for y in bv})
+    bnz = [[(j, y.numerator * (db // y.denominator))
+            for j, y in enumerate(bv[k * p:(k + 1) * p]) if y]
+           for k in range(m)]
+    av = a.entries
+    out = []
+    for i in range(a.rows):
+        nz = [(k, x) for k, x in enumerate(av[i * m:(i + 1) * m]) if x]
+        acc = [0] * p
+        if not nz:
+            out.append((acc, 1))
+            continue
+        da = lcm(*{x.denominator for _, x in nz})
+        for k, x in nz:
+            aik = x.numerator * (da // x.denominator)
+            for j, y in bnz[k]:
+                acc[j] += aik * y
+        out.append((acc, da * db))
+    return out
+
+
+def product_is_zero(a: Matrix, b: Matrix) -> bool:
+    """Whether a b = 0, decided on the integer numerators of the product
+    without forming its Fractions."""
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return not any(any(acc) for acc, _ in _int_product(a, b))
 
 
 def block_diag(blocks):
@@ -521,46 +543,36 @@ def _strongly_connected_components(n, succ):
     return comps
 
 
+def _berkowitz(a):
+    """det(tI - a) for a square integer matrix a (a list of rows), highest
+    degree first, by Berkowitz's division-free algorithm (1984).  Step k
+    borders the leading k x k block B with the column c above the
+    diagonal, the row r left of it and the corner x; the new polynomial is
+    the old one convolved with (1, -x, -r c, -r B c, ..., -r B^(k-1) c),
+    truncated to degree k + 1."""
+    p = [1]
+    for k, row in enumerate(a):
+        block = [[(j, y) for j, y in enumerate(a[i][:k]) if y] for i in range(k)]
+        r = row[:k]
+        v = [a[i][k] for i in range(k)]
+        t = [1, -row[k]]
+        for s in range(k):
+            t.append(-sum(x * y for x, y in zip(r, v) if x))
+            if s < k - 1:
+                v = [sum(y * v[j] for j, y in brow) for brow in block]
+        p = [sum(t[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return p
+
+
 def _char_poly_dense(m: Matrix):
-    """Characteristic polynomial via exact Hessenberg reduction."""
+    """Characteristic polynomial over the integers: with d the lcm of the
+    denominators of m, det(tI - m) = d^-n det(dt I - dm), so the
+    coefficient of t^(n-i) is that of the integer matrix dm over d^i."""
     n = m.rows
-    if n == 0:
-        return (Q1,)
-    h = m.row_list()
-    # similarity transform to upper Hessenberg form
-    for c in range(n - 2):
-        pr = None
-        for i in range(c + 1, n):
-            if h[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != c + 1:
-            h[c + 1], h[pr] = h[pr], h[c + 1]
-            for i in range(n):
-                h[i][c + 1], h[i][pr] = h[i][pr], h[i][c + 1]
-        piv = h[c + 1][c]
-        for i in range(c + 2, n):
-            if h[i][c] != 0:
-                f = h[i][c] / piv
-                h[i] = [x - f * y for x, y in zip(h[i], h[c + 1])]
-                for k in range(n):
-                    h[k][c + 1] += f * h[k][i]
-    # p_k = char poly of the leading k x k block of the Hessenberg matrix
-    polys = [(Q1,)]
-    for k in range(1, n + 1):
-        p = poly_mul(polys[k - 1], (-h[k - 1][k - 1], Q1))
-        coef = Q1
-        for i in range(k - 1, 0, -1):
-            coef *= h[i][i - 1]
-            if coef == 0:
-                break
-            term = coef * h[i - 1][k - 1]
-            if term:
-                p = poly_sub(p, tuple(term * c for c in polys[i - 1]))
-        polys.append(p)
-    return poly_trim(polys[n])
+    d = lcm(*{x.denominator for x in m.entries})
+    c = _berkowitz([[x.numerator * (d // x.denominator) for x in m.row(i)]
+                    for i in range(n)])
+    return tuple(Fraction(c[i], d ** i) if c[i] else Q0 for i in range(n, -1, -1))
 
 
 def _linear_factor_power(value, m):
@@ -581,7 +593,9 @@ def char_poly(m: Matrix):
 
     The nonzero pattern is condensed into strongly connected components
     first; char polys of the diagonal blocks multiply, with repeated 1x1
-    blocks grouped into binomial powers."""
+    blocks grouped into binomial powers.  Each larger block is cleared of
+    denominators and goes to Berkowitz's division-free algorithm over the
+    integers (`_char_poly_dense`)."""
     if m.rows != m.cols:
         raise ShapeError("characteristic polynomial of a non-square matrix")
     n = m.rows
@@ -601,6 +615,17 @@ def char_poly(m: Matrix):
     for v, count in sorted(scalar_counts.items()):
         p = poly_mul(p, _linear_factor_power(v, count))
     return p
+
+
+def char_poly_of_product(x: Matrix, y: Matrix):
+    """char_poly(x * y) for x n x k and y k x n, from the smaller of the
+    two products: det(tI_n - x y) = t^(n-k) det(tI_k - y x) when n >= k."""
+    if x.cols != y.rows or x.rows != y.cols:
+        raise ShapeError(f"x y is not square for {x.rows}x{x.cols} by {y.rows}x{y.cols}")
+    n, k = x.rows, x.cols
+    if n <= k:
+        return char_poly(x * y)
+    return (Q0,) * (n - k) + char_poly(y * x)
 
 
 def _divisors(n):
@@ -662,7 +687,7 @@ def det(m: Matrix) -> Fraction:
 
 
 def poly_monic(p):
-    p = poly_trim(p)
+    p = tuple(frac(c) for c in poly_trim(p))
     lead = p[-1]
     if lead == 1:
         return p
@@ -671,10 +696,10 @@ def poly_monic(p):
 
 def poly_mod(p, q):
     """Remainder of p modulo q (q nonzero), both lowest-degree-first."""
-    p = list(poly_trim(p))
+    p = [frac(c) for c in poly_trim(p)]
     q = poly_trim(q)
     dq = len(q) - 1
-    lead = q[-1]
+    lead = frac(q[-1])
     while len(p) - 1 >= dq and any(c != 0 for c in p):
         f = p[-1] / lead
         shift = len(p) - 1 - dq
@@ -709,7 +734,7 @@ def _squarefree_part(p):
         return poly_monic(p)
     # exact division p / g by synthetic long division
     out = []
-    rem = list(poly_trim(p))
+    rem = [frac(c) for c in poly_trim(p)]
     dg = poly_degree(g)
     while len(rem) - 1 >= dg:
         f = rem[-1] / g[-1]
@@ -758,13 +783,10 @@ def rational_roots(p):
     low = 0
     while ints[low] == 0:
         low += 1
-    candidates = set()
-    for pn in _divisors(ints[low]):
-        for qd in _divisors(ints[-1]):
-            candidates.add(Fraction(pn, qd))
-            candidates.add(Fraction(-pn, qd))
-    simple_roots = sorted(r for r in candidates
-                          if _divide_linear(ints, r.numerator, r.denominator) is not None)
+    leads = _divisors(ints[-1])
+    simple_roots = sorted(Fraction(pn, qd) for p in _divisors(ints[low]) for qd in leads
+                          if gcd(p, qd) == 1 for pn in (p, -p)
+                          if _divide_linear(ints, pn, qd) is not None)
     coeffs = _integer_multiple(coeffs)
     for r in simple_roots:
         while len(coeffs) > 1:

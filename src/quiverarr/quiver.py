@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 
 from .arrangement import (AdmissibleGraph, ArrangementGraph, TruncatedGraph,
-                          format_vertex_key, parse_vertex_key)
+                          format_vertex_key, parse_vertex_key, truncated_graph)
 from .errors import (InvalidQuiverError, MissingLoopError, ParseError,
                      ShapeError)
-from .linalg import (ChainComplex, Matrix, Q0, Q1, Subspace, block_diag,
-                     char_poly, frac, kernel_basis, poly_format,
-                     rational_roots)
+from .linalg import (ChainComplex, Matrix, Q0, Subspace, _int_product,
+                     block_diag, char_poly_of_product, frac, kernel_basis,
+                     poly_format, rational_roots)
 
 
 class Quiver:
@@ -95,24 +96,9 @@ class LevelQuiver(Quiver):
 
     def __init__(self, tgraph: TruncatedGraph, spaces, maps, loop_ops=None):
         self.tgraph = tgraph
-        # reuse the Quiver plumbing against the truncated adjacency
-        self.graph = tgraph
-        self.spaces = {tgraph.full.key(v): int(d) for v, d in spaces.items()}
-        for v in tgraph.vertices:
-            self.spaces.setdefault(v, 0)
-        unknown = set(self.spaces) - set(tgraph.vertices)
-        if unknown:
-            raise ShapeError(f"spaces at unknown vertices {sorted(unknown)}")
-        self.maps = {}
+        # the Quiver checks, against the truncated adjacency
+        super().__init__(tgraph, spaces, maps)
         loops = set(tgraph.loops)
-        for (a, b), m in maps.items():
-            a, b = tgraph.full.key(a), tgraph.full.key(b)
-            if not (frozenset((a, b)) in tgraph.edges):
-                raise ShapeError(f"map on non-adjacent pair {a}, {b}")
-            if (m.rows, m.cols) != (self.spaces[a], self.spaces[b]):
-                raise ShapeError(f"map {a},{b} shape mismatch")
-            if not m.is_zero():
-                self.maps[(a, b)] = m
         self.loop_ops = {}
         for (at, via), m in (loop_ops or {}).items():
             at, via = tgraph.full.key(at), tgraph.full.key(via)
@@ -214,7 +200,8 @@ def check_quiver(v: Quiver):
     The sum over b of A_{a,b} A_{b,c} for a pair (a, c) is the (a, c)
     block of a product of level-to-level map matrices (a missing edge is a
     zero block), so each such product is formed once per pair of levels
-    and every relation reads its block."""
+    and every relation reads its block.  The products are only tested for
+    zero, so they stay integer numerators (`linalg._int_product`)."""
     out = []
     g = v.graph
     verts = list(g.vertices)
@@ -233,27 +220,23 @@ def check_quiver(v: Quiver):
 
     def composite(p, q):
         """Sum over the middle vertices b of A_{a,b} A_{b,c}, a at level
-        p, c at level q, as one level q -> level p matrix."""
+        p, c at level q, as the integer rows of one level q -> level p
+        matrix with its zero pattern."""
         if (p, q) not in composites:
             if p == q + 2:
-                m = down[q + 1] * down[q]
+                pairs = [(down[q + 1], down[q])]
             elif q == p + 2:
-                m = up[p] * up[p + 1]
+                pairs = [(up[p], up[p + 1])]
             else:
-                m = Matrix.zero(level_dim[p], level_dim[p])
-                if p > 0:
-                    m = m + down[p - 1] * up[p - 1]
-                if p < top:
-                    m = m + up[p] * down[p]
-            composites[(p, q)] = m
+                pairs = ([(down[p - 1], up[p - 1])] if p > 0 else []) + \
+                    ([(up[p], down[p])] if p < top else [])
+            composites[(p, q)] = _sum_of_products(pairs, level_dim[p], level_dim[q])
         return composites[(p, q)]
 
     def violated(a, c):
-        m = composite(lv[a], lv[c])
-        r0, c0, nc = offset[a], offset[c], v.dim(c)
-        e, cols = m.entries, m.cols
-        return any(any(e[i * cols + c0:i * cols + c0 + nc])
-                   for i in range(r0, r0 + v.dim(a)))
+        rows = composite(lv[a], lv[c])
+        c0, nc = offset[c], v.dim(c)
+        return any(any(rows[i][c0:c0 + nc]) for i in range(offset[a], offset[a] + v.dim(a)))
 
     for a in verts:
         for c in verts:
@@ -266,6 +249,21 @@ def check_quiver(v: Quiver):
                         out.append(("(c)", (a, c)))
     if isinstance(v, LevelQuiver):
         out.extend(_check_loops(v))
+    return out
+
+
+def _sum_of_products(pairs, rows, cols):
+    """Integer rows with the zero pattern of the sum of the products a b
+    over the pairs (a, b), each rows x cols: the running sum keeps one
+    denominator per row, and each product is added over the product of
+    the two denominators."""
+    out = [[0] * cols for _ in range(rows)]
+    den = [1] * rows
+    for a, b in pairs:
+        for i, (acc, d) in enumerate(_int_product(a, b)):
+            e = den[i]
+            out[i] = [x * d + y * e for x, y in zip(out[i], acc)]
+            den[i] = e * d
     return out
 
 
@@ -391,22 +389,17 @@ def _complex_from(v, downward):
 
 
 def _level_map(v, tgt, src):
-    """The maps A_{t,s} from the spaces at `src` to those at `tgt` as one
-    block matrix, zero blocks on non-adjacent pairs."""
-    blocks = [[v.map(t, s) if v.graph.adjacent(t, s) else Matrix.zero(v.dim(t), v.dim(s))
-               for s in src] for t in tgt]
-    return _assemble(blocks, sum(v.dim(t) for t in tgt), sum(v.dim(s) for s in src))
-
-
-def _assemble(blocks, rows, cols):
-    if not blocks or rows == 0 or cols == 0:
-        return Matrix.zero(rows, cols)
+    """The maps A_{t,s} from the spaces at `src` to those at `tgt` (vertex
+    keys) as one block matrix; a pair without a stored map, every
+    non-adjacent one among them, is a zero block."""
+    widths = [v.spaces[s] for s in src]
     out = []
-    for brow in blocks:
-        for i in range(brow[0].rows):
-            for b in brow:
-                out.extend(b.row(i))
-    return Matrix._raw(rows, cols, tuple(out))
+    for t in tgt:
+        blocks = [v.maps.get((t, s)) for s in src]
+        for i in range(v.spaces[t]):
+            for m, w in zip(blocks, widths):
+                out.extend((Q0,) * w if m is None else m.row(i))
+    return Matrix._raw(sum(v.spaces[t] for t in tgt), sum(widths), tuple(out))
 
 
 def vertex_offsets(v: Quiver, level):
@@ -423,14 +416,31 @@ def vertex_offsets(v: Quiver, level):
 # -- local and monodromy operators ---------------------------------------------------
 
 class LocalOps:
-    __slots__ = ("S", "T", "Tbar", "Stilde", "up_keys")
+    """S, T, Tbar and Stilde at a vertex.  T and Tbar are kept as their
+    factor pairs (`T_factors`, `Tbar_factors`: T = X Y for the pair
+    (X, Y)) and formed only when read, since their char polys come from
+    the smaller product Y X (`linalg.char_poly_of_product`)."""
 
-    def __init__(self, S, T, Tbar, Stilde, up_keys):
+    def __init__(self, S, T_factors, Tbar_factors, stilde, up_keys):
         self.S = S
-        self.T = T
-        self.Tbar = Tbar
-        self.Stilde = Stilde
+        self.T_factors = T_factors
+        self.Tbar_factors = Tbar_factors
+        self._stilde = stilde
         self.up_keys = up_keys
+
+    @cached_property
+    def T(self):
+        x, y = self.T_factors
+        return x * y
+
+    @cached_property
+    def Tbar(self):
+        x, y = self.Tbar_factors
+        return x * y
+
+    @cached_property
+    def Stilde(self):
+        return self._stilde()
 
 
 def local_ops(v: Quiver, beta) -> LocalOps:
@@ -446,8 +456,8 @@ def local_ops(v: Quiver, beta) -> LocalOps:
     ups = sorted(g.up(b))
     tops = sorted({d for a in ups for d in g.up(a)})
     r, c = _level_map(v, [b], ups), _level_map(v, ups, [b])
-    tbar = _level_map(v, ups, tops) * _level_map(v, tops, ups)
-    return LocalOps(r * c, c * r, tbar, _stilde(v, b), tuple(ups))
+    tbar = (_level_map(v, ups, tops), _level_map(v, tops, ups))
+    return LocalOps(r * c, (c, r), tbar, lambda: _stilde(v, b), tuple(ups))
 
 
 def _through(v: Quiver, b, keys):
@@ -510,15 +520,16 @@ def check_nonresonance_class(v: Quiver):
     """Per-vertex monodromy report: characteristic polynomials of T and
     Tbar, the positive-integer-eigenvalue flag for Tbar, and whether the
     eigenvalues of T fit in some non-resonant set (decidable only when the
-    polynomial splits over Q)."""
+    polynomial splits over Q).  Each char poly is taken from the smaller
+    side of its factor pair: char(T) = char(C R) from S = R C."""
     g = v.graph
     report = []
     for b in g.vertices:
         if g.level[b] == 0:
             continue
         ops = local_ops(v, b)
-        pt = char_poly(ops.T)
-        ptbar = char_poly(ops.Tbar)
+        pt = char_poly_of_product(*ops.T_factors)
+        ptbar = char_poly_of_product(*ops.Tbar_factors)
         tbar_roots, _ = rational_roots(ptbar)
         tbar_flag = any(r > 0 and r.denominator == 1 for r in tbar_roots)
         t_roots, split = rational_roots(pt)
@@ -650,6 +661,8 @@ def quiver_to_json(v: Quiver, witness=None):
 def quiver_from_json(graph: AdmissibleGraph, data):
     """Load a .qvr object against a built graph; level null gives a plain
     quiver, an integer gives a level quiver of that truncation."""
+    if not isinstance(data, dict):
+        raise ParseError("malformed quiver JSON: expected an object at the top level")
     try:
         level = data.get("level")
         spaces = {parse_vertex_key(k): int(d) for k, d in data["spaces"].items()}
@@ -660,17 +673,22 @@ def quiver_from_json(graph: AdmissibleGraph, data):
             b = parse_vertex_key(item["from"])
             maps[(a, b)] = _matrix_from_json(item["matrix"],
                                              dims.get(a, 0), dims.get(b, 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        loops = {}
+        if level is not None:
+            level = int(level)
+            for item in data.get("loops", []):
+                at = parse_vertex_key(item["at"])
+                via = parse_vertex_key(item["via"])
+                loops[(at, via)] = _matrix_from_json(item["matrix"],
+                                                     dims.get(at, 0), dims.get(at, 0))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed quiver JSON: {exc}")
     if level is None:
         return Quiver(graph, spaces, maps)
-    t = TruncatedGraph(graph, int(level))
-    loops = {}
-    for item in data.get("loops", []):
-        at = parse_vertex_key(item["at"])
-        via = parse_vertex_key(item["via"])
-        loops[(at, via)] = _matrix_from_json(item["matrix"],
-                                             dims.get(at, 0), dims.get(at, 0))
+    try:
+        t = truncated_graph(graph, level)
+    except ShapeError as exc:
+        raise ParseError(f"malformed quiver JSON: {exc}")
     return LevelQuiver(t, spaces, maps, loops)
 
 

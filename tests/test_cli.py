@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -235,3 +239,194 @@ def test_kappa_override(files, capsys):
     assert code == 0
     assert base["differentials"][0][0][0] == "-1/100"
     assert big["differentials"][0][0][0] == "-1/200"
+
+
+# -- malformed .qvr input ----------------------------------------------------------
+
+def test_qvr_level_out_of_range(files, capsys, tmp_path):
+    qvr = tmp_path / "deep.qvr"
+    qvr.write_text(json.dumps({"level": 7, "spaces": {"()": 1}, "maps": [], "loops": []}))
+    code, out = run(capsys, "check-quiver", files["three.arr"], "--qvr", str(qvr))
+    assert (code, out) == (2, None)
+    qvr.write_text(json.dumps({"level": -1, "spaces": {"()": 1}}))
+    assert main(["check-quiver", files["three.arr"], "--qvr", str(qvr)]) == 2
+
+
+def test_qvr_top_level_list(files, capsys, tmp_path):
+    qvr = tmp_path / "list.qvr"
+    qvr.write_text(json.dumps([{"level": 0, "spaces": {"()": 1}}]))
+    assert main(["check-quiver", files["three.arr"], "--qvr", str(qvr)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an object at the top level" in captured.err
+
+
+def test_qvr_negative_level_dimension(files, capsys, tmp_path):
+    qvr = tmp_path / "neg.qvr"
+    qvr.write_text(json.dumps({"level": 0, "spaces": {"()": -1}}))
+    code, out = run(capsys, "check-quiver", files["three.arr"], "--qvr", str(qvr))
+    assert (code, out) == (2, None)
+
+
+# -- golden reports ------------------------------------------------------------------
+
+GOLDEN_EXPONENTS = {
+    "three_lines": ("1/3", "-1/2", "2/7"),
+    "boolean3": ("1/5", "3/4", "-2/3"),
+    "c13": ("1/3", "-1/5", "2/7", "1/2", "-3/4", "5/6"),
+}
+
+
+def golden_reports(tmp_path):
+    """The push-star and push-shriek reports to the top level, and the
+    check-quiver reports on them, on each golden arrangement, from a
+    rank-1 .exp input and two rank-2 .qvr inputs: loops a_j [[1, 1],
+    [0, 1]], and the non-commuting loops a_j [[0, 1], [j, 0]], whose
+    pushes break relations (also pushed to level 1 only, where the loop
+    relations apply).  Name -> exit code and stdout."""
+    from quiverarr import corpus
+    from quiverarr.arrangement import build_graph
+    from quiverarr.linalg import Matrix
+    from quiverarr.quiver import level_zero_quiver, quiver_to_json
+
+    def cli(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        return f"{code}\n{out.getvalue()}"
+
+    reports = {}
+    for name, exps in GOLDEN_EXPONENTS.items():
+        a = corpus.CORPUS[name]()
+        arr = tmp_path / f"{name}.arr"
+        arr.write_text(f"dim {a.ambient_dim}\n" + "".join(
+            "H " + " ".join(str(x) for x in (h.constant,) + tuple(h.normal)) + "\n"
+            for h in a.hyperplanes))
+        exp = tmp_path / f"{name}.exp"
+        exp.write_text("".join(f"a {j} {x}\n" for j, x in enumerate(exps, 1)))
+        sources = [("exp", ("--exp", str(exp)))]
+        for source, loop in (("rank2", lambda j: [[1, 1], [0, 1]]),
+                             ("noncommuting", lambda j: [[0, 1], [j, 0]])):
+            w = level_zero_quiver(build_graph(a), 2, {
+                j: Matrix.from_rows(loop(j)).scale(Fraction(x)) for j, x in enumerate(exps, 1)})
+            qvr = tmp_path / f"{name}-{source}.qvr"
+            qvr.write_text(json.dumps(quiver_to_json(w)))
+            sources.append((source, ("--qvr", str(qvr))))
+        sources.append(("noncommuting-level1", sources[-1][1] + ("--level", "1")))
+        for source, flags in sources:
+            for cmd in ("push-star", "push-shriek"):
+                key = f"{name}/{source}/{cmd}"
+                reports[key] = cli(cmd, str(arr), *flags)
+                pushed = tmp_path / f"{name}-{source}-{cmd}.qvr"
+                pushed.write_text(reports[key].split("\n", 1)[1])
+                reports[key + "/check-quiver"] = cli("check-quiver", str(arr),
+                                                     "--qvr", str(pushed))
+    return reports
+
+
+# sha256 of each report, recorded before the integer char poly, the
+# one-solve push steps and the integer relation checks
+GOLDEN_DIGESTS = {
+    "three_lines/exp/push-star":
+        "dc7bc937c5797f71efa23f601a453cd976a3d3a59d3c91723ce7f1e454be1a5e",
+    "three_lines/exp/push-star/check-quiver":
+        "0f173a7688f97805c51b2eb2dfca5d8c93c2ea075ffeff815ad912bd092450b6",
+    "three_lines/exp/push-shriek":
+        "934c69e782bdea8f749c2fa3f44993bfbcf6f9cc4cbfcbfd2b0c31bc4fc6ed0d",
+    "three_lines/exp/push-shriek/check-quiver":
+        "0f173a7688f97805c51b2eb2dfca5d8c93c2ea075ffeff815ad912bd092450b6",
+    "three_lines/rank2/push-star":
+        "22705b6482e8e60c3b03e431434ff6d884393c48e5be69b159aed76576571bb1",
+    "three_lines/rank2/push-star/check-quiver":
+        "0f173a7688f97805c51b2eb2dfca5d8c93c2ea075ffeff815ad912bd092450b6",
+    "three_lines/rank2/push-shriek":
+        "3816f763faf0314810db859f049955c7071fbe82d6d33623d1f6b1dccb8a28d4",
+    "three_lines/rank2/push-shriek/check-quiver":
+        "0f173a7688f97805c51b2eb2dfca5d8c93c2ea075ffeff815ad912bd092450b6",
+    "three_lines/noncommuting/push-star":
+        "b64bfdda171a8169056537c8b77be9c8aab5f2b24fa611fce50c7bc0f20a83b4",
+    "three_lines/noncommuting/push-star/check-quiver":
+        "79b01a7cb34b344a1176fd8c1e42a067ddc37203279c45764edeaf2e587df0f1",
+    "three_lines/noncommuting/push-shriek":
+        "8fb4e949dbcf165f7a9aca17db38c589e5f9c31f0b90a020510dd1dd111f9040",
+    "three_lines/noncommuting/push-shriek/check-quiver":
+        "66abf0ee6be2653f92c0cc51d47ebf16f8fad60c5c20a067810543e253dd7335",
+    "three_lines/noncommuting-level1/push-star":
+        "a2db2cf6452ef236d1157b398d3233292428b3b13962f72885b28ef6a96593bf",
+    "three_lines/noncommuting-level1/push-star/check-quiver":
+        "d0ce888ca3abe9693eb0d82fd7dc48d14df4d94dc333f112639a237f8e90c69e",
+    "three_lines/noncommuting-level1/push-shriek":
+        "ed8ad4a3d46ea96cb013f785ed8d4b14f0b7e7f9659fb47afce580b380e82b01",
+    "three_lines/noncommuting-level1/push-shriek/check-quiver":
+        "e73ff7db08d70a487d352a7bd71d321142326e02edfbd49068cba0e200799211",
+    "boolean3/exp/push-star":
+        "c900cf93f0e6fede2fc9a40f734947ef85df6b2ff3b9a357fd4b2b37600d3b9b",
+    "boolean3/exp/push-star/check-quiver":
+        "10f3429440930303dc674ce9867c42622a7979b7b7ebeb87525f842c343c361d",
+    "boolean3/exp/push-shriek":
+        "a9222efb5a889c2b39b43616747d3d55c9f487498b0d0e47120f6fcc4131fa8f",
+    "boolean3/exp/push-shriek/check-quiver":
+        "10f3429440930303dc674ce9867c42622a7979b7b7ebeb87525f842c343c361d",
+    "boolean3/rank2/push-star":
+        "4bd544ed984f53eff3e4de9c1588c80d7640b718a452ccf99b8dfe30a8dc685d",
+    "boolean3/rank2/push-star/check-quiver":
+        "10f3429440930303dc674ce9867c42622a7979b7b7ebeb87525f842c343c361d",
+    "boolean3/rank2/push-shriek":
+        "246c4b5d4df93de8f2634fef40633d135b0ac9168faf45d185025384f8acbd4a",
+    "boolean3/rank2/push-shriek/check-quiver":
+        "10f3429440930303dc674ce9867c42622a7979b7b7ebeb87525f842c343c361d",
+    "boolean3/noncommuting/push-star":
+        "94c76ac4be9513a6da24baef97554d0af59b2964768090b66f4f259bec486a35",
+    "boolean3/noncommuting/push-star/check-quiver":
+        "5e7cfae753923233e6505562e50e6ae0d728c515f6e212ec8886c22905e1c455",
+    "boolean3/noncommuting/push-shriek":
+        "e070aa0ff949456e4b4043c03e5db6034e8df6304667251d1267d6be2b8f387b",
+    "boolean3/noncommuting/push-shriek/check-quiver":
+        "293e426c9b2a64664c3e97066ab49da3a6938863a3b918852261a85c112565fd",
+    "boolean3/noncommuting-level1/push-star":
+        "0c20853c8e844e78d3311ecb963e37f64b9b9988ec1b86e92959d6feba9db09e",
+    "boolean3/noncommuting-level1/push-star/check-quiver":
+        "2fd6950f811123bef34ba900e52ccaa5918c220b725da1d261298b31c157bbc6",
+    "boolean3/noncommuting-level1/push-shriek":
+        "9d75990a110206ec1e9446716c526dcfa1d7144168058907a836111b8f879dda",
+    "boolean3/noncommuting-level1/push-shriek/check-quiver":
+        "c95dc61b3e9a689f42b48ae509542144e14a476fa0e78033f81600aa3e130647",
+    "c13/exp/push-star":
+        "984a9f6a087d69900b9c7576ce0fbb972788f5b7b3ebb574896805286a6709ae",
+    "c13/exp/push-star/check-quiver":
+        "10f3429440930303dc674ce9867c42622a7979b7b7ebeb87525f842c343c361d",
+    "c13/exp/push-shriek":
+        "4f28c967c075cb896f07ecd0d95a18faeffa7bdbb491f096ef5b1ad83ee178a9",
+    "c13/exp/push-shriek/check-quiver":
+        "10f3429440930303dc674ce9867c42622a7979b7b7ebeb87525f842c343c361d",
+    "c13/rank2/push-star":
+        "a77cc76ebaee23904964d1651fe0dabe4aa56069324b64d23a8d2d9156208ab8",
+    "c13/rank2/push-star/check-quiver":
+        "10f3429440930303dc674ce9867c42622a7979b7b7ebeb87525f842c343c361d",
+    "c13/rank2/push-shriek":
+        "5840c90e7c6d39f3fbff3f12a238696b49de7a85b00146ff8b85a8095be241e2",
+    "c13/rank2/push-shriek/check-quiver":
+        "10f3429440930303dc674ce9867c42622a7979b7b7ebeb87525f842c343c361d",
+    "c13/noncommuting/push-star":
+        "c3c22fdbcf431036a2fe052ddad09ba1d1e5a09d30cfcbeb1eb15f3919428ddf",
+    "c13/noncommuting/push-star/check-quiver":
+        "9990594542a8c81b860428fe355d503cd4294234fe83858634000eea42ee281a",
+    "c13/noncommuting/push-shriek":
+        "6e75ae7131b294b0dd15c6d752d098ebc29103f94d5208364e843d59345339ea",
+    "c13/noncommuting/push-shriek/check-quiver":
+        "97614b089c6b2f24f7b019835daef615c287acb97c328b183ec54ca89342b1bb",
+    "c13/noncommuting-level1/push-star":
+        "ea10c6342b877cff85bc8f0a373ababbea76c561521868d50d9c989e267a1916",
+    "c13/noncommuting-level1/push-star/check-quiver":
+        "7b021f8dc8fd9047e990e785719c20263cad7c14a309c37dacea980b644dde3d",
+    "c13/noncommuting-level1/push-shriek":
+        "b5cf2713f7379946163a2888ec619d77503cf60808e71882f0a94e69f42eacb1",
+    "c13/noncommuting-level1/push-shriek/check-quiver":
+        "6038bad1cf07bd11bb9eac4b3c52bdce9caf5579426b683063d1de8677800599",
+}
+
+
+def test_golden_push_and_check_reports(tmp_path):
+    reports = golden_reports(tmp_path)
+    digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in reports.items()}
+    assert digests == GOLDEN_DIGESTS

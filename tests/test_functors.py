@@ -5,7 +5,7 @@ import pytest
 
 from quiverarr import corpus
 from quiverarr.arrangement import build_graph
-from quiverarr.errors import ShapeError, UnsupportedError
+from quiverarr.errors import InternalInconsistencyError, ShapeError, UnsupportedError
 from quiverarr.functors import (
     adjoint_transport, as_level_quiver, fourier_dual, j0_shriek, j0_star,
     macpherson, push_shriek, push_shriek_step, push_star, push_star_step,
@@ -611,3 +611,20 @@ def test_nonresonant_spectrum_quiver_has_clean_monodromy_report():
         rep = check_nonresonance_class(v)
         assert all(not r["tbar_has_positive_integer_eigenvalue"] for r in rep)
         assert all(r["t_nonresonant"] == "verified" for r in rep)
+
+
+def test_push_steps_reject_a_boundary_that_breaks_relations():
+    # A_{(),(1)} changed on a valid level-1 quiver: the downward images at
+    # the centre leave the * subspace, and the upward maps do not vanish
+    # on the ! relations
+    v = push_star(three_lines_w(), 1)
+    m = v.map((), (1,))
+    maps = dict(v.maps)
+    maps[((), (1,))] = m + Matrix.identity(1)
+    u = LevelQuiver(v.tgraph, dict(v.spaces), maps, dict(v.loop_ops))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^downward image misses the subspace at \(1, 2, 3\)$"):
+        push_star_step(u)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^upward map not defined on the quotient at \(1, 2, 3\)$"):
+        push_shriek_step(u)

@@ -9,7 +9,8 @@ from quiverarr.errors import InvalidComplexError, ShapeError
 from quiverarr.linalg import (
     ChainComplex, ChainMap, Matrix, betti, char_poly, image_basis,
     image_complex, integer_roots, kernel_basis, poly_eval, poly_format,
-    poly_mul, rank, rref, solve, solve_matrix,
+    poly_mod, poly_monic, poly_mul, poly_sub, rank, rational_roots, rref,
+    solve, solve_matrix,
 )
 
 
@@ -205,11 +206,11 @@ SPARSE_ENTRIES = st.one_of(
 
 
 @st.composite
-def matrices(draw, rows=None, max_dim=6):
+def matrices(draw, rows=None, max_dim=6, cols=None):
     """Zero, integer, mixed-denominator and low-rank matrices, including
     0-row and 0-column shapes."""
     n = draw(st.integers(0, max_dim)) if rows is None else rows
-    m = draw(st.integers(0, max_dim))
+    m = draw(st.integers(0, max_dim)) if cols is None else cols
     kind = draw(st.sampled_from(("zero", "integer", "mixed", "low-rank")))
     if kind == "zero":
         return Matrix.zero(n, m)
@@ -266,3 +267,137 @@ def test_matmul_empty_inner_dimension():
     assert M([[1], [2]]).transpose() * Matrix.zero(2, 0) == Matrix.zero(1, 0)
     assert Matrix.zero(2, 0) * Matrix.zero(0, 3) == Matrix.zero(2, 3)
     assert Matrix.zero(0, 2) * M([[1, 2], [3, 4]]) == Matrix.zero(0, 2)
+
+
+# -- the integer characteristic polynomial ------------------------------------
+
+def fraction_hessenberg_char_poly(m):
+    """Reference characteristic polynomial over Fractions: similarity to
+    upper Hessenberg form, then the recurrence over its leading blocks.
+    Lowest degree first."""
+    n = m.rows
+    h = m.row_list()
+    for c in range(n - 2):
+        pr = next((i for i in range(c + 1, n) if h[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != c + 1:
+            h[c + 1], h[pr] = h[pr], h[c + 1]
+            for i in range(n):
+                h[i][c + 1], h[i][pr] = h[i][pr], h[i][c + 1]
+        piv = h[c + 1][c]
+        for i in range(c + 2, n):
+            if h[i][c] != 0:
+                f = h[i][c] / piv
+                h[i] = [x - f * y for x, y in zip(h[i], h[c + 1])]
+                for k in range(n):
+                    h[k][c + 1] += f * h[k][i]
+    polys = [(Fraction(1),)]
+    for k in range(1, n + 1):
+        p = poly_mul(polys[k - 1], (-h[k - 1][k - 1], Fraction(1)))
+        coef = Fraction(1)
+        for i in range(k - 1, 0, -1):
+            coef *= h[i][i - 1]
+            if coef == 0:
+                break
+            term = coef * h[i - 1][k - 1]
+            if term:
+                p = poly_sub(p, tuple(term * c for c in polys[i - 1]))
+        polys.append(p)
+    return polys[n]
+
+
+@st.composite
+def square_matrices(draw, max_dim=7):
+    """Dense integer, sparse mixed-denominator and low-rank square
+    matrices, and block-triangular ones whose nonzero pattern splits into
+    strongly connected components."""
+    n = draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(("dense", "sparse", "low-rank", "triangular")))
+    if kind == "dense":
+        return Matrix(n, n, draw(st.lists(st.integers(-6, 6), min_size=n * n, max_size=n * n)))
+    if kind == "low-rank":
+        k = draw(st.integers(0, 2))
+        return draw(matrices(rows=n, cols=k)) * draw(matrices(rows=k, cols=n))
+    entries = draw(st.lists(SPARSE_ENTRIES, min_size=n * n, max_size=n * n))
+    if kind == "triangular":
+        cut = draw(st.integers(0, n))
+        entries = [Fraction(0) if i >= cut > j else entries[i * n + j]
+                   for i in range(n) for j in range(n)]
+    return Matrix(n, n, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+@example(Matrix.zero(0, 0))
+@example(Matrix.from_rows([[Fraction(1, 2), 3], [Fraction(-2, 7), Fraction(5, 3)]]))
+def test_integer_char_poly_matches_fraction_hessenberg(m):
+    from quiverarr.linalg import _char_poly_dense
+    expect = fraction_hessenberg_char_poly(m)
+    assert _char_poly_dense(m) == expect
+    assert char_poly(m) == expect
+    assert all(type(x) is Fraction for x in _char_poly_dense(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_char_poly_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    sm = sympy.Matrix(m.rows, m.cols,
+                      [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+    t = sympy.Symbol("t")
+    expect = sm.charpoly(t).all_coeffs()[::-1]
+    assert char_poly(m) == tuple(Fraction(int(c.p), int(c.q)) for c in expect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 6), st.integers(0, 6))
+@example(None, 0, 3)
+@example(None, 3, 0)
+@example(None, 0, 0)
+def test_char_poly_of_product_is_char_poly_of_the_product(data, n, k):
+    from quiverarr.linalg import char_poly_of_product
+    if data is None:
+        x, y = Matrix.zero(n, k), Matrix.zero(k, n)
+    else:
+        x = data.draw(matrices(rows=n, cols=k))
+        y = data.draw(matrices(rows=k, cols=n))
+    assert char_poly_of_product(x, y) == char_poly(x * y)
+    assert char_poly_of_product(y, x) == char_poly(y * x)
+
+
+def test_char_poly_of_product_shape_check():
+    from quiverarr.linalg import char_poly_of_product
+    with pytest.raises(ShapeError):
+        char_poly_of_product(Matrix.zero(2, 3), Matrix.zero(2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), matrices())
+def test_product_is_zero_matches_the_product(data, a):
+    from quiverarr.linalg import product_is_zero
+    b = data.draw(matrices(rows=a.cols))
+    assert product_is_zero(a, b) == (a * b).is_zero()
+
+
+# -- rational roots of integer coefficient tuples ------------------------------
+
+def test_rational_roots_of_int_coefficients():
+    # ints with a non-unit leading coefficient used to turn into floats
+    assert rational_roots((2, 2)) == ([Fraction(-1)], True)
+    assert rational_roots((4, 0, 2)) == ([], False)
+    assert rational_roots((-3, 2)) == ([Fraction(3, 2)], True)
+    assert rational_roots((0, 0, 6, -5, 1)) == ([0, 0, Fraction(2), Fraction(3)], True)
+    assert poly_monic((2, 4)) == (Fraction(1, 2), Fraction(1))
+    assert all(type(c) is Fraction for c in poly_monic((2, 4)) + poly_monic((3, 1)))
+    assert poly_mod((1, 0, 1), (1, 2)) == (Fraction(5, 4),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=7).filter(any))
+def test_rational_roots_ints_match_fractions(coeffs):
+    ints = rational_roots(tuple(coeffs))
+    fracs = rational_roots(tuple(Fraction(c) for c in coeffs))
+    assert ints == fracs
+    roots, _ = ints
+    assert all(poly_eval(tuple(coeffs), r) == 0 for r in roots)

@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverarr import corpus
 from quiverarr.arrangement import TruncatedGraph, build_graph, truncated_graph
@@ -291,3 +294,160 @@ def test_char_poly_of_global_s_spectrum_case():
     p = char_poly(s)
     lam = Fraction(1, 15)
     assert p == (lam * lam, -2 * lam, 1)
+
+
+# -- check_quiver against a blockwise reference ------------------------------------
+
+def entrywise(a, b):
+    """a b by the definition, over Fractions, as a list of rows."""
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def summed(n, m, terms):
+    acc = [[Fraction(0)] * m for _ in range(n)]
+    for t in terms:
+        acc = [[x + y for x, y in zip(r, s)] for r, s in zip(acc, t)]
+    return acc
+
+
+def reference_violations(v):
+    """The relations of check_quiver, each summed block by block from its
+    definition: (b) and (c) as sums of A_{a,b} A_{b,c} over the middle
+    vertices, (iv) and (v) from the loop operators."""
+    g = v.graph
+    lv = g.level
+    out = []
+    for a in g.vertices:
+        for c in g.vertices:
+            if abs(lv[a] - lv[c]) == 2:
+                name = "(b)"
+            elif lv[a] == lv[c] and a != c and set(g.down(a)) & set(g.down(c)):
+                name = "(c)"
+            else:
+                continue
+            mids = [b for b in g.vertices if g.adjacent(a, b) and g.adjacent(b, c)]
+            s = summed(v.dim(a), v.dim(c), [entrywise(v.map(a, b), v.map(b, c)) for b in mids])
+            if any(any(r) for r in s):
+                out.append((name, (a, c)))
+    if not isinstance(v, LevelQuiver):
+        return out
+    full, n = v.tgraph.full, v.level
+    for (at, via) in v.tgraph.loops:
+        lp = v.loop(at, via)
+        for d in full.up(at):
+            mids = [c for c in full.down(d)
+                    if c != at and full.level[c] == n and full.adjacent(c, via)]
+            s = Matrix.from_rows(summed(v.dim(d), v.dim(d),
+                                        [entrywise(v.map(d, c), v.map(c, d)) for c in mids]),
+                                 cols=v.dim(d))
+            if entrywise(lp, v.map(at, d)) != entrywise(v.map(at, d), s):
+                out.append(("(iv)", (at, via, d)))
+            if entrywise(v.map(d, at), lp) != entrywise(s, v.map(d, at)):
+                out.append(("(iv)*", (at, via, d)))
+    for at in full.levels(n):
+        for c in {c for b in full.down(at) for c in full.down(b)}:
+            betas = [b for b in full.down(at) if full.adjacent(b, c)]
+            s = Matrix.from_rows(summed(v.dim(at), v.dim(at),
+                                        [v.loop(at, b).row_list() for b in betas]),
+                                 cols=v.dim(at))
+            for b in betas:
+                if entrywise(v.loop(at, b), s) != entrywise(s, v.loop(at, b)):
+                    out.append(("(v)", (at, b, c)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def relation_bases():
+    """Valid quivers to inject violations into: j0 images (full quivers)
+    and one-step pushes (level quivers with loops), at ranks 1 and 2."""
+    from quiverarr.functors import j0_shriek, j0_star, push_shriek, push_star
+    out = []
+    for name in ("three_lines", "boolean3", "c13"):
+        g = graph(name)
+        rng = random.Random(name)
+        for dim, seed in ((1, None), (2, 3)):
+            vals = {j: Fraction(rng.randint(-6, 6), 5) for j in range(1, g.arrangement.size + 1)}
+            w = scalar_level0(g, vals, dim=dim, seed=seed)
+            out += [j0_star(g, w), j0_shriek(g, w), push_star(w, 1), push_shriek(w, 1)]
+    return out
+
+
+def inject(v, draw):
+    """A copy of v with one entry of a map or loop operator changed; the
+    map may be one absent from v.  `draw` picks one item of a list."""
+    g = v.graph
+    maps, loop_ops = dict(v.maps), dict(getattr(v, "loop_ops", {}))
+    loops = [k for k in v.tgraph.loops if v.dim(k[0])] if isinstance(v, LevelQuiver) else []
+    if loops and draw([False, True]):
+        table, key = loop_ops, draw(loops)
+        shape = (v.dim(key[0]), v.dim(key[0]))
+    else:
+        table = maps
+        key = draw([(a, b) for a in g.vertices for b in g.vertices
+                    if g.adjacent(a, b) and v.dim(a) and v.dim(b)])
+        shape = (v.dim(key[0]), v.dim(key[1]))
+    m = table.get(key, Matrix.zero(*shape))
+    e = list(m.entries)
+    e[draw(range(m.rows)) * m.cols + draw(range(m.cols))] += \
+        Fraction(draw([-2, -1, 1, 3]), draw([1, 2]))
+    table[key] = Matrix(m.rows, m.cols, e)
+    if isinstance(v, LevelQuiver):
+        return LevelQuiver(v.tgraph, dict(v.spaces), maps, loop_ops)
+    return Quiver(g, dict(v.spaces), maps)
+
+
+def test_check_quiver_valid_bases():
+    for v in relation_bases():
+        assert check_quiver(v) == reference_violations(v) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_check_quiver_matches_blockwise_reference(data):
+    bases = relation_bases()
+    v = inject(data.draw(st.sampled_from(bases)),
+               lambda xs: data.draw(st.sampled_from(list(xs))))
+    got = check_quiver(v)
+    assert sorted(got) == sorted(reference_violations(v))
+    assert len(set(got)) == len(got)
+
+
+def test_injected_violations_cover_every_relation():
+    rng = random.Random(11)
+    seen = set()
+    for v in relation_bases():
+        for _ in range(6):
+            w = inject(v, lambda xs: rng.choice(list(xs)))
+            got = check_quiver(w)
+            assert sorted(got) == sorted(reference_violations(w))
+            seen |= {name for name, _ in got}
+    assert seen == {"(b)", "(c)", "(iv)", "(iv)*", "(v)"}
+
+
+# -- monodromy char polys against the explicitly formed operators --------------------
+
+@pytest.mark.parametrize("name", corpus.SMALL_CENTRAL)
+def test_nonresonance_report_matches_explicit_monodromy(name):
+    from quiverarr.functors import j0_shriek, j0_star
+    from quiverarr.linalg import poly_format
+    g = graph(name)
+    rng = random.Random(name)
+    for dim, seed in ((1, None), (2, 5)):
+        vals = {j: Fraction(rng.randint(-5, 5), 7) for j in range(1, g.arrangement.size + 1)}
+        w = scalar_level0(g, vals, dim=dim, seed=seed)
+        for v in (j0_star(g, w), j0_shriek(g, w)):
+            report = check_nonresonance_class(v)
+            assert [r["vertex"] for r in report] == [k for k in g.vertices if g.level[k]]
+            for r in report:
+                ops = local_ops(v, r["vertex"])
+                assert r["char_poly_T"] == poly_format(char_poly(ops.T))
+                assert r["char_poly_Tbar"] == poly_format(char_poly(ops.Tbar))
+
+
+def test_level_quiver_rejects_negative_dimension():
+    g = graph("three_lines")
+    with pytest.raises(ShapeError):
+        LevelQuiver(TruncatedGraph(g, 0), {(): -1}, {})
+    with pytest.raises(ShapeError):
+        LevelQuiver(TruncatedGraph(g, 1), {(1,): -2}, {})

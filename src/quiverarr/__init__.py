@@ -18,7 +18,7 @@ The building blocks, bottom to top:
 - cohomology: Betti tables of the endpoint complexes with hypothesis
   bookkeeping;
 - equivariant: finite symmetry groups, induced chain automorphisms, and
-  invariant-subcomplex tables;
+  invariant-subcomplex tables computed from the generators;
 - liecheck: the Weyl-group / Borel-Weil-Bott oracle and the end-to-end
   cross-check on discriminantal arrangements;
 - cli: the `quiverarr` command.
@@ -33,8 +33,9 @@ from .cohomology import (CohomologyReport, intersection_cohomology,
                          local_system_cohomology, perverse_cohomology,
                          scalar_from_exponents)
 from .equivariant import (AffineMap, EquivariantLevelZero, GroupAction,
-                          build_action, det_character, equivariant_c_plus,
-                          equivariant_cohomology, parse_group)
+                          build_action, chain_automorphism, det_character,
+                          equivariant_c_plus, equivariant_cohomology,
+                          generator_kernels, parse_group)
 from .functors import (adjoint_transport, fourier_dual, j0_shriek, j0_star,
                        macpherson, push_shriek, push_shriek_step, push_star,
                        push_star_step, restrict, s0, s_general,

@@ -16,10 +16,9 @@ the empty tuple ().
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .errors import ParseError, ShapeError, UnsupportedError
-from .linalg import Matrix, Q0, Q1, frac, rref
+from .linalg import Matrix, Q0, Q1, frac, parse_rational, rref
 
 
 class Hyperplane:
@@ -484,19 +483,15 @@ def parse_arrangement(text, path=None) -> Arrangement:
         if parts[0] == "dim":
             if dim is not None:
                 raise ParseError("duplicate dim line", path, lineno)
-            try:
-                dim = int(parts[1])
-            except (IndexError, ValueError):
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError("malformed dim line", path, lineno)
+            dim = int(parts[1])
         elif parts[0] == "H":
             if dim is None:
                 raise ParseError("H line before dim line", path, lineno)
             if len(parts) != dim + 2:
                 raise ParseError(f"expected {dim + 1} coefficients", path, lineno)
-            try:
-                coeffs = [Fraction(p) for p in parts[1:]]
-            except ValueError:
-                raise ParseError("bad rational", path, lineno)
+            coeffs = [parse_rational(p, path, lineno) for p in parts[1:]]
             try:
                 hyps.append(Hyperplane(coeffs[0], coeffs[1:]))
             except ShapeError as exc:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import corpus
 from .arrangement import (build_graph, format_vertex_key, parse_arrangement,
@@ -31,7 +30,7 @@ from .functors import (fourier_dual, j0_shriek, j0_star, macpherson,
                        push_shriek_step, push_star_step, restrict, s0,
                        specialize)
 from .liecheck import KZInstance, kz_check
-from .linalg import betti, char_poly, poly_format
+from .linalg import betti, char_poly, parse_rational, poly_format
 from .oscomplex import (aomoto_complex, flag_complex, flag_space, os_space,
                         parse_exponents, shapovalov_scalar)
 from .quiver import (LevelQuiver, check_quiver, c_plus, dual, parse_quiver,
@@ -60,7 +59,7 @@ def _exponents(args):
     kappa = getattr(args, "kappa", None)
     if kappa is not None:
         from .oscomplex import ExponentAssignment
-        a = ExponentAssignment(a.values, Fraction(kappa))
+        a = ExponentAssignment(a.values, parse_rational(kappa, "--kappa"))
     return a
 
 
@@ -240,7 +239,7 @@ def cmd_equivariant(args):
 
 
 def cmd_kz_check(args):
-    kappa = Fraction(args.kappa) if args.kappa else None
+    kappa = parse_rational(args.kappa, "--kappa") if args.kappa else None
     inst = KZInstance(args.type, args.highest, args.weights, kappa)
     return kz_check(inst, grid_bound=args.bound)
 

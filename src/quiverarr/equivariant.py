@@ -5,23 +5,28 @@ A group element is an affine map preserving the arrangement; it permutes
 hyperplanes, hence strata, hence flag and Orlik-Solomon generators (the
 latter pick up the skew-symmetry sign when re-sorted).  Tensoring with a
 representation on the level-zero space gives chain automorphisms of the
-C+ complexes of the direct-image quivers, and averaging against the
-determinant character projects onto the invariants of the twisted
-complex."""
+C+ complexes of the direct-image quivers.  The invariants of the complex
+twisted by a character chi are computed from generators only: for G
+generated by S, V^{G,chi} is the intersection over s in S of
+ker(A_s - chi(s)).  Only the generators' automorphisms are built; the
+identities over the whole group (the group law, the Reynolds projector
+and its image) are checked by `quiverarr selftest` and the tests."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
-from .arrangement import ArrangementGraph, format_vertex_key
+from .arrangement import ArrangementGraph, Hyperplane
 from .cohomology import CohomologyReport, _betti_map, smallness_status
 from .errors import (NotFiniteError, ParseError, ShapeError, SymmetryError,
                      UnsupportedError)
 from .functors import j0_shriek, j0_star, macpherson
-from .linalg import (ChainComplex, ChainMap, Matrix, Q0, Q1, det,
-                     image_complex, rank, solve_matrix)
+from .linalg import (Matrix, Q0, Q1, block_diag, det, kernel_basis,
+                     parse_rational, rank, solve_matrix, sort_with_sign,
+                     subcomplex)
 from .oscomplex import flag_space, os_space
-from .quiver import LevelQuiver, Quiver, c_plus
+from .quiver import LevelQuiver, c_plus
 
 
 class AffineMap:
@@ -43,11 +48,12 @@ class AffineMap:
         self.translation = translation
 
     def compose(self, other):
-        """self after other."""
-        lin = self.linear * other.linear
-        tr = tuple(x + y for x, y in zip(self.linear.apply(other.translation),
-                                         self.translation))
-        return AffineMap(lin, tr)
+        """self after other; invertible as both are, so unchecked."""
+        out = AffineMap.__new__(AffineMap)
+        out.linear = self.linear * other.linear
+        out.translation = tuple(x + y for x, y in zip(
+            self.linear.apply(other.translation), self.translation))
+        return out
 
     def is_identity(self):
         return (self.linear == Matrix.identity(self.linear.rows)
@@ -73,13 +79,14 @@ class AffineMap:
 
 class GroupAction:
     """A finite group of affine symmetries: closed element list with the
-    identity first, induced hyperplane permutations, multiplication table."""
+    identity first, the generator indices, and the induced hyperplane
+    permutations.  The multiplication table is built on first use."""
 
-    def __init__(self, arrangement, elements, hyperplane_perm, table):
+    def __init__(self, arrangement, elements, hyperplane_perm, generators):
         self.arrangement = arrangement
         self.elements = list(elements)
         self.hyperplane_perm = [dict(p) for p in hyperplane_perm]
-        self.table = [list(r) for r in table]
+        self.generators = list(generators)
         if not self.elements or not self.elements[0].is_identity():
             raise SymmetryError("identity must come first")
 
@@ -93,63 +100,67 @@ class GroupAction:
     def vertex_image(self, gi, key):
         return tuple(sorted(self.perm(gi, j) for j in key))
 
+    @cached_property
+    def table(self):
+        index = {e.key(): i for i, e in enumerate(self.elements)}
+        return [[index[a.compose(b).key()] for b in self.elements]
+                for a in self.elements]
+
     def mul(self, gi, gj):
         return self.table[gi][gj]
 
 
-def _hyperplane_image(arrangement, amap: AffineMap, j):
-    """Index of the image hyperplane T(H_j), or None."""
-    h = arrangement.hyperplane(j)
+def _hyperplane_perm(arrangement, amap: AffineMap):
+    """j -> index of the image hyperplane T(H_j); raises SymmetryError
+    unless T permutes the hyperplanes."""
     n = arrangement.ambient_dim
     linv = solve_matrix(amap.linear, Matrix.identity(n))
-    row = Matrix(1, n, h.normal) * linv
-    normal = row.row(0)
-    const = h.constant - sum(x * t for x, t in zip(normal, amap.translation))
-    from .arrangement import Hyperplane
-    img = Hyperplane(const, normal)
-    for k in range(1, arrangement.size + 1):
-        if arrangement.hyperplane(k) == img:
-            return k
-    return None
+    where = {h: k for k, h in enumerate(arrangement.hyperplanes, start=1)}
+    perm = {}
+    for j, h in enumerate(arrangement.hyperplanes, start=1):
+        normal = (Matrix(1, n, h.normal) * linv).row(0)
+        const = h.constant - sum(x * t for x, t in zip(normal, amap.translation))
+        img = where.get(Hyperplane(const, normal))
+        if img is None:
+            raise SymmetryError(f"map does not preserve hyperplane {j}")
+        perm[j] = img
+    if sorted(perm.values()) != list(range(1, arrangement.size + 1)):
+        raise SymmetryError("hyperplane images are not a permutation")
+    return perm
 
 
 def build_action(arrangement, maps, bound=4096) -> GroupAction:
-    """Close the given affine maps under composition, verify the
-    arrangement is preserved, and compute the induced permutations."""
+    """Close the given affine maps under composition (which checks that
+    they generate a finite group) and verify that each permutes the
+    hyperplanes.  The distinct non-identity maps are the generators; the
+    closure takes words in them, and the permutation of s after e is
+    composed from those of s and e."""
     n = arrangement.ambient_dim
     elements = [AffineMap.identity(n)]
     index = {elements[0].key(): 0}
-    frontier = []
     for m in maps:
         if m.key() not in index:
             index[m.key()] = len(elements)
             elements.append(m)
-            frontier.append(m)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elements):
-                for c in (a.compose(b), b.compose(a)):
-                    if c.key() not in index:
-                        if len(elements) >= bound:
-                            raise NotFiniteError(f"group closure exceeds {bound}")
-                        index[c.key()] = len(elements)
-                        elements.append(c)
-                        nxt.append(c)
-        frontier = nxt
-    perms = []
-    for e in elements:
-        p = {}
-        for j in range(1, arrangement.size + 1):
-            img = _hyperplane_image(arrangement, e, j)
-            if img is None:
-                raise SymmetryError(f"map does not preserve hyperplane {j}")
-            p[j] = img
-        if sorted(p.values()) != list(range(1, arrangement.size + 1)):
-            raise SymmetryError("hyperplane images are not a permutation")
-        perms.append(p)
-    table = [[index[a.compose(b).key()] for b in elements] for a in elements]
-    return GroupAction(arrangement, elements, perms, table)
+    generators = list(range(1, len(elements)))
+    factors = {}            # element index -> (s, e): the element is s after e
+    ei = 1
+    while ei < len(elements):           # the list grows as it is walked
+        for si in generators:
+            c = elements[si].compose(elements[ei])
+            if c.key() not in index:
+                if len(elements) >= bound:
+                    raise NotFiniteError(f"group closure exceeds {bound}")
+                index[c.key()] = len(elements)
+                factors[len(elements)] = (si, ei)
+                elements.append(c)
+        ei += 1
+    perms = [{j: j for j in range(1, arrangement.size + 1)}]
+    perms += [_hyperplane_perm(arrangement, elements[gi]) for gi in generators]
+    for ci in range(len(perms), len(elements)):
+        ps, pe = (perms[f] for f in factors[ci])
+        perms.append({j: ps[k] for j, k in pe.items()})
+    return GroupAction(arrangement, elements, perms, generators)
 
 
 def det_character(act: GroupAction):
@@ -159,7 +170,10 @@ def det_character(act: GroupAction):
 
 class EquivariantLevelZero:
     """A level-zero quiver with a compatible representation on its space:
-    rho(g) B^j = B^{g(j)} rho(g)."""
+    rho(g) B^j = B^{g(j)} rho(g).  For a representation it suffices to
+    test that on the generators, since products of intertwiners
+    intertwine.  The |G|^2 test that rho is a homomorphism is skipped for
+    the trivial assignment, which always is one."""
 
     def __init__(self, graph: ArrangementGraph, base: LevelQuiver, rho,
                  action: GroupAction):
@@ -175,11 +189,13 @@ class EquivariantLevelZero:
             m = self.rho[gi]
             if (m.rows, m.cols) != (dim, dim):
                 raise ShapeError("representation matrix shape mismatch")
-        for gi in range(action.order):
-            for gj in range(action.order):
-                if self.rho[gi] * self.rho[gj] != self.rho[action.mul(gi, gj)]:
-                    raise SymmetryError("rho is not a representation")
-        for gi in range(action.order):
+        ident = Matrix.identity(dim)
+        if any(self.rho[gi] != ident for gi in range(action.order)):
+            for gi in range(action.order):
+                for gj in range(action.order):
+                    if self.rho[gi] * self.rho[gj] != self.rho[action.mul(gi, gj)]:
+                        raise SymmetryError("rho is not a representation")
+        for gi in action.generators:
             for j in range(1, graph.arrangement.size + 1):
                 lhs = self.rho[gi] * base.loop(top, (j,))
                 rhs = base.loop(top, (action.perm(gi, j),)) * self.rho[gi]
@@ -193,18 +209,6 @@ class EquivariantLevelZero:
         return EquivariantLevelZero(graph, base,
                                     {gi: ident for gi in range(action.order)},
                                     action)
-
-
-def _sort_sign(tup):
-    items = list(tup)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(items), sign
 
 
 FUNCTORS = ("star", "shriek", "macpherson")
@@ -239,7 +243,7 @@ def _degree_action_star(graph, eq, gi, p):
         space = osd.spaces[k]
         for si, t in enumerate(space.basis):
             img = tuple(act.perm(gi, j) for j in t)
-            srt, sign = _sort_sign(img)
+            srt, sign = sort_with_sign(img)
             k2 = act.vertex_image(gi, k)
             tgt_space = osd.spaces[k2]
             coords = tgt_space.coords_of_generator(srt)
@@ -286,73 +290,82 @@ def _degree_action_shriek(graph, eq, gi, p):
     return Matrix.from_rows(rows, cols=dim)
 
 
-def equivariant_c_plus(act: GroupAction, eq: EquivariantLevelZero, functor):
-    """C+ of the chosen direct image together with the chain automorphism
-    of every group element.  Returns (complex, list over elements of lists
-    of per-degree matrices)."""
+def _degree_inclusion(graph, mac, p):
+    keys = sorted(k for k in graph.vertices if graph.level[k] == p)
+    return block_diag([mac.witness[k]["matrix"] for k in keys])
+
+
+def chain_automorphism(eq: EquivariantLevelZero, functor, gi, mac=None):
+    """The chain automorphism of element gi on C+ of the chosen direct
+    image, one matrix per degree.  On the MacPherson image it is the *
+    action restricted to the image `mac` (macpherson(graph, eq.base),
+    computed when not given); raises SymmetryError when the action does
+    not preserve that image."""
     graph = eq.graph
-    quiver, mac = _functor_quiver(graph, eq, functor)
+    if functor not in FUNCTORS:
+        raise ShapeError(f"unknown functor {functor!r}; expected one of {FUNCTORS}")
+    if functor == "macpherson" and mac is None:
+        mac = macpherson(graph, eq.base)
+    per_degree = []
+    for p in range(graph.max_level + 1):
+        if functor == "star":
+            m = _degree_action_star(graph, eq, gi, p)
+        elif functor == "shriek":
+            m = _degree_action_shriek(graph, eq, gi, p)
+        else:
+            inc = _degree_inclusion(graph, mac, p)
+            m = solve_matrix(inc, _degree_action_star(graph, eq, gi, p) * inc)
+            if m is None:
+                raise SymmetryError("group action does not preserve the image")
+        per_degree.append(m)
+    return per_degree
+
+
+def equivariant_c_plus(act: GroupAction, eq: EquivariantLevelZero, functor):
+    """C+ of the chosen direct image together with the chain automorphisms
+    of the generators: (complex, {generator index: per-degree matrices}).
+    Each is checked to preserve the MacPherson image and to commute with
+    d; as the generators' automorphisms determine every element's, the
+    group law is an identity of this construction, not of its input, and
+    is checked by `quiverarr selftest` and the tests."""
+    quiver, mac = _functor_quiver(eq.graph, eq, functor)
     comp = c_plus(quiver)
-    degs = list(range(len(comp.dims)))
-    autos = []
-    for gi in range(act.order):
-        per_degree = []
-        for p in degs:
-            if functor == "star":
-                m = _degree_action_star(graph, eq, gi, p)
-            elif functor == "shriek":
-                m = _degree_action_shriek(graph, eq, gi, p)
-            else:
-                star_m = _degree_action_star(graph, eq, gi, p)
-                inc = _degree_inclusion(graph, mac, p)
-                sol = solve_matrix(inc, star_m * inc)
-                if sol is None:
-                    raise SymmetryError("group action does not preserve the image")
-                m = sol
-            per_degree.append(m)
-        autos.append(per_degree)
-    for gi in range(act.order):
-        for p in range(len(comp.dims) - 1):
-            if autos[gi][p + 1] * comp.differentials[p] != \
-                    comp.differentials[p] * autos[gi][p]:
+    autos = {gi: chain_automorphism(eq, functor, gi, mac) for gi in act.generators}
+    for per_degree in autos.values():
+        for p, d in enumerate(comp.differentials):
+            if per_degree[p + 1] * d != d * per_degree[p]:
                 raise SymmetryError("action does not commute with the differential")
-    for gi in range(act.order):
-        for gj in range(act.order):
-            gk = act.mul(gi, gj)
-            for p in degs:
-                if autos[gi][p] * autos[gj][p] != autos[gk][p]:
-                    raise SymmetryError("chain maps do not compose as the group")
     return comp, autos
 
 
-def _degree_inclusion(graph, mac, p):
-    from .linalg import block_diag
-    keys = sorted(k for k in graph.vertices if graph.level[k] == p)
-    return block_diag([mac.witness[k]["matrix"] for k in keys])
+def generator_kernels(act: GroupAction, comp, autos, twist_by_det=False):
+    """Per degree p, K_p = the intersection over the generators s of
+    ker(A_{s,p} - chi(s)), chi = det of the linear part or 1: the
+    (twisted) invariants, since chi is multiplicative and every element
+    is a product of generators.  With no generators K_p is the whole
+    space."""
+    chars = {gi: det(act.elements[gi].linear) if twist_by_det else Q1 for gi in autos}
+    out = []
+    for p, dim in enumerate(comp.dims):
+        entries = []
+        for gi, per_degree in autos.items():
+            shifted = per_degree[p] - Matrix.identity(dim).scale(chars[gi])
+            entries.extend(shifted.entries)
+        out.append(kernel_basis(Matrix(len(autos) * dim, dim, entries)))
+    return out
 
 
 def equivariant_cohomology(act: GroupAction, eq: EquivariantLevelZero,
                            functor, twist_by_det=False) -> CohomologyReport:
     """Betti numbers of the invariant subcomplex of C+ (optionally
-    twisted by the determinant character), realized as the image of the
-    Reynolds projector."""
+    twisted by the determinant character): the differential restricted
+    to the generators' common eigenspaces K_p (`generator_kernels`),
+    which are the image of the Reynolds projector."""
     graph = eq.graph
     if not graph.is_central():
         raise UnsupportedError("endpoint requires a central arrangement")
     comp, autos = equivariant_c_plus(act, eq, functor)
-    chars = det_character(act) if twist_by_det else {gi: Q1 for gi in range(act.order)}
-    inv_order = Fraction(1, act.order)
-    projectors = []
-    for p in range(len(comp.dims)):
-        acc = Matrix.zero(comp.dims[p], comp.dims[p])
-        for gi in range(act.order):
-            acc = acc + autos[gi][p].scale(chars[gi])
-        projectors.append(acc.scale(inv_order))
-    for p, pr in enumerate(projectors):
-        if pr * pr != pr:
-            raise SymmetryError("Reynolds projector is not idempotent")
-    proj_map = ChainMap(comp, comp, projectors)   # validates d P = P d
-    invariants = image_complex(proj_map)
+    invariants = subcomplex(comp, generator_kernels(act, comp, autos, twist_by_det))
     n = graph.arrangement.ambient_dim
     model = {"star": "local_system", "shriek": "flag",
              "macpherson": "intersection"}[functor]
@@ -361,7 +374,6 @@ def equivariant_cohomology(act: GroupAction, eq: EquivariantLevelZero,
             ("maps close to zero", smallness_status(graph, eq.base))]
     note = f"invariants of (C+ tensor {'det' if twist_by_det else 'trivial'})"
     return CohomologyReport(model, _betti_map(invariants, 0, n), hyps, note)
-
 
 # -- text format (.grp) -----------------------------------------------------------------
 
@@ -378,13 +390,12 @@ def parse_group(text, arrangement, path=None) -> GroupAction:
         lineno, ln = lines[i]
         if ln != "g":
             raise ParseError("expected a `g` block header", path, lineno)
-        rows = []
-        try:
-            for r in range(n):
-                rows.append([Fraction(x) for x in lines[i + 1 + r][1].split()])
-            translation = [Fraction(x) for x in lines[i + 1 + n][1].split()]
-        except (IndexError, ValueError):
+        block = lines[i + 1:i + n + 2]
+        if len(block) != n + 1:
             raise ParseError("malformed group block", path, lineno)
+        rows = [[parse_rational(x, path, row_lineno) for x in row.split()]
+                for row_lineno, row in block]
+        translation = rows.pop()
         if any(len(r) != n for r in rows) or len(translation) != n:
             raise ParseError("group block has wrong width", path, lineno)
         try:

@@ -21,7 +21,7 @@ from .arrangement import (ArrangementGraph, TruncatedGraph,
 from .errors import (InternalInconsistencyError, InvalidQuiverError,
                      ShapeError, UnsupportedError)
 from .linalg import (Matrix, Q0, Q1, _int_product, image_basis, kernel_basis,
-                     product_is_zero, rref, solve_matrix)
+                     product_is_zero, rref, solve_matrix, sort_with_sign)
 from .oscomplex import flag_space, os_space
 from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _level_map,
                      check_quiver, hom_space, morphism_from_coords)
@@ -575,7 +575,7 @@ def shapovalov_form(graph: ArrangementGraph, w: LevelQuiver):
         ids2 = [graph.vertex(flag2[k]).id for k in range(1, m + 1)]
         total = Matrix.zero(dw, dw)
         for sigma in _permutations(m):
-            sign = _perm_sign(sigma)
+            sign = sort_with_sign(sigma)[1]
             for tup in product(*ids1):
                 if all(tup[sigma[k]] in ids2[k] for k in range(m)):
                     word = Matrix.identity(dw)
@@ -590,15 +590,6 @@ def shapovalov_form(graph: ArrangementGraph, w: LevelQuiver):
 def _permutations(m):
     from itertools import permutations
     return list(permutations(range(m)))
-
-
-def _perm_sign(sigma):
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
-    return Fraction(sign)
 
 
 class MacPhersonResult:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 
-from .errors import InvalidComplexError, ShapeError
+from .errors import InvalidComplexError, ParseError, ShapeError
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -40,6 +40,35 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def parse_rational(text, path=None, line=None) -> Fraction:
+    """The rational written as `text` ('3/100', '-2', '0.25'); a zero
+    denominator or anything else that is not a finite rational is a
+    ParseError.  Every text format and the --kappa options read their
+    rationals here."""
+    try:
+        return Fraction(text)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise ParseError(f"bad rational {text!r}", path, line)
+
+
+def sort_with_sign(seq):
+    """(sorted tuple, sign of the permutation that sorts seq), the sign
+    None when an entry repeats; for a permutation of 0..n-1 the sign is
+    the permutation's own.  Insertion sort: the tuples are short."""
+    items = list(seq)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1] > items[j]:
+            items[j - 1], items[j] = items[j], items[j - 1]
+            sign = -sign
+            j -= 1
+    for i in range(1, len(items)):
+        if items[i - 1] == items[i]:
+            return tuple(items), None
+    return tuple(items), sign
 
 
 class Matrix:
@@ -883,16 +912,20 @@ class ChainMap:
         self.components = components
 
 
+def subcomplex(c: ChainComplex, subspaces) -> ChainComplex:
+    """The differential of c restricted to one Subspace per degree, in the
+    coordinates of their bases; raises when d does not carry each
+    subspace into the next."""
+    incs = [s.basis.transpose() for s in subspaces]
+    diffs = []
+    for k in range(len(incs) - 1):
+        d = solve_matrix(incs[k + 1], c.differentials[k] * incs[k])
+        if d is None:
+            raise InvalidComplexError("subspaces not preserved by the differential")
+        diffs.append(d)
+    return ChainComplex(c.min_degree, [s.dim for s in subspaces], diffs)
+
+
 def image_complex(f: ChainMap) -> ChainComplex:
     """The image of a chain map, with the differential induced from the target."""
-    bases = [image_basis(comp) for comp in f.components]
-    dims = [b.dim for b in bases]
-    diffs = []
-    for k in range(len(dims) - 1):
-        inc_k = bases[k].basis.transpose()
-        inc_k1 = bases[k + 1].basis.transpose()
-        d = solve_matrix(inc_k1, f.target.differentials[k] * inc_k)
-        if d is None:
-            raise InvalidComplexError("image not preserved by the differential")
-        diffs.append(d)
-    return ChainComplex(f.source.min_degree, dims, diffs)
+    return subcomplex(f.target, [image_basis(comp) for comp in f.components])

@@ -16,7 +16,8 @@ from itertools import combinations, product
 from .arrangement import ArrangementGraph, format_vertex_key
 from .errors import ParseError, ShapeError
 from .linalg import (ChainComplex, ChainMap, Matrix, Q0, Q1, frac,
-                     image_complex, rref, solve_matrix)
+                     image_complex, parse_rational, rref, solve_matrix,
+                     sort_with_sign)
 
 
 class _SparseRREF:
@@ -116,22 +117,6 @@ class _PresentedSpace:
         return tuple(self._gen_coords[self._gen_index[gen]])
 
 
-def _sort_with_sign(tup):
-    """Sort a tuple, tracking the permutation sign; None sign for repeats."""
-    items = list(tup)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(items)):
-        if items[i - 1] == items[i]:
-            return tuple(items), None
-    return tuple(items), sign
-
-
 class OSBasis:
     """Degree-p component of the Orlik-Solomon algebra, organized per
     vertex of codimension p.
@@ -188,7 +173,7 @@ class OSBasis:
         """Coordinates of the class of (H_{j_1},...,H_{j_p}) in the basis."""
         if len(tup) != self.degree:
             raise ShapeError("tuple degree mismatch")
-        srt, sign = _sort_with_sign(tuple(tup))
+        srt, sign = sort_with_sign(tuple(tup))
         out = [Q0] * self.dim
         if sign is None:
             return tuple(out)
@@ -417,13 +402,7 @@ def _pair_generators(graph, tup, flag):
             return Q0
         perm.append(new[0])
         remaining.discard(new[0])
-    positions = [tup.index(j) for j in perm]
-    sign = 1
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            if positions[i] > positions[j]:
-                sign = -sign
-    return Fraction(sign)
+    return Fraction(sort_with_sign([tup.index(j) for j in perm])[1])
 
 
 def shapovalov_scalar(graph: ArrangementGraph, a: ExponentAssignment) -> ChainMap:
@@ -477,17 +456,14 @@ def parse_exponents(text, path=None) -> ExponentAssignment:
         if parts[0] == "a" and len(parts) == 3:
             try:
                 j = int(parts[1])
-                v = Fraction(parts[2])
             except ValueError:
                 raise ParseError("bad exponent line", path, lineno)
+            v = parse_rational(parts[2], path, lineno)
             if j in values:
                 raise ParseError(f"duplicate exponent for hyperplane {j}", path, lineno)
             values[j] = v
         elif parts[0] == "kappa" and len(parts) == 2:
-            try:
-                kappa = Fraction(parts[1])
-            except ValueError:
-                raise ParseError("bad kappa", path, lineno)
+            kappa = parse_rational(parts[1], path, lineno)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", path, lineno)
     try:

@@ -22,7 +22,7 @@ from .errors import (InvalidQuiverError, MissingLoopError, ParseError,
                      ShapeError)
 from .linalg import (ChainComplex, Matrix, Q0, Subspace, _int_product,
                      block_diag, char_poly_of_product, frac, kernel_basis,
-                     poly_format, rational_roots)
+                     parse_rational, poly_format, rational_roots)
 
 
 class Quiver:
@@ -632,10 +632,7 @@ def _matrix_json(m: Matrix):
 
 
 def _matrix_from_json(data, rows, cols):
-    try:
-        entries = [Fraction(x) for row in data for x in row]
-    except (ValueError, TypeError):
-        raise ParseError("bad matrix entry")
+    entries = [parse_rational(x) for row in data for x in row]
     if len(data) != rows or any(len(r) != cols for r in data):
         raise ParseError(f"matrix should be {rows}x{cols}")
     return Matrix(rows, cols, entries)
@@ -658,6 +655,14 @@ def quiver_to_json(v: Quiver, witness=None):
     return out
 
 
+def _json_size(value, what):
+    """A level or a dimension: a JSON integer >= 0 (not a float, a string
+    or a boolean, which int() would truncate or coerce)."""
+    if type(value) is not int or value < 0:
+        raise ParseError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def quiver_from_json(graph: AdmissibleGraph, data):
     """Load a .qvr object against a built graph; level null gives a plain
     quiver, an integer gives a level quiver of that truncation."""
@@ -665,7 +670,8 @@ def quiver_from_json(graph: AdmissibleGraph, data):
         raise ParseError("malformed quiver JSON: expected an object at the top level")
     try:
         level = data.get("level")
-        spaces = {parse_vertex_key(k): int(d) for k, d in data["spaces"].items()}
+        spaces = {parse_vertex_key(k): _json_size(d, "space dimension")
+                  for k, d in data["spaces"].items()}
         dims = dict(spaces)
         maps = {}
         for item in data.get("maps", []):
@@ -675,7 +681,7 @@ def quiver_from_json(graph: AdmissibleGraph, data):
                                              dims.get(a, 0), dims.get(b, 0))
         loops = {}
         if level is not None:
-            level = int(level)
+            level = _json_size(level, "level")
             for item in data.get("loops", []):
                 at = parse_vertex_key(item["at"])
                 via = parse_vertex_key(item["via"])

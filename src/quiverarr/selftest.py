@@ -11,11 +11,12 @@ from . import corpus
 from .arrangement import build_graph, verify_graph_properties
 from .cohomology import scalar_from_exponents
 from .equivariant import (AffineMap, EquivariantLevelZero, build_action,
-                          det_character, equivariant_c_plus)
+                          chain_automorphism, det_character, equivariant_c_plus,
+                          generator_kernels)
 from .functors import (fourier_dual, j0_shriek, j0_star, macpherson,
                        push_shriek, push_star, restrict)
-from .linalg import Matrix, Q0, char_poly, rank
-from .liecheck import KZInstance, kz_check
+from .linalg import Matrix, Q0, Q1, char_poly, image_basis, rank
+from .liecheck import KZInstance, kz_check, kz_exponents
 from .oscomplex import (ExponentAssignment, aomoto_complex, duality_pairing,
                         flag_complex, flag_degree, os_space)
 from .quiver import (Spectrum, c_minus, c_plus, check_quiver, dual,
@@ -124,28 +125,45 @@ def check_spectrum_laws(seed):
             assert p == expect, name
 
 
+def check_full_group(act, eq, functor, twist_by_det):
+    """The identities over every element that the generator-only endpoint
+    rests on: the chain automorphisms compose as the group and commute
+    with d, the generators' are those equivariant_c_plus returns, and the
+    Reynolds projector (1/|G|) sum chi(g) A_g is idempotent with image the
+    generators' kernel K_p."""
+    comp, autos = equivariant_c_plus(act, eq, functor)
+    mac = macpherson(eq.graph, eq.base) if functor == "macpherson" else None
+    full = [chain_automorphism(eq, functor, gi, mac) for gi in range(act.order)]
+    chars = det_character(act) if twist_by_det else dict.fromkeys(range(act.order), Q1)
+    kernels = generator_kernels(act, comp, autos, twist_by_det)
+    for gi, per_degree in autos.items():
+        assert per_degree == full[gi], gi
+    for p, dim in enumerate(comp.dims):
+        for gi in range(act.order):
+            for gj in range(act.order):
+                assert full[gi][p] * full[gj][p] == full[act.mul(gi, gj)][p], (gi, gj, p)
+            if p < len(comp.differentials):
+                d = comp.differentials[p]
+                assert full[gi][p + 1] * d == d * full[gi][p], (gi, p)
+        proj = sum((full[gi][p].scale(chars[gi]) for gi in range(act.order)),
+                   Matrix.zero(dim, dim)).scale(Fraction(1, act.order))
+        assert proj * proj == proj, p
+        assert image_basis(proj) == kernels[p], p
+
+
 def check_equivariant(seed):
     g = _graph("three_lines")
-    a = ExponentAssignment({1: -1, 2: -1, 3: 2}, kappa=100)
-    w = scalar_from_exponents(g, a)
-    act = build_action(g.arrangement, [AffineMap.permutation((2, 1))])
-    dets = det_character(act)
-    assert sorted(dets.values()) == [-1, 1]
-    eq = EquivariantLevelZero.trivial(g, w, act)
-    comp, autos = equivariant_c_plus(act, eq, "macpherson")
-    inv = Fraction(1, act.order)
-    for p in range(len(comp.dims)):
-        proj = Matrix.zero(comp.dims[p], comp.dims[p])
-        for gi in range(act.order):
-            proj = proj + autos[gi][p].scale(dets[gi])
-        proj = proj.scale(inv)
-        assert proj * proj == proj, p
-    for p in range(len(comp.dims) - 1):
-        proj_p = sum((autos[gi][p].scale(dets[gi]) for gi in range(act.order)),
-                     Matrix.zero(comp.dims[p], comp.dims[p])).scale(inv)
-        proj_q = sum((autos[gi][p + 1].scale(dets[gi]) for gi in range(act.order)),
-                     Matrix.zero(comp.dims[p + 1], comp.dims[p + 1])).scale(inv)
-        assert proj_q * comp.differentials[p] == comp.differentials[p] * proj_p, p
+    w = scalar_from_exponents(g, ExponentAssignment({1: -1, 2: -1, 3: 2}, kappa=100))
+    swap = build_action(g.arrangement, [AffineMap.permutation((2, 1))])
+    assert sorted(det_character(swap).values()) == [-1, 1]
+    check_full_group(swap, EquivariantLevelZero.trivial(g, w, swap), "macpherson", True)
+    # S3 permuting the points of C_{1,3}, as kz_check builds it
+    arrangement, exponents, s3 = kz_exponents(KZInstance("A1", [1], [3]))
+    g = _graph("c13")
+    assert g.arrangement.hyperplanes == arrangement.hyperplanes and s3.order == 6
+    eq = EquivariantLevelZero.trivial(g, scalar_from_exponents(g, exponents), s3)
+    for twist in (False, True):
+        check_full_group(s3, eq, "macpherson", twist)
 
 
 def check_kz(seed):

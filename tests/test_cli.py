@@ -52,6 +52,14 @@ def run(capsys, *argv):
     return code, (json.loads(out) if out else None)
 
 
+def run_failing(capsys, *argv):
+    """Exit code and standard error of a run that must write no report."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
 def test_lattice_three_lines(files, capsys):
     code, out = run(capsys, "lattice", files["three.arr"])
     assert code == 0
@@ -266,6 +274,68 @@ def test_qvr_negative_level_dimension(files, capsys, tmp_path):
     qvr.write_text(json.dumps({"level": 0, "spaces": {"()": -1}}))
     code, out = run(capsys, "check-quiver", files["three.arr"], "--qvr", str(qvr))
     assert (code, out) == (2, None)
+
+
+@pytest.mark.parametrize("data", [
+    {"level": 1.9, "spaces": {"()": 1}},
+    {"level": True, "spaces": {"()": 1}},
+    {"level": "0", "spaces": {"()": 1}},
+    {"level": 0, "spaces": {"()": 1.5}},
+    {"level": None, "spaces": {"()": True}},
+])
+def test_qvr_sizes_must_be_integers(files, capsys, tmp_path, data):
+    # int() used to truncate these to level 1 and dimension 1
+    qvr = tmp_path / "sizes.qvr"
+    qvr.write_text(json.dumps(data))
+    code, err = run_failing(capsys, "check-quiver", files["three.arr"], "--qvr", str(qvr))
+    assert code == 2 and "must be a nonnegative integer" in err
+
+
+@pytest.mark.parametrize("entry", ["1/0", "abc", "nan"])
+def test_qvr_matrix_entries_must_be_rational(files, capsys, tmp_path, entry):
+    qvr = tmp_path / "entries.qvr"
+    qvr.write_text(json.dumps({"level": 0, "spaces": {"()": 1}, "loops": [
+        {"at": "()", "via": "(1)", "matrix": [[entry]]}]}))
+    code, out = run(capsys, "check-quiver", files["three.arr"], "--qvr", str(qvr))
+    assert (code, out) == (2, None)
+
+
+# -- malformed rationals and sizes in the text formats and options -------------------
+
+@pytest.mark.parametrize("text", ["dim -1\n", "dim -1\nH 0 1\n", "dim 2 2\nH 0 1 0\n",
+                                  "dim 2\nH 0 1/0 0\n", "dim 2\nH 0 x 1\n"])
+def test_arr_bad_size_or_rational_exits_2(capsys, tmp_path, text):
+    arr = tmp_path / "bad.arr"
+    arr.write_text(text)
+    code, err = run_failing(capsys, "lattice", str(arr))
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["a 1 1/0\na 2 0\na 3 0\n", "a 1 0\nkappa 0/0\n",
+                                  "a 1 abc\n", "a 1 0\nkappa inf\n"])
+def test_exp_bad_rational_exits_2(files, capsys, tmp_path, text):
+    exp = tmp_path / "bad.exp"
+    exp.write_text(text)
+    code, out = run(capsys, "aomoto", files["three.arr"], "--exp", str(exp))
+    assert (code, out) == (2, None)
+
+
+def test_grp_bad_rational_exits_2(files, capsys, tmp_path):
+    grp = tmp_path / "bad.grp"
+    grp.write_text(SWAP_GRP.replace("0 1\n1 0\n0 0", "0 1\n1 0\n1/0 0"))
+    code, err = run_failing(capsys, "equivariant", files["three.arr"],
+                            "--exp", files["sl2.exp"], "--grp", str(grp), "--functor", "star")
+    assert code == 2 and "bad rational '1/0'" in err
+
+
+@pytest.mark.parametrize("kappa", ["1/0", "abc"])
+def test_kappa_option_bad_rational_exits_2(files, capsys, kappa):
+    for argv in (("aomoto", files["three.arr"], "--exp", files["sl2.exp"]),
+                 ("cohomology", files["three.arr"], "--model", "local",
+                  "--exp", files["sl2.exp"]),
+                 ("kz-check", "--type", "A1", "--highest", "1", "--weights", "2")):
+        code, err = run_failing(capsys, *argv, "--kappa", kappa)
+        assert code == 2 and "--kappa" in err
 
 
 # -- golden reports ------------------------------------------------------------------

@@ -15,10 +15,8 @@ import argparse
 import json
 import sys
 
-from . import corpus
 from .arrangement import (build_graph, format_vertex_key, parse_arrangement,
-                          parse_vertex_key, truncated_graph,
-                          verify_graph_properties)
+                          parse_vertex_key, verify_graph_properties)
 from .cohomology import (aomoto_report, flag_report, intersection_cohomology,
                          local_system_cohomology, perverse_cohomology,
                          scalar_from_exponents)
@@ -26,15 +24,14 @@ from .equivariant import EquivariantLevelZero, equivariant_cohomology, parse_gro
 from .errors import (HypothesisError, InternalInconsistencyError,
                      InvalidQuiverError, MissingLoopError, NotFiniteError,
                      ParseError, ShapeError, SymmetryError, UnsupportedError)
-from .functors import (fourier_dual, j0_shriek, j0_star, macpherson,
-                       push_shriek_step, push_star_step, restrict, s0,
-                       specialize)
+from .functors import (fourier_dual, macpherson, push_shriek_step,
+                       push_star_step, restrict, s0, specialize)
 from .liecheck import KZInstance, kz_check
-from .linalg import betti, char_poly, parse_rational, poly_format
-from .oscomplex import (aomoto_complex, flag_complex, flag_space, os_space,
-                        parse_exponents, shapovalov_scalar)
-from .quiver import (LevelQuiver, check_quiver, c_plus, dual, parse_quiver,
-                     quiver_to_json)
+from .linalg import betti, parse_rational
+from .oscomplex import (aomoto_complex, flag_space, os_space, parse_exponents,
+                        shapovalov_scalar)
+from .quiver import (LevelQuiver, _matrix_json, check_quiver, dual,
+                     parse_quiver, quiver_to_json)
 
 USAGE_ERRORS = (ParseError, ShapeError, MissingLoopError)
 HYPOTHESIS_ERRORS = (UnsupportedError, HypothesisError, InvalidQuiverError,
@@ -76,10 +73,6 @@ def _level_zero(args, graph):
     if not isinstance(v, LevelQuiver) or v.level != 0:
         raise ParseError("this command needs a level-zero quiver")
     return v
-
-
-def _matrix_json(m):
-    return [[str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 def cmd_lattice(args):

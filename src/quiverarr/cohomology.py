@@ -10,10 +10,8 @@ refused outright.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .arrangement import ArrangementGraph, format_vertex_key
-from .errors import ShapeError, UnsupportedError
+from .arrangement import ArrangementGraph
+from .errors import UnsupportedError
 from .functors import j0_star, macpherson
 from .linalg import ChainComplex, Matrix, Q0, betti, char_poly, rational_roots
 from .oscomplex import ExponentAssignment

@@ -378,7 +378,7 @@ def j0_shriek(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
         cols = [[Q0] * spaces[b2] for _ in range(spaces[b])]
         for si, vec in enumerate(vecs):
             _t_acc_cols(cols, si, vec, idw, dw)
-        maps[(b2, b)] = _cols_to_matrix(cols, spaces[b2], spaces[b])
+        maps[(b2, b)] = Matrix.from_cols(cols, spaces[b2])
     for (a, b), entries in up.items():
         cols = [[Q0] * spaces[a] for _ in range(spaces[b])]
         for si, entry in enumerate(entries):
@@ -389,7 +389,7 @@ def j0_shriek(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
             for j in hits:
                 bsum = bsum + ops[j]
             _t_acc_cols(cols, si, vec, bsum, dw)
-        maps[(a, b)] = _cols_to_matrix(cols, spaces[a], spaces[b])
+        maps[(a, b)] = Matrix.from_cols(cols, spaces[a])
     return Quiver(graph, spaces, maps)
 
 
@@ -410,11 +410,6 @@ def _t_acc_cols(cols, src_flag_index, fvec, wmat, dw):
             for tk in range(dw):
                 if wmat[tk, sk]:
                     col[ti * dw + tk] += c * wmat[tk, sk]
-
-
-def _cols_to_matrix(cols, rows, ncols):
-    return Matrix.from_rows([[cols[j][i] for j in range(ncols)] for i in range(rows)],
-                            cols=ncols)
 
 
 def _cutoff_candidates(graph, flag, a):
@@ -499,13 +494,13 @@ def j0_star(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
         for si, per_j in enumerate(entries):
             for j, vec in per_j:
                 _t_acc_cols(cols, si, vec, ops[j], dw)
-        maps[(b2, b)] = _cols_to_matrix(cols, spaces[b2], spaces[b])
+        maps[(b2, b)] = Matrix.from_cols(cols, spaces[b2])
     for (a, b), entries in up.items():
         cols = [[Q0] * spaces[a] for _ in range(spaces[b])]
         for si, vec in enumerate(entries):
             if any(vec):
                 _t_acc_cols(cols, si, vec, idw, dw)
-        maps[(a, b)] = _cols_to_matrix(cols, spaces[a], spaces[b])
+        maps[(a, b)] = Matrix.from_cols(cols, spaces[a])
     return Quiver(graph, spaces, maps)
 
 
@@ -556,7 +551,7 @@ def s0(graph: ArrangementGraph, w: LevelQuiver) -> QuiverMorphism:
                 for j in tup:
                     word = ops[j] * word
                 _t_acc_cols(cols, si, vec, word, dw)
-        comps[a] = _cols_to_matrix(cols, star.dim(a), shriek.dim(a))
+        comps[a] = Matrix.from_cols(cols, star.dim(a))
     return QuiverMorphism(shriek, star, comps)
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arrangement import build_graph, discriminantal
-from .cohomology import CohomologyReport, scalar_from_exponents
+from .cohomology import scalar_from_exponents
 from .equivariant import (AffineMap, EquivariantLevelZero, build_action,
                           equivariant_cohomology)
-from .errors import HypothesisError, ShapeError, UnsupportedError
-from .linalg import Matrix, Q0, Q1, rank, solve_matrix
+from .errors import HypothesisError, ShapeError
+from .linalg import Matrix, Q0, Q1, solve_matrix
 from .oscomplex import ExponentAssignment
 from .quiver import Spectrum, is_nonresonant_spectrum, spectrum_lambda
 

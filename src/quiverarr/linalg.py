@@ -107,6 +107,14 @@ class Matrix:
         return Matrix(len(rows), cols, [x for r in rows for x in r])
 
     @staticmethod
+    def from_cols(cols_of_entries, rows):
+        """The matrix with these columns, each of `rows` entries."""
+        cols = list(cols_of_entries)
+        if any(len(c) != rows for c in cols):
+            raise ShapeError("ragged columns")
+        return Matrix(rows, len(cols), [c[i] for i in range(rows) for c in cols])
+
+    @staticmethod
     def identity(n):
         if n < 0:
             raise ShapeError(f"negative matrix size {n}x{n}")

@@ -4,8 +4,9 @@ them, the Shapovalov chain map, and its image, the complex of flag forms.
 
 Both algebras are presented by generators and relations read off the
 arrangement graph.  Bases are the lexicographically least independent
-generator subsets, so coordinates are deterministic across runs; the
-quotient bookkeeping lives in `_PresentedSpace`.
+generator subsets, so coordinates are deterministic across runs.
+`_PresentedSpace` reads the basis and every generator's coordinates off
+one elimination of the relations, each pivoted at its last generator.
 """
 
 from __future__ import annotations
@@ -13,93 +14,53 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .arrangement import ArrangementGraph, format_vertex_key
+from .arrangement import ArrangementGraph
 from .errors import ParseError, ShapeError
 from .linalg import (ChainComplex, ChainMap, Matrix, Q0, Q1, frac,
-                     image_complex, parse_rational, rref, solve_matrix,
-                     sort_with_sign)
-
-
-class _SparseRREF:
-    """Row space in reduced echelon form, rows stored as sparse dicts
-    keyed by column; supports the incremental membership tests the basis
-    selection needs."""
-
-    def __init__(self):
-        self.rows = {}  # pivot column -> {column: value}
-
-    def reduce(self, vec):
-        vec = {c: v for c, v in vec.items() if v}
-        for c in sorted(vec):
-            v = vec.get(c)
-            if not v or c not in self.rows:
-                continue
-            for cc, val in self.rows[c].items():
-                nv = vec.get(cc, Q0) - v * val
-                if nv:
-                    vec[cc] = nv
-                else:
-                    vec.pop(cc, None)
-        return vec
-
-    def add(self, vec):
-        """Insert the vector; returns its pivot column, or None if it was
-        already in the span."""
-        r = self.reduce(vec)
-        if not r:
-            return None
-        pivot = min(r)
-        inv = Q1 / r[pivot]
-        r = {c: v * inv for c, v in r.items()}
-        for p, row in self.rows.items():
-            f = row.get(pivot)
-            if f:
-                for cc, val in r.items():
-                    nv = row.get(cc, Q0) - f * val
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-        self.rows[pivot] = r
-        return pivot
+                     image_complex, parse_rational, sort_with_sign)
 
 
 class _PresentedSpace:
     """A quotient of the free span of `generators` by sparse relation
     rows, with the lexicographically least generator subset as basis and
-    a precomputed expansion of every generator in that basis."""
+    a precomputed expansion of every generator in that basis.
+
+    One Gauss-Jordan pass pivots each relation at its last generator and
+    keeps every row fully reduced.  Generator i is left out of the basis
+    exactly when some relation ends at i, that is, when a row pivots at
+    i; the row then reads e_i = -(the rest of the row), all of it on
+    basis generators."""
 
     def __init__(self, generators, relation_rows):
         self.generators = list(generators)
-        ngen = len(self.generators)
         self._relation_rows = [dict(r) for r in relation_rows]
-        span = _SparseRREF()
-        for r in self._relation_rows:
-            span.add(r)
-        reduced = [span.reduce({i: Q1}) for i in range(ngen)]
-        chooser = _SparseRREF()
-        basis = [i for i in range(ngen) if chooser.add(dict(reduced[i])) is not None]
-        self.basis_indices = basis
+        rows = {}  # pivot generator -> {generator: value}, 1 at the pivot
+        for rel in self._relation_rows:
+            vec = {c: v for c, v in rel.items() if v}
+            for p in [c for c in vec if c in rows]:
+                _subtract(vec, vec[p], rows[p])
+            if not vec:
+                continue
+            pivot = max(vec)
+            inv = Q1 / vec[pivot]
+            vec = {c: v * inv for c, v in vec.items()}
+            for row in rows.values():
+                if pivot in row:
+                    _subtract(row, row[pivot], vec)
+            rows[pivot] = vec
+        basis = [i for i in range(len(self.generators)) if i not in rows]
         self.basis = [self.generators[i] for i in basis]
         self.dim = len(basis)
-        free_cols = sorted(set(range(ngen)) - set(span.rows))
-        col_index = {c: i for i, c in enumerate(free_cols)}
-        b = Matrix.from_rows(
-            [[reduced[basis[j]].get(c, Q0) for j in range(self.dim)] for c in free_cols],
-            cols=self.dim)
-        binv = solve_matrix(b, Matrix.identity(self.dim)) if self.dim else None
-        if self.dim and binv is None:
-            raise ShapeError("quotient basis selection failed")
-        # coordinates of generator i: binv times its reduced row, summed
-        # over the few nonzeros of that row, one sparse column of binv each
-        bcols = [[(r, x) for r, x in enumerate(binv.col(j)) if x]
-                 for j in range(self.dim)]
+        position = {i: k for k, i in enumerate(basis)}
         self._gen_coords = []
-        for i in range(ngen):
+        for i in range(len(self.generators)):
             acc = [Q0] * self.dim
-            for c, v in reduced[i].items():
-                for r, x in bcols[col_index[c]]:
-                    acc[r] += x * v
+            if i in rows:
+                for c, v in rows[i].items():
+                    if c != i:
+                        acc[position[c]] = -v
+            else:
+                acc[position[i]] = Q1
             self._gen_coords.append(tuple(acc))
         self._gen_index = {q: i for i, q in enumerate(self.generators)}
 
@@ -115,6 +76,16 @@ class _PresentedSpace:
 
     def coords_of_generator(self, gen):
         return tuple(self._gen_coords[self._gen_index[gen]])
+
+
+def _subtract(target, f, row):
+    """target -= f * row on sparse rows (dicts without zero values)."""
+    for c, v in row.items():
+        nv = target.get(c, Q0) - f * v
+        if nv:
+            target[c] = nv
+        else:
+            del target[c]
 
 
 class OSBasis:
@@ -318,9 +289,7 @@ def flag_complex(graph) -> ChainComplex:
                     for i, c in enumerate(tgt.expand(f + (b,))):
                         vec[i] += Fraction((-1) ** p) * c
                 cols.append(vec)
-        diffs.append(Matrix.from_rows(
-            [[cols[j][i] for j in range(dims[p])] for i in range(dims[p + 1])],
-            cols=dims[p]))
+        diffs.append(Matrix.from_cols(cols, tgt.dim))
     return ChainComplex(0, dims, diffs)
 
 
@@ -369,9 +338,7 @@ def aomoto_complex(graph: ArrangementGraph, a: ExponentAssignment) -> ChainCompl
                 for i, c in enumerate(tgt.expand((j,) + t)):
                     vec[i] += aj * c
             cols.append(vec)
-        diffs.append(Matrix.from_rows(
-            [[cols[jj][i] for jj in range(dims[p])] for i in range(dims[p + 1])],
-            cols=dims[p]))
+        diffs.append(Matrix.from_cols(cols, tgt.dim))
     return ChainComplex(0, dims, diffs)
 
 
@@ -430,9 +397,7 @@ def shapovalov_scalar(graph: ArrangementGraph, a: ExponentAssignment) -> ChainMa
                     for i, c in enumerate(osd.expand(tup)):
                         vec[i] += coef * c
                 cols.append(vec)
-        comps.append(Matrix.from_rows(
-            [[cols[j][i] for j in range(fd.dim)] for i in range(osd.dim)],
-            cols=fd.dim))
+        comps.append(Matrix.from_cols(cols, osd.dim))
     return ChainMap(f, am, comps)
 
 

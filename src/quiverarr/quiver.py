@@ -571,10 +571,8 @@ def hom_space(v: Quiver, w: Quiver) -> Subspace:
         total += w.dim(k) * v.dim(k)
     rows = []
 
-    def add_equation(a, b, va, wa):
-        # f_a * A(a,b) = A'(a,b) * f_b, one scalar equation per (i, j)
-        A = v.map(a, b)
-        Ap = w.map(a, b)
+    def add_equations(A, Ap, a, b):
+        # f_a * A = A' * f_b, one scalar equation per (i, j)
         for i in range(w.dim(a)):
             for j in range(v.dim(b)):
                 row = [Q0] * total
@@ -586,19 +584,10 @@ def hom_space(v: Quiver, w: Quiver) -> Subspace:
 
     for a in g.vertices:
         for b in _neighbors(g, a):
-            add_equation(a, b, v, w)
+            add_equations(v.map(a, b), w.map(a, b), a, b)
     if isinstance(v, LevelQuiver):
         for (at, via) in v.tgraph.loops:
-            A = v.loop(at, via)
-            Ap = w.loop(at, via)
-            for i in range(w.dim(at)):
-                for j in range(v.dim(at)):
-                    row = [Q0] * total
-                    for k2 in range(v.dim(at)):
-                        row[offsets[at] + i * v.dim(at) + k2] += A[k2, j]
-                    for k2 in range(w.dim(at)):
-                        row[offsets[at] + k2 * v.dim(at) + j] -= Ap[i, k2]
-                    rows.append(row)
+            add_equations(v.loop(at, via), w.loop(at, via), at, at)
     return kernel_basis(Matrix.from_rows(rows, cols=total))
 
 
@@ -700,7 +689,7 @@ def quiver_from_json(graph: AdmissibleGraph, data):
 
 def parse_quiver(text, graph, path=None):
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}", path)
     try:

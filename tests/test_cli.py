@@ -278,6 +278,8 @@ def test_qvr_negative_level_dimension(files, capsys, tmp_path):
 
 @pytest.mark.parametrize("data", [
     {"level": 1.9, "spaces": {"()": 1}},
+    {"level": 1.0, "spaces": {"()": 1}},
+    {"level": 0, "spaces": {"()": 2.0}},
     {"level": True, "spaces": {"()": 1}},
     {"level": "0", "spaces": {"()": 1}},
     {"level": 0, "spaces": {"()": 1.5}},
@@ -298,6 +300,31 @@ def test_qvr_matrix_entries_must_be_rational(files, capsys, tmp_path, entry):
         {"at": "()", "via": "(1)", "matrix": [[entry]]}]}))
     code, out = run(capsys, "check-quiver", files["three.arr"], "--qvr", str(qvr))
     assert (code, out) == (2, None)
+
+
+def loop_qvr(tmp_path, entry_text):
+    """A level-zero .qvr on the single hyperplane whose one loop entry is
+    the JSON text `entry_text`."""
+    qvr = tmp_path / "loop.qvr"
+    qvr.write_text('{"level": 0, "spaces": {"()": 1}, "loops": '
+                   '[{"at": "()", "via": "(1)", "matrix": [[%s]]}]}' % entry_text)
+    return str(qvr)
+
+
+@pytest.mark.parametrize("entry, negated", [("0.1", "-1/10"), ("-2.5e-3", "1/400"),
+                                            ("1e-400", "-1/1" + "0" * 400), ("3", "-3")],
+                         ids=["0.1", "-2.5e-3", "1e-400", "3"])
+def test_qvr_json_numbers_read_from_decimal_text(files, capsys, tmp_path, entry, negated):
+    # 0.1 used to be read as its binary value 3602879701896397/36028797018963968
+    code, out = run(capsys, "dual", files["single.arr"], "--qvr", loop_qvr(tmp_path, entry))
+    assert code == 0
+    assert out["loops"][0]["matrix"] == [[negated]]
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_qvr_json_non_finite_entry_exits_2(files, capsys, tmp_path, entry):
+    code, err = run_failing(capsys, "dual", files["single.arr"], "--qvr", loop_qvr(tmp_path, entry))
+    assert code == 2 and "bad rational" in err
 
 
 # -- malformed rationals and sizes in the text formats and options -------------------
@@ -500,3 +527,240 @@ def test_golden_push_and_check_reports(tmp_path):
     reports = golden_reports(tmp_path)
     digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in reports.items()}
     assert digests == GOLDEN_DIGESTS
+
+
+# -- golden reports of the presented spaces ------------------------------------------
+
+def _scalar_exponents(n):
+    """Two exponent sets per arrangement: the zero (resonant) one and
+    a_j = (-1)^j j / (7j + 3)."""
+    return {"zero": ["0"] * n,
+            "generic": [str(Fraction((-1) ** j * j, 7 * j + 3)) for j in range(1, n + 1)]}
+
+
+def presented_space_reports(tmp_path):
+    """The os, flags and `cohomology --model flag` reports of every
+    central corpus arrangement, and its aomoto, scalar shapovalov and
+    `cohomology --model local|ih|aomoto` reports for each exponent set
+    of `_scalar_exponents`.  Name -> exit code and stdout."""
+    from quiverarr import corpus
+
+    def cli(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        return f"{code}\n{out.getvalue()}"
+
+    reports = {}
+    for name in corpus.CENTRAL:
+        a = corpus.CORPUS[name]()
+        arr = tmp_path / f"{name}.arr"
+        arr.write_text(f"dim {a.ambient_dim}\n" + "".join(
+            "H " + " ".join(str(x) for x in (h.constant,) + tuple(h.normal)) + "\n"
+            for h in a.hyperplanes))
+        for cmd in ("os", "flags"):
+            reports[f"{name}/{cmd}"] = cli(cmd, str(arr))
+        reports[f"{name}/cohomology-flag"] = cli("cohomology", str(arr), "--model", "flag")
+        for label, exps in _scalar_exponents(a.size).items():
+            exp = tmp_path / f"{name}-{label}.exp"
+            exp.write_text("".join(f"a {j} {x}\n" for j, x in enumerate(exps, 1)))
+            for cmd in ("aomoto", "shapovalov"):
+                reports[f"{name}/{label}/{cmd}"] = cli(cmd, str(arr), "--exp", str(exp))
+            for model in ("local", "ih", "aomoto"):
+                reports[f"{name}/{label}/cohomology-{model}"] = cli(
+                    "cohomology", str(arr), "--model", model, "--exp", str(exp))
+    return reports
+
+
+# sha256 of each report, recorded before `_PresentedSpace` took its basis and
+# coordinates from one elimination
+PRESENTED_SPACE_DIGESTS = {
+    "boolean2/cohomology-flag":
+        "6e76c0515c12b3855551397c82f865a2046e5eb85971ea75fbc949b3fe5ba48b",
+    "boolean2/flags":
+        "9fa9001843f90bb80cf9dfa9e0c96743644072a72777080c161f3799166c360f",
+    "boolean2/generic/aomoto":
+        "8112dd1afe86b13e9cceccaf7848b22d56e91d520fb394a795d9f3f53547289a",
+    "boolean2/generic/cohomology-aomoto":
+        "cc3cbaa11ba1d4d5a486827b7718777300caa2c85ace545071d6364f5bdac40b",
+    "boolean2/generic/cohomology-ih":
+        "3a783714aedc8a0193a953effef7c8af15d2541a504c56792b0dd2fc90ded4e0",
+    "boolean2/generic/cohomology-local":
+        "47d42b3d3dfac013f6beefa2c06854b0e35f97a1970b0730b9a41c3fc0c84016",
+    "boolean2/generic/shapovalov":
+        "69659fc519cb90aa8eb71f7ba52b5bcbf98fd53124133c79ee7523a4a68dd184",
+    "boolean2/os":
+        "d49f4cd82546c09705d4ccc7b8596ec0970db42f856c6d07d8111312945ebb35",
+    "boolean2/zero/aomoto":
+        "fc6347aaa85a2bc16b8de9a89eb4e46f258128edf6d666c29ec458e298532a41",
+    "boolean2/zero/cohomology-aomoto":
+        "d267ede9bf74b0cb956279d0a62281832d5e857a5f7595b26c575f42938cf42b",
+    "boolean2/zero/cohomology-ih":
+        "e91cfa76a4e87e2e7f0b0389f37317652c1822a18150be905f3152dbcff22120",
+    "boolean2/zero/cohomology-local":
+        "b1b0a674ffd35e259736dae4fbc9c75c08d680545cbfeba162650b5390753aee",
+    "boolean2/zero/shapovalov":
+        "8fa77a9fb8eb58287fbdcd4bb57c1fa3946357cb8c0fd962dc4c65f7da11ce8c",
+    "boolean3/cohomology-flag":
+        "0099242ac9dbd323579e2c94e5a8850d3eb853650063381620f00bb40cc1fbad",
+    "boolean3/flags":
+        "6136753c1dd46a602d1f2fecc61a521e4934436cb2804f437afe4d634b6e6e13",
+    "boolean3/generic/aomoto":
+        "2e953805b780440791b47e29257dc61c064ad58426907b36f8dbfc42366c7c58",
+    "boolean3/generic/cohomology-aomoto":
+        "d18e3c1f5fddd525d0b8b883d86cf68651a54824abe9d9e8e8da397e9652a821",
+    "boolean3/generic/cohomology-ih":
+        "5dc3e34b9eaa5cbc26e769f0663cb7c93ec8ade06c310f8b543081110e43184c",
+    "boolean3/generic/cohomology-local":
+        "8d65a76448f93b9341eee2aa3c48fb17d9b1f594a6ec276b0f6af617c0f075c1",
+    "boolean3/generic/shapovalov":
+        "a08ec34b75429e06d7b8845a9f86f50d3cde48823e71e3c33be81d8cbfbde9dd",
+    "boolean3/os":
+        "5ad4f5a32a0c95da2e128e9e42cfe3d1ee74f03620cc2ebebbace2d1fa82931a",
+    "boolean3/zero/aomoto":
+        "0585bdfd7a54156dd1aa3cbbd523474ff7525f51854640490c85dd3048fa2981",
+    "boolean3/zero/cohomology-aomoto":
+        "da028f736780f6c0726c579beaf6f9ceb5cca228a934a89c9f65b8dd438fa39b",
+    "boolean3/zero/cohomology-ih":
+        "f5463870b217931877e71fb4d3adb11a5a62792c90a419774592ce3fe502120b",
+    "boolean3/zero/cohomology-local":
+        "e49cc09243916a21b9b557807213b7f8a79e58592960a7156729607a6b24c301",
+    "boolean3/zero/shapovalov":
+        "a97cccfb1363b8095a48613372af96b665805bd93b353e28fc717ecf44c4f4e2",
+    "c13/cohomology-flag":
+        "0099242ac9dbd323579e2c94e5a8850d3eb853650063381620f00bb40cc1fbad",
+    "c13/flags":
+        "87591c4f57a5db4d68078907529202e8cab3b76759152c4190c9ce98308a5f2e",
+    "c13/generic/aomoto":
+        "8c947bdaa87019b640cb7c9cc3763c1820006b7b6b61a95678bf9b55aa60b8a8",
+    "c13/generic/cohomology-aomoto":
+        "d18e3c1f5fddd525d0b8b883d86cf68651a54824abe9d9e8e8da397e9652a821",
+    "c13/generic/cohomology-ih":
+        "5dc3e34b9eaa5cbc26e769f0663cb7c93ec8ade06c310f8b543081110e43184c",
+    "c13/generic/cohomology-local":
+        "8d65a76448f93b9341eee2aa3c48fb17d9b1f594a6ec276b0f6af617c0f075c1",
+    "c13/generic/shapovalov":
+        "91870e1615e9ff12fc607e98cc9c23a901aca2f3fba3e89d649eb97de67ce2f0",
+    "c13/os":
+        "705582db57736cf49085ed31f147aade9712bac22fa808fb18b42a1bfb37e743",
+    "c13/zero/aomoto":
+        "4a01e3f464f1a6e65d162dbde586efbf34839a657439f3b1a2d8bb7ec812d000",
+    "c13/zero/cohomology-aomoto":
+        "083e933966b35051428816270294ed611bde94d47a97ac97910897693aaf99af",
+    "c13/zero/cohomology-ih":
+        "f5463870b217931877e71fb4d3adb11a5a62792c90a419774592ce3fe502120b",
+    "c13/zero/cohomology-local":
+        "8f3b8ec65a0e814a0f62b690001d8ddbcad735eb720264e13f54fe8979b9cbe3",
+    "c13/zero/shapovalov":
+        "0cfc881dc40013c4945314f62a128adec8409e8e0332b798608bc7b5751029a0",
+    "c14/cohomology-flag":
+        "c1415f64d99c02ac69b0c7277e81c9edb1177620bafeb5593ac86b13c2e8baf2",
+    "c14/flags":
+        "92573d7464cfba5197b19ace83a0545bfe6b439fa75938468847ac09b388079d",
+    "c14/generic/aomoto":
+        "b034fef6492bb05104e61d1f80c0bf492c1e4cf3d3c8bdb8010619d232254657",
+    "c14/generic/cohomology-aomoto":
+        "4c3eebeb563a6046e15807be222dba1623db1c0b84b9347c875f83a63dc52ecc",
+    "c14/generic/cohomology-ih":
+        "ef60d53c2da40a8f062e0ddabaabd472d96b5e19b12a2095a6891f0f978524e9",
+    "c14/generic/cohomology-local":
+        "dc53507d644ab8eb60dfaab7673bb6c852507364d627e08cc4b8a64bce4ba512",
+    "c14/generic/shapovalov":
+        "b2ab6f36117e6fb6c80e2773d1b67f5f3409164db0e2c105bceb7f1b704a5f71",
+    "c14/os":
+        "8dbfda2fc93aad715708de470f2b2c7588389fbc9d6d7ac16aed694445ff6fc9",
+    "c14/zero/aomoto":
+        "3caf559c09ac14cd01955567f10ffd55cbdcf10db6050166dfe9ef00a919c3b2",
+    "c14/zero/cohomology-aomoto":
+        "d25cc8632392cc5947e86e492126258880b5f7d4fdcbf8821715320cf68fa3f1",
+    "c14/zero/cohomology-ih":
+        "241997640c35e43e96887e09102aac994af5e0d2b887c6f0eb3782eea5e58c4c",
+    "c14/zero/cohomology-local":
+        "a1f44e110e32884b9f07e8d74d6933a8df73c31d472a1e36f36505a0ce298f8a",
+    "c14/zero/shapovalov":
+        "951b04697f5fa0c54fd32ebef150218cd0b38db7e51c8968113258fb88bb800c",
+    "empty/cohomology-flag":
+        "beb14c88d2e60919cf4e61be6979db4f70be4a11eea983001fa5e91464b2b342",
+    "empty/flags":
+        "a80880f511525947ba99e4445aa278d07cce42994379948e47c23eeab739703d",
+    "empty/generic/aomoto":
+        "6281bda3d027f1205b167f519e5aca56350959bc916904b2a70e4ac08779b123",
+    "empty/generic/cohomology-aomoto":
+        "5d9599d37ac48e5ab269dab7eb18e4eec91a0a9ba3a1edc941307da96430227c",
+    "empty/generic/cohomology-ih":
+        "e91cfa76a4e87e2e7f0b0389f37317652c1822a18150be905f3152dbcff22120",
+    "empty/generic/cohomology-local":
+        "6216cb533dfcb32116b1dac2db9e6bcb7657a1e424ccf4460bf7dbb2bda9057f",
+    "empty/generic/shapovalov":
+        "d3210aa7ccf27e54ca936ee31c1a6c27f4750cf7292690ea29e1affee067f01e",
+    "empty/os":
+        "080ee949865f54c675b864d1ed788a067815d33d94b7cc8c3618daa51b6c64c2",
+    "empty/zero/aomoto":
+        "6281bda3d027f1205b167f519e5aca56350959bc916904b2a70e4ac08779b123",
+    "empty/zero/cohomology-aomoto":
+        "5d9599d37ac48e5ab269dab7eb18e4eec91a0a9ba3a1edc941307da96430227c",
+    "empty/zero/cohomology-ih":
+        "e91cfa76a4e87e2e7f0b0389f37317652c1822a18150be905f3152dbcff22120",
+    "empty/zero/cohomology-local":
+        "6216cb533dfcb32116b1dac2db9e6bcb7657a1e424ccf4460bf7dbb2bda9057f",
+    "empty/zero/shapovalov":
+        "d3210aa7ccf27e54ca936ee31c1a6c27f4750cf7292690ea29e1affee067f01e",
+    "single/cohomology-flag":
+        "562c5c0444eccc2c549091b965538fc43f36722450bfeecd9763c1c45fa0d7d3",
+    "single/flags":
+        "e59b244ed00ee773b50000623b4c035d4a109115166bce9c785f793fb615c4d5",
+    "single/generic/aomoto":
+        "11d2ad5525251ba76be4607b99e6547309982e1390af25afd3072437d2a6d152",
+    "single/generic/cohomology-aomoto":
+        "04a0afc17f75099baa46cc5e96627262c9577838cf93b07ac2fe1e207aec57a1",
+    "single/generic/cohomology-ih":
+        "981a6ae85255803003124485a640e9b402036d78f632e1b3885586411978d089",
+    "single/generic/cohomology-local":
+        "b298d5060cad798958a1d5350ee993636e471000d13ce69dd102d4baf937f083",
+    "single/generic/shapovalov":
+        "efffabd28f784f5ea359f7d7a002457faf20829cfc49758001c999440d55a6b9",
+    "single/os":
+        "8ccc20f12568650a026fa356ffdb7086d201a7fd2e192fd6d5f7c3738e4757aa",
+    "single/zero/aomoto":
+        "88ae4f97ce867ad57dce79e7ce58258fbb9dd765e3a3ab5a031f698994bdef6e",
+    "single/zero/cohomology-aomoto":
+        "535f8e3f9c58560d7d7d9bf96edc8a962d3eca1998485bdf1c8248fdee9c9668",
+    "single/zero/cohomology-ih":
+        "366b106a5834fc2aa7ae0e3acc33e2aa9104383b9991d2db56348dbb739b80cf",
+    "single/zero/cohomology-local":
+        "f954ba5c49cc2020f126a04daee518f623c4f8e8609e98f5aa6737fb04871580",
+    "single/zero/shapovalov":
+        "ceea526eb9f18f1694fdebb0b8077294b611dbf4d7b9c570ea5e7efb9b01b122",
+    "three_lines/cohomology-flag":
+        "6e76c0515c12b3855551397c82f865a2046e5eb85971ea75fbc949b3fe5ba48b",
+    "three_lines/flags":
+        "05931bc407b36bb4f09db0fdee6cf1185447fff563242410711ec12f31ad8498",
+    "three_lines/generic/aomoto":
+        "b001824f6abce6802f8402233d11ae774fbb68d61268ea30ef993f4eef4e7d70",
+    "three_lines/generic/cohomology-aomoto":
+        "cc3cbaa11ba1d4d5a486827b7718777300caa2c85ace545071d6364f5bdac40b",
+    "three_lines/generic/cohomology-ih":
+        "3a783714aedc8a0193a953effef7c8af15d2541a504c56792b0dd2fc90ded4e0",
+    "three_lines/generic/cohomology-local":
+        "47d42b3d3dfac013f6beefa2c06854b0e35f97a1970b0730b9a41c3fc0c84016",
+    "three_lines/generic/shapovalov":
+        "22f6be37e3d0675cd716e4e470e71ccee1bdf11fc3820165c8658acea3338c19",
+    "three_lines/os":
+        "85adc365c07ab683e49af0c3030b0c71700efbf5e0d981c4dd1b737899578986",
+    "three_lines/zero/aomoto":
+        "ff2b0a4232a44e8315bf1ef5aeaaf6ed0000a8e2bc9627ebdecccc96b23b4823",
+    "three_lines/zero/cohomology-aomoto":
+        "4eda8d885777c380752acdfc85988327f94977146c6636afbabe05407eb264a0",
+    "three_lines/zero/cohomology-ih":
+        "e91cfa76a4e87e2e7f0b0389f37317652c1822a18150be905f3152dbcff22120",
+    "three_lines/zero/cohomology-local":
+        "a8e24731715778edade7b0e73154e4c339be84b8ecb18d684e1f9eeaf9421fcc",
+    "three_lines/zero/shapovalov":
+        "b390c5e91256a7b3e514c7c992c945ca2f58e6e831e017d07ea6190ebd0e62d6",
+}
+
+
+def test_golden_presented_space_reports(tmp_path):
+    reports = presented_space_reports(tmp_path)
+    digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in reports.items()}
+    assert digests == PRESENTED_SPACE_DIGESTS

@@ -401,3 +401,15 @@ def test_rational_roots_ints_match_fractions(coeffs):
     assert ints == fracs
     roots, _ = ints
     assert all(poly_eval(tuple(coeffs), r) == 0 for r in roots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_from_cols_is_from_rows_transposed(m):
+    assert Matrix.from_cols([m.col(j) for j in range(m.cols)], m.rows) == m
+    assert Matrix.from_cols([m.row(i) for i in range(m.rows)], m.cols) == m.transpose()
+
+
+def test_from_cols_rejects_ragged_columns():
+    with pytest.raises(ShapeError):
+        Matrix.from_cols([[1, 2], [3]], 2)

@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverarr import corpus
 from quiverarr.arrangement import build_graph
 from quiverarr.errors import ShapeError
-from quiverarr.linalg import Matrix, betti, rank
+from quiverarr.linalg import Matrix, Q0, Q1, betti, rank, solve_matrix
 from quiverarr.oscomplex import (
     ExponentAssignment, aomoto_complex, duality_pairing, flag_complex,
-    flag_degree, flag_form_complex, flag_space, format_exponents, os_space,
-    parse_exponents, shapovalov_scalar,
+    _PresentedSpace, flag_degree, flag_form_complex, flag_space,
+    format_exponents, os_space, parse_exponents, shapovalov_scalar,
 )
 
 
@@ -233,3 +235,120 @@ def test_exp_round_trip():
     a = parse_exponents(text)
     assert a.of(3) == Fraction(2, 100)
     assert format_exponents(a) == text
+
+
+# -- presented spaces against the two-pass reference -----------------------------
+
+class _ReferenceRREF:
+    """Row space in reduced echelon form, each row pivoted at its first
+    column, rows stored as sparse dicts keyed by column."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, vec):
+        vec = {c: v for c, v in vec.items() if v}
+        for c in sorted(vec):
+            v = vec.get(c)
+            if not v or c not in self.rows:
+                continue
+            for cc, val in self.rows[c].items():
+                nv = vec.get(cc, Q0) - v * val
+                if nv:
+                    vec[cc] = nv
+                else:
+                    vec.pop(cc, None)
+        return vec
+
+    def add(self, vec):
+        """Insert the vector; its pivot column, or None if it was already
+        in the span."""
+        r = self.reduce(vec)
+        if not r:
+            return None
+        pivot = min(r)
+        r = {c: v / r[pivot] for c, v in r.items()}
+        for row in self.rows.values():
+            f = row.get(pivot)
+            if f:
+                for cc, val in r.items():
+                    nv = row.get(cc, Q0) - f * val
+                    if nv:
+                        row[cc] = nv
+                    else:
+                        row.pop(cc, None)
+        self.rows[pivot] = r
+        return pivot
+
+
+def reference_presentation(ngen, relation_rows):
+    """Basis indices and generator coordinates by the two-pass algorithm:
+    reduce every unit vector modulo the relations, pick the basis with a
+    second elimination of the reduced vectors, and take coordinates from
+    the inverse of the basis block on the free columns."""
+    span = _ReferenceRREF()
+    for r in relation_rows:
+        span.add(dict(r))
+    reduced = [span.reduce({i: Q1}) for i in range(ngen)]
+    chooser = _ReferenceRREF()
+    basis = [i for i in range(ngen) if chooser.add(dict(reduced[i])) is not None]
+    free_cols = [c for c in range(ngen) if c not in span.rows]
+    b = Matrix.from_rows([[reduced[j].get(c, Q0) for j in basis] for c in free_cols],
+                         cols=len(basis))
+    binv = solve_matrix(b, Matrix.identity(len(basis)))
+    coords = []
+    for i in range(ngen):
+        vec = Matrix.from_rows([[reduced[i].get(c, Q0)] for c in free_cols], cols=1)
+        coords.append((binv * vec).col(0) if basis else ())
+    return basis, coords
+
+
+@st.composite
+def presentations(draw):
+    """A generator count and sparse relation rows over it, with zero
+    entries, repeated rows and rows dependent on earlier ones."""
+    ngen = draw(st.integers(0, 8))
+    entry = st.integers(-3, 3).map(Fraction)
+    if not ngen:
+        return 0, draw(st.lists(st.just({}), max_size=2))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ngen - 1), entry, max_size=4),
+                         max_size=8))
+    if rows:
+        picks = st.integers(0, len(rows) - 1)
+        for i, j, c in draw(st.lists(st.tuples(picks, picks, entry), max_size=4)):
+            combo = dict(rows[i])
+            for col, v in rows[j].items():
+                combo[col] = combo.get(col, Q0) + c * v
+            rows.append(combo)
+        rows += [dict(rows[i]) for i in draw(st.lists(picks, max_size=2))]
+    return ngen, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations())
+def test_presented_space_matches_two_pass_reference(data):
+    ngen, rows = data
+    gens = [f"g{i}" for i in range(ngen)]
+    space = _PresentedSpace(gens, rows)
+    basis, coords = reference_presentation(ngen, rows)
+    assert space.basis == [gens[i] for i in basis]
+    assert space.dim == len(basis)
+    for i, g in enumerate(gens):
+        assert space.coords_of_generator(g) == tuple(coords[i])
+    # every relation vanishes in the quotient
+    for r in rows:
+        assert all(sum((v * space.coords_of_generator(gens[c])[k] for c, v in r.items()), Q0) == 0
+                   for k in range(space.dim))
+    assert space.relation_space.rows == len(rows)
+
+
+def test_presented_space_without_relations_or_generators():
+    space = _PresentedSpace(["a", "b"], [])
+    assert space.basis == ["a", "b"]
+    assert space.coords_of_generator("b") == (Q0, Q1)
+    empty = _PresentedSpace([], [])
+    assert (empty.basis, empty.dim, empty.relation_space.rows) == ([], 0, 0)
+    # a relation ending at b removes b, not a
+    quotient = _PresentedSpace(["a", "b"], [{0: Fraction(2), 1: Fraction(-4)}])
+    assert quotient.basis == ["a"]
+    assert quotient.coords_of_generator("b") == (Fraction(1, 2),)

@@ -254,6 +254,20 @@ def test_hom_space_identity_and_scalars():
     assert hom_space(v, u).dim == 1
 
 
+def test_hom_space_of_loop_intertwiners_between_ranks():
+    # a Jordan block J and the scalar 1 on every loop of three_lines: the
+    # intertwiners of loops J -> 1 and 1 -> J span one line each, and the
+    # commutant of J is two-dimensional
+    g = graph("three_lines")
+    j = level_zero_quiver(g, 2, {k: M([[1, 1], [0, 1]]) for k in (1, 2, 3)})
+    s = level_zero_quiver(g, 1, {k: M([[1]]) for k in (1, 2, 3)})
+    for v, w, dim in ((j, s, 1), (s, j, 1), (j, j, 2), (s, s, 1)):
+        basis = hom_space(v, w)
+        assert basis.dim == dim
+        for i in range(dim):
+            morphism_from_coords(v, w, basis.basis.row(i))  # constructor validates
+
+
 def test_hom_space_yields_valid_morphisms():
     g = graph("single")
     v = one_hyperplane_quiver(Fraction(2), Fraction(3))

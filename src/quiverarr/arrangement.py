@@ -207,16 +207,6 @@ class AdmissibleGraph:
         self._wedge_cache[(a, b)] = out
         return out
 
-    def wedge_tuple(self, keys):
-        """Iterated wedge of a sequence of vertex keys, or None."""
-        keys = list(keys)
-        acc = keys[0]
-        for k in keys[1:]:
-            acc = self.wedge_key(acc, k)
-            if acc is None:
-                return None
-        return acc
-
     def top(self):
         """The unique level-0 vertex."""
         tops = self.levels(0)
@@ -333,9 +323,6 @@ class TruncatedGraph:
 
     def levels(self, k):
         return [v for v in self.vertices if self.level[v] == k]
-
-    def has_loop(self, at, via):
-        return (at, via) in set(self.loops)
 
     def __repr__(self):
         return (f"TruncatedGraph(level {self.n}: {len(self.vertices)} vertices, "

@@ -243,6 +243,17 @@ def cmd_selftest(args):
     return report
 
 
+def _rank(text):
+    """The value of --dim: an integer rank of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"the rank must be at least 1, got {n}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="quiverarr",
                                 description=__doc__,
@@ -257,8 +268,8 @@ def build_parser():
         if quiver_input:
             sp.add_argument("--qvr", help="quiver file (.qvr)")
             sp.add_argument("--exp", help="exponents file (.exp), scalar quiver")
-            sp.add_argument("--dim", type=int, default=1,
-                            help="rank of the scalar quiver built from --exp")
+            sp.add_argument("--dim", type=_rank, default=1,
+                            help="rank (at least 1) of the scalar quiver built from --exp")
             sp.add_argument("--kappa", help="override the divisor of the .exp file")
         sp.set_defaults(fn=fn)
         return sp

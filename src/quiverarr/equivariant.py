@@ -19,13 +19,12 @@ from functools import cached_property
 
 from .arrangement import ArrangementGraph, Hyperplane
 from .cohomology import CohomologyReport, _betti_map, smallness_status
-from .errors import (NotFiniteError, ParseError, ShapeError, SymmetryError,
-                     UnsupportedError)
-from .functors import j0_shriek, j0_star, macpherson
+from .errors import (InternalInconsistencyError, NotFiniteError, ParseError,
+                     ShapeError, SymmetryError, UnsupportedError)
+from .functors import _t_acc_cols, j0_shriek, j0_star, macpherson
 from .linalg import (Matrix, Q0, Q1, block_diag, det, kernel_basis,
-                     parse_rational, rank, solve_matrix, sort_with_sign,
-                     subcomplex)
-from .oscomplex import flag_space, os_space
+                     parse_rational, rank, solve_matrix, subcomplex)
+from .oscomplex import flag_degree, os_space
 from .quiver import LevelQuiver, c_plus
 
 
@@ -230,64 +229,38 @@ def _degree_action_star(graph, eq, gi, p):
     re-sorted OS generators tensored with rho."""
     osd = os_space(graph, p)
     act = eq.action
-    dw = eq.rho[gi].rows
-    keys = sorted(k for k in graph.vertices if graph.level[k] == p)
-    offsets = {}
-    pos = 0
-    for k in keys:
-        offsets[k] = pos
-        pos += osd.spaces[k].dim * dw
-    dim = pos
-    rows = [[Q0] * dim for _ in range(dim)]
-    for k in keys:
-        space = osd.spaces[k]
-        for si, t in enumerate(space.basis):
-            img = tuple(act.perm(gi, j) for j in t)
-            srt, sign = sort_with_sign(img)
-            k2 = act.vertex_image(gi, k)
-            tgt_space = osd.spaces[k2]
-            coords = tgt_space.coords_of_generator(srt)
-            for ti, c in enumerate(coords):
-                if c == 0:
-                    continue
-                for a_ in range(dw):
-                    for b_ in range(dw):
-                        val = eq.rho[gi][a_, b_]
-                        if val:
-                            rows[offsets[k2] + ti * dw + a_][
-                                offsets[k] + si * dw + b_] += sign * c * val
-    return Matrix.from_rows(rows, cols=dim)
+    images = []
+    for k in osd.vertex_keys:
+        k2 = act.vertex_image(gi, k)
+        for t in osd.spaces[k].basis:
+            images.append(osd.expand(tuple(act.perm(gi, j) for j in t)))
+            if images[-1][0] != k2:
+                raise InternalInconsistencyError(
+                    f"image of generator {t} is not a generator at {k2}")
+    return _tensor_action(osd, images, eq.rho[gi])
 
 
 def _degree_action_shriek(graph, eq, gi, p):
     """Action on the degree-p piece of C+(j0_shriek): permuted flags (no
     sign) tensored with rho."""
+    fd = flag_degree(graph, p)
     act = eq.action
-    dw = eq.rho[gi].rows
-    keys = sorted(k for k in graph.vertices if graph.level[k] == p)
-    fb = {k: flag_space(graph, k) for k in keys}
-    offsets = {}
-    pos = 0
-    for k in keys:
-        offsets[k] = pos
-        pos += fb[k].dim * dw
-    dim = pos
-    rows = [[Q0] * dim for _ in range(dim)]
-    for k in keys:
-        for si, f in enumerate(fb[k].basis):
-            img = tuple(act.vertex_image(gi, v) for v in f)
-            k2 = img[-1]
-            coords = fb[k2].expand(img)
-            for ti, c in enumerate(coords):
-                if c == 0:
-                    continue
-                for a_ in range(dw):
-                    for b_ in range(dw):
-                        val = eq.rho[gi][a_, b_]
-                        if val:
-                            rows[offsets[k2] + ti * dw + a_][
-                                offsets[k] + si * dw + b_] += c * val
-    return Matrix.from_rows(rows, cols=dim)
+    images = [fd.expand(tuple(act.vertex_image(gi, v) for v in f))
+              for k in fd.vertex_keys for f in fd.spaces[k].basis]
+    return _tensor_action(fd, images, eq.rho[gi])
+
+
+def _tensor_action(degree, images, rho):
+    """The matrix on a whole degree (OSBasis or FlagDegree) tensored with
+    W that takes the s-th basis element, in offset order, to images[s],
+    an expansion (vertex, sign, coords), tensored with rho."""
+    dw = rho.rows
+    dim = degree.dim * dw
+    cols = [[Q0] * dim for _ in range(dim)]
+    for s, (vk, sign, coords) in enumerate(images):
+        off = degree.offsets[vk]
+        _t_acc_cols(cols, s, [(off + i, sign * c) for i, c in coords], rho, dw)
+    return Matrix.from_cols(cols, dim)
 
 
 def _degree_inclusion(graph, mac, p):

@@ -12,7 +12,6 @@ coordinates for quotients), so induced maps reduce to exact solves.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
@@ -319,8 +318,8 @@ def _hyperplane_ops(graph: ArrangementGraph, w: LevelQuiver):
 
 def _shriek_structure(graph):
     """Per-graph skeleton of the flag-coordinate direct image: for every
-    oriented edge, the target expansion vector and (for upward maps) the
-    contributing hyperplanes of the single live cutoff per basis flag."""
+    oriented edge and basis flag, the sparse target coordinates and (for
+    upward maps) the contributing hyperplanes of the single live cutoff."""
     from .oscomplex import _graph_cache
     cache = _graph_cache(graph)
     if "shriek_structure" in cache:
@@ -332,12 +331,10 @@ def _shriek_structure(graph):
         m = graph.level[b]
         fb = flag_space(graph, b)
         for b2 in graph.down(b):
-            tgt = flag_space(graph, b2)
-            down[(b2, b)] = [
-                tuple(Fraction((-1) ** m) * c for c in tgt.expand(f + (b2,)))
-                for f in fb.basis]
+            coords = flag_space(graph, b2).space.coords
+            down[(b2, b)] = [_signed((-1) ** m, coords(f + (b2,))) for f in fb.basis]
         for a in graph.up(b):
-            tgt = flag_space(graph, a)
+            coords = flag_space(graph, a).space.coords
             entries = []
             for f in fb.basis:
                 # at most one candidate cutoff carries a nonempty
@@ -356,8 +353,7 @@ def _shriek_structure(graph):
                     if live is not None:
                         raise InternalInconsistencyError(
                             "two cutoff flags carry nonempty sums")
-                    vec = tuple(Fraction((-1) ** k) * c for c in tgt.expand(cut))
-                    live = (vec, hits)
+                    live = (_signed((-1) ** k, coords(cut)), hits)
                 entries.append(live)
             up[(a, b)] = entries
     cache["shriek_structure"] = (down, up)
@@ -393,23 +389,27 @@ def j0_shriek(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
     return Quiver(graph, spaces, maps)
 
 
-def _t_acc_cols(cols, src_flag_index, fvec, wmat, dw):
+def _signed(sign, coords):
+    """Sparse coordinates times sign, which is 1 or -1."""
+    return coords if sign > 0 else tuple((i, -c) for i, c in coords)
+
+
+def _t_acc_cols(cols, src_flag_index, coords, wmat, dw):
+    """Add the tensor product of the sparse coordinates (i, c) with wmat
+    into the dw columns of source basis element src_flag_index."""
     if dw == 1:
         w = wmat.entries[0]
         if w:
             col = cols[src_flag_index]
-            for ti, c in enumerate(fvec):
-                if c:
-                    col[ti] += c * w
+            for ti, c in coords:
+                col[ti] += c * w
         return
     for sk in range(dw):
         col = cols[src_flag_index * dw + sk]
-        for ti, c in enumerate(fvec):
-            if c == 0:
-                continue
-            for tk in range(dw):
-                if wmat[tk, sk]:
-                    col[ti * dw + tk] += c * wmat[tk, sk]
+        wcol = [(tk, x) for tk, x in enumerate(wmat.col(sk)) if x]
+        for ti, c in coords:
+            for tk, x in wcol:
+                col[ti * dw + tk] += c * x
 
 
 def _cutoff_candidates(graph, flag, a):
@@ -434,9 +434,10 @@ def _cutoff_sum_condition(graph, flag, cut, k, j):
 
 
 def _star_structure(graph):
-    """Per-graph skeleton of the Orlik-Solomon direct image: for downward
-    edges the insertion vectors per hyperplane, for upward edges the signed
-    deletion vector per basis generator."""
+    """Per-graph skeleton of the Orlik-Solomon direct image, per basis
+    generator of each vertex: for downward edges the hyperplanes j whose
+    insertion lands there, with the sparse coordinates of (j,) + t; for
+    upward edges the sparse coordinates of the signed deletion sum."""
     from .oscomplex import _graph_cache
     cache = _graph_cache(graph)
     if "star_structure" in cache:
@@ -447,33 +448,27 @@ def _star_structure(graph):
     up = {}
     for b in graph.vertices:
         m = graph.level[b]
-        src = os_by_level[m].spaces[b]
-        for b2 in graph.down(b):
-            tgt_deg = os_by_level[m + 1]
-            tgt = tgt_deg.spaces[b2]
-            off = tgt_deg.offsets[b2]
-            entries = []
-            for t in src.basis:
-                per_j = []
+        basis = os_by_level[m].spaces[b].basis
+        below = {b2: [[] for _ in basis] for b2 in graph.down(b)}
+        if below:
+            for si, t in enumerate(basis):
                 for j in js:
-                    vec = tgt_deg.expand((j,) + t)[off:off + tgt.dim]
-                    if any(vec):
-                        per_j.append((j, vec))
-                entries.append(per_j)
+                    b2, sign, coords = os_by_level[m + 1].expand((j,) + t)
+                    if coords and b2 in below:
+                        below[b2][si].append((j, _signed(sign, coords)))
+        for b2, entries in below.items():
             down[(b2, b)] = entries
-        for a in graph.up(b):
-            tgt_deg = os_by_level[m - 1]
-            tgt = tgt_deg.spaces[a]
-            off = tgt_deg.offsets[a]
-            entries = []
-            for t in src.basis:
-                acc = [Q0] * tgt.dim
-                for k in range(m):
-                    vec = tgt_deg.expand(t[:k] + t[k + 1:])[off:off + tgt.dim]
-                    for i, c in enumerate(vec):
-                        acc[i] += Fraction((-1) ** k) * c
-                entries.append(tuple(acc))
-            up[(a, b)] = entries
+        above = {a: [{} for _ in basis] for a in graph.up(b)}
+        for si, t in enumerate(basis):
+            for k in range(m):
+                a, _, coords = os_by_level[m - 1].expand(t[:k] + t[k + 1:])
+                if a in above:
+                    acc = above[a][si]
+                    for i, c in _signed((-1) ** k, coords):
+                        acc[i] = acc.get(i, Q0) + c
+        for a, entries in above.items():
+            up[(a, b)] = [tuple(sorted((i, c) for i, c in acc.items() if c))
+                          for acc in entries]
     cache["star_structure"] = (down, up, {a: os_by_level[graph.level[a]].spaces[a].dim
                                           for a in graph.vertices})
     return cache["star_structure"]
@@ -497,17 +492,16 @@ def j0_star(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
         maps[(b2, b)] = Matrix.from_cols(cols, spaces[b2])
     for (a, b), entries in up.items():
         cols = [[Q0] * spaces[a] for _ in range(spaces[b])]
-        for si, vec in enumerate(entries):
-            if any(vec):
-                _t_acc_cols(cols, si, vec, idw, dw)
+        for si, coords in enumerate(entries):
+            _t_acc_cols(cols, si, coords, idw, dw)
         maps[(a, b)] = Matrix.from_cols(cols, spaces[a])
     return Quiver(graph, spaces, maps)
 
 
 def _s0_structure(graph):
     """Per-graph skeleton of the Shapovalov morphism: per vertex and basis
-    flag, the hyperplane tuples tracing the flag with their target slice
-    vectors."""
+    flag, the hyperplane tuples tracing the flag with the sparse
+    coordinates of their class at that vertex."""
     from .oscomplex import _graph_cache
     cache = _graph_cache(graph)
     if "s0_structure" in cache:
@@ -515,18 +509,15 @@ def _s0_structure(graph):
     out = {}
     for a in graph.vertices:
         m = graph.level[a]
-        fb = flag_space(graph, a)
         osd = os_space(graph, m)
-        tgt = osd.spaces[a]
-        off = osd.offsets[a]
         entries = []
-        for f in fb.basis:
+        for f in flag_space(graph, a).basis:
             id_sets = [graph.vertex(f[k]).id for k in range(1, m + 1)]
             terms = []
             for tup in product(*id_sets):
-                vec = osd.expand(tup)[off:off + tgt.dim]
-                if any(vec):
-                    terms.append((tup, vec))
+                vk, sign, coords = osd.expand(tup)
+                if vk == a and coords:
+                    terms.append((tup, _signed(sign, coords)))
             entries.append(terms)
         out[a] = entries
     cache["s0_structure"] = out
@@ -536,21 +527,26 @@ def _s0_structure(graph):
 def s0(graph: ArrangementGraph, w: LevelQuiver) -> QuiverMorphism:
     """The quiver Shapovalov morphism from the flag-coordinate direct image
     to the Orlik-Solomon one: a flag goes to the sum over hyperplane tuples
-    tracing it, against the reversed product of their loop operators."""
+    tracing it, against the reversed product of their loop operators.
+    Each word ops[t_m]...ops[t_1] is built once, from its prefix's."""
     ops = _hyperplane_ops(graph, w)
     dw = w.dim(graph.top())
     shriek = j0_shriek(graph, w)
     star = j0_star(graph, w)
     structure = _s0_structure(graph)
+    words = {(): Matrix.identity(dw)}
+
+    def word(tup):
+        if tup not in words:
+            words[tup] = ops[tup[-1]] * word(tup[:-1])
+        return words[tup]
+
     comps = {}
     for a in graph.vertices:
         cols = [[Q0] * star.dim(a) for _ in range(shriek.dim(a))]
         for si, terms in enumerate(structure[a]):
-            for tup, vec in terms:
-                word = Matrix.identity(dw)
-                for j in tup:
-                    word = ops[j] * word
-                _t_acc_cols(cols, si, vec, word, dw)
+            for tup, coords in terms:
+                _t_acc_cols(cols, si, coords, word(tup), dw)
         comps[a] = Matrix.from_cols(cols, star.dim(a))
     return QuiverMorphism(shriek, star, comps)
 

@@ -15,12 +15,14 @@ clears the denominators of its input rows, works over Python ints, and
 builds one Fraction per output entry.  Elimination is fraction-free in
 the manner of Bareiss (1968): every row combination is integral and each
 new row is divided by its content, so the integers stay small.  The
-product's integer core (`_int_product`) also serves zero tests that never
-form the Fractions (`product_is_zero`).  Characteristic polynomials run
-Berkowitz's division-free algorithm (1984) on the matrix cleared of
-denominators, and a product x y is taken from its smaller side through
-det(tI_n - x y) = t^(n-k) det(tI_k - y x) (`char_poly_of_product`).
-Results are exactly those of the plain Fraction algorithms.
+product's integer core (`_int_product`) also serves zero and equality
+tests that never form the Fractions (`product_is_zero`, `products_equal`),
+and each matrix keeps its integer form once computed.  Characteristic
+polynomials run Berkowitz's division-free algorithm (1984) on the matrix
+cleared of denominators, and a product x y is taken from its smaller
+side through det(tI_n - x y) = t^(n-k) det(tI_k - y x)
+(`char_poly_of_product`).  Results are exactly those of the plain
+Fraction algorithms.
 """
 
 from __future__ import annotations
@@ -72,9 +74,11 @@ def sort_with_sign(seq):
 
 
 class Matrix:
-    """Dense row-major matrix over Q."""
+    """Dense row-major matrix over Q.  Its integer forms, read by the
+    product kernels, are computed on first use and kept (see
+    `_row_ints`, `_common_ints`)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_rows_form", "_common_form")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
@@ -83,6 +87,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._rows_form = self._common_form = None
 
     @staticmethod
     def _raw(rows, cols, entries):
@@ -91,7 +96,32 @@ class Matrix:
         m.rows = rows
         m.cols = cols
         m.entries = entries
+        m._rows_form = m._common_form = None
         return m
+
+    def _row_ints(self):
+        """Per row, (d, [(column, numerator)]): the row's nonzero entries
+        as integers over d, the lcm of their denominators (1 for a zero
+        row)."""
+        if self._rows_form is None:
+            n, e = self.cols, self.entries
+            form = []
+            for i in range(self.rows):
+                nz = [(j, x) for j, x in enumerate(e[i * n:(i + 1) * n]) if x]
+                d = lcm(*{x.denominator for _, x in nz})
+                form.append((d, [(j, x.numerator * (d // x.denominator)) for j, x in nz]))
+            self._rows_form = form
+        return self._rows_form
+
+    def _common_ints(self):
+        """(d, rows): every row's nonzero entries as (column, numerator)
+        pairs over one common denominator d."""
+        if self._common_form is None:
+            rows = self._row_ints()
+            d = lcm(*(r for r, _ in rows))
+            self._common_form = (d, [[(j, x * (d // r)) for j, x in nz] if r != d else nz
+                                     for r, nz in rows])
+        return self._common_form
 
     @staticmethod
     def from_rows(rows_of_entries, cols=None):
@@ -238,28 +268,17 @@ class Matrix:
 def _int_product(a: Matrix, b: Matrix):
     """The product a b over the integers: one pair (numerators, d) per row
     of a, that row of a b being the numerators over d.  Each row of a is
-    put on its own common denominator and b on one common denominator, so
-    the sums run over Python ints; zero entries are skipped.  Shapes are
-    the caller's to check."""
-    m, p = a.cols, b.cols
-    bv = b.entries
-    db = lcm(*{y.denominator for y in bv})
-    bnz = [[(j, y.numerator * (db // y.denominator))
-            for j, y in enumerate(bv[k * p:(k + 1) * p]) if y]
-           for k in range(m)]
-    av = a.entries
+    on its own common denominator and b on one common denominator (the
+    matrices' kept integer forms), so the sums run over Python ints and
+    zero entries are skipped.  Shapes are the caller's to check."""
+    p = b.cols
+    db, bnz = b._common_ints()
     out = []
-    for i in range(a.rows):
-        nz = [(k, x) for k, x in enumerate(av[i * m:(i + 1) * m]) if x]
+    for da, nz in a._row_ints():
         acc = [0] * p
-        if not nz:
-            out.append((acc, 1))
-            continue
-        da = lcm(*{x.denominator for _, x in nz})
         for k, x in nz:
-            aik = x.numerator * (da // x.denominator)
             for j, y in bnz[k]:
-                acc[j] += aik * y
+                acc[j] += x * y
         out.append((acc, da * db))
     return out
 
@@ -270,6 +289,23 @@ def product_is_zero(a: Matrix, b: Matrix) -> bool:
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     return not any(any(acc) for acc, _ in _int_product(a, b))
+
+
+def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
+    """Whether a b = c d, decided row by row on the integer numerators of
+    the two products, each cross-multiplied by the other's denominator,
+    without forming their Fractions."""
+    if a.cols != b.rows or c.cols != d.rows:
+        raise ShapeError("cannot multiply: inner sizes differ")
+    if (a.rows, b.cols) != (c.rows, d.cols):
+        raise ShapeError("products of different shapes")
+    for (x, dx), (y, dy) in zip(_int_product(a, b), _int_product(c, d)):
+        if dx == dy:
+            if x != y:
+                return False
+        elif any(u * dy != v * dx for u, v in zip(x, y)):
+            return False
+    return True
 
 
 def block_diag(blocks):
@@ -435,10 +471,6 @@ def kernel_basis(m: Matrix) -> Subspace:
 def image_basis(m: Matrix) -> Subspace:
     """Column space of m, as a subspace of Q^rows."""
     return Subspace(m.rows, m.transpose())
-
-
-def row_space(m: Matrix) -> Subspace:
-    return Subspace(m.cols, m)
 
 
 def solve(m: Matrix, rhs):

@@ -7,12 +7,15 @@ arrangement graph.  Bases are the lexicographically least independent
 generator subsets, so coordinates are deterministic across runs.
 `_PresentedSpace` reads the basis and every generator's coordinates off
 one elimination of the relations, each pivoted at its last generator.
+Coordinates are per vertex and sparse: `OSBasis.expand` and
+`FlagDegree.expand` take a hyperplane tuple or a flag to its one vertex,
+a sign, and (basis position, value) pairs in that vertex's space.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from .arrangement import ArrangementGraph
 from .errors import ParseError, ShapeError
@@ -23,7 +26,7 @@ from .linalg import (ChainComplex, ChainMap, Matrix, Q0, Q1, frac,
 class _PresentedSpace:
     """A quotient of the free span of `generators` by sparse relation
     rows, with the lexicographically least generator subset as basis and
-    a precomputed expansion of every generator in that basis.
+    a precomputed sparse expansion of every generator in that basis.
 
     One Gauss-Jordan pass pivots each relation at its last generator and
     keeps every row fully reduced.  Generator i is left out of the basis
@@ -52,17 +55,13 @@ class _PresentedSpace:
         self.basis = [self.generators[i] for i in basis]
         self.dim = len(basis)
         position = {i: k for k, i in enumerate(basis)}
-        self._gen_coords = []
-        for i in range(len(self.generators)):
-            acc = [Q0] * self.dim
+        self._coords = {}
+        for i, gen in enumerate(self.generators):
             if i in rows:
-                for c, v in rows[i].items():
-                    if c != i:
-                        acc[position[c]] = -v
+                self._coords[gen] = tuple(sorted((position[c], -v)
+                                                 for c, v in rows[i].items() if c != i))
             else:
-                acc[position[i]] = Q1
-            self._gen_coords.append(tuple(acc))
-        self._gen_index = {q: i for i, q in enumerate(self.generators)}
+                self._coords[gen] = ((position[i], Q1),)
 
     @property
     def relation_space(self):
@@ -74,8 +73,17 @@ class _PresentedSpace:
             rows.append(dense)
         return Matrix.from_rows(rows, cols=len(self.generators))
 
+    def coords(self, gen):
+        """The coordinates of a generator in the basis, sparse: (basis
+        position, value) pairs in position order, zeros left out."""
+        return self._coords[gen]
+
     def coords_of_generator(self, gen):
-        return tuple(self._gen_coords[self._gen_index[gen]])
+        """The same coordinates as a dense tuple of length dim."""
+        out = [Q0] * self.dim
+        for i, c in self._coords[gen]:
+            out[i] = c
+        return tuple(out)
 
 
 def _subtract(target, f, row):
@@ -93,38 +101,36 @@ class OSBasis:
     vertex of codimension p.
 
     generators: sorted general-position p-subsets, grouped by their
-    intersection vertex; expand() resolves any p-tuple of hyperplane
-    indices (with skew sign, zero for degenerate tuples) into basis
-    coordinates."""
+    intersection vertex.  expand() resolves any p-tuple of hyperplane
+    indices to one vertex: its vertex, the sign that sorts it, and the
+    sparse coordinates of the sorted tuple in that vertex's space (zero
+    for repeated or dependent tuples).  The whole degree is the sum of the
+    vertex spaces in `vertex_keys` order, at `offsets`."""
 
     def __init__(self, graph: ArrangementGraph, p):
         self.graph = graph
         self.degree = p
         self.vertex_keys = graph.levels(p)
-        js = range(1, graph.arrangement.size + 1)
         per_vertex_gens = {vk: [] for vk in self.vertex_keys}
-        for comb in combinations(js, p):
-            vk = _tuple_vertex(graph, comb)
-            if vk is not None and graph.level[vk] == p:
+        for comb, vk in _combination_vertices(graph, p).items():
+            if vk in per_vertex_gens:
                 per_vertex_gens[vk].append(comb)
-        self.spaces = {}
-        for vk in self.vertex_keys:
-            gens = per_vertex_gens[vk]
-            gen_index = {t: i for i, t in enumerate(gens)}
-            rel_rows = []
-            for comb in combinations(js, p + 1):
-                wk = _tuple_vertex(graph, comb)
-                if wk != vk:
-                    continue
-                row = {}
-                for k in range(p + 1):
-                    sub = comb[:k] + comb[k + 1:]
-                    idx = gen_index.get(sub)
-                    if idx is not None:
-                        row[idx] = row.get(idx, Q0) + Fraction((-1) ** (k + 1))
-                if any(v != 0 for v in row.values()):
-                    rel_rows.append(row)
-            self.spaces[vk] = _PresentedSpace(gens, rel_rows)
+        gen_index = {vk: {t: i for i, t in enumerate(gens)}
+                     for vk, gens in per_vertex_gens.items()}
+        rel_rows = {vk: [] for vk in self.vertex_keys}
+        for comb, vk in _combination_vertices(graph, p + 1).items():
+            if vk not in rel_rows:
+                continue
+            row = {}
+            for k in range(p + 1):
+                idx = gen_index[vk].get(comb[:k] + comb[k + 1:])
+                if idx is not None:
+                    row[idx] = row.get(idx, Q0) + (Q1 if k % 2 else -Q1)
+            if any(v != 0 for v in row.values()):
+                rel_rows[vk].append(row)
+        self.spaces = {vk: _PresentedSpace(per_vertex_gens[vk], rel_rows[vk])
+                       for vk in self.vertex_keys}
+        self._vertex_of = {t: vk for vk, gens in per_vertex_gens.items() for t in gens}
         self.offsets = {}
         total = 0
         for vk in self.vertex_keys:
@@ -141,28 +147,38 @@ class OSBasis:
         return [t for vk in self.vertex_keys for t in self.spaces[vk].basis]
 
     def expand(self, tup):
-        """Coordinates of the class of (H_{j_1},...,H_{j_p}) in the basis."""
+        """The class of (H_{j_1},...,H_{j_p}) as (vertex, sign, coords):
+        coords are the sparse coordinates of the sorted tuple in
+        spaces[vertex] (see `_PresentedSpace.coords`), to be multiplied by
+        sign.  A zero class gives (None, 0, ())."""
         if len(tup) != self.degree:
             raise ShapeError("tuple degree mismatch")
-        srt, sign = sort_with_sign(tuple(tup))
-        out = [Q0] * self.dim
-        if sign is None:
-            return tuple(out)
-        vk = _tuple_vertex(self.graph, srt)
-        if vk is None or self.graph.level[vk] != self.degree:
-            return tuple(out)
-        space = self.spaces[vk]
-        off = self.offsets[vk]
-        for i, c in enumerate(space.coords_of_generator(srt)):
-            out[off + i] = sign * c
-        return tuple(out)
+        srt, sign = sort_with_sign(tup)
+        vk = self._vertex_of.get(srt) if sign else None
+        if vk is None:
+            return None, 0, ()
+        return vk, sign, self.spaces[vk].coords(srt)
 
 
-def _tuple_vertex(graph: ArrangementGraph, tup):
-    """Key of the intersection vertex of a hyperplane index tuple, or None."""
-    if not tup:
-        return graph.top()
-    return graph.wedge_tuple([(j,) for j in tup])
+def _combination_vertices(graph: ArrangementGraph, size):
+    """{sorted hyperplane index tuple of this size: key of its intersection
+    vertex}, in lexicographic order, for the tuples that meet.  Each tuple's
+    vertex is the wedge of its prefix's vertex with its last hyperplane;
+    kept per graph."""
+    cache = _graph_cache(graph)
+    if ("combinations", size) not in cache:
+        if size == 0:
+            out = {(): graph.top()}
+        else:
+            n = graph.arrangement.size
+            out = {}
+            for comb, vk in _combination_vertices(graph, size - 1).items():
+                for j in range(comb[-1] + 1 if comb else 1, n + 1):
+                    wk = graph.wedge_key(vk, (j,))
+                    if wk is not None:
+                        out[comb + (j,)] = wk
+        cache[("combinations", size)] = out
+    return cache[("combinations", size)]
 
 
 def os_space(graph: ArrangementGraph, p) -> OSBasis:
@@ -222,9 +238,6 @@ class FlagBasis:
     def dim(self):
         return self.space.dim
 
-    def expand(self, flag):
-        return self.space.coords_of_generator(tuple(flag))
-
 
 def flag_space(graph, vertex) -> FlagBasis:
     vk = graph.key(vertex)
@@ -235,7 +248,10 @@ def flag_space(graph, vertex) -> FlagBasis:
 
 
 class FlagDegree:
-    """All flag spaces of one codimension, concatenated in vertex order."""
+    """All flag spaces of one codimension, summed in `vertex_keys` order at
+    `offsets`.  expand() resolves a complete flag to its last vertex, as
+    OSBasis.expand does a hyperplane tuple: (vertex, 1, sparse coordinates
+    in that vertex's flag space)."""
 
     def __init__(self, graph, p):
         self.graph = graph
@@ -250,12 +266,8 @@ class FlagDegree:
         self.dim = total
 
     def expand(self, flag):
-        vk = tuple(flag)[-1]
-        out = [Q0] * self.dim
-        off = self.offsets[vk]
-        for i, c in enumerate(self.spaces[vk].expand(flag)):
-            out[off + i] = c
-        return tuple(out)
+        vk = flag[-1]
+        return vk, 1, self.spaces[vk].space.coords(flag)
 
 
 def flag_degree(graph, p) -> FlagDegree:
@@ -282,12 +294,13 @@ def flag_complex(graph) -> ChainComplex:
     for p in range(top_level):
         src, tgt = degs[p], degs[p + 1]
         cols = []
+        sign = Q1 if p % 2 == 0 else -Q1
         for vk in src.vertex_keys:
             for f in src.spaces[vk].basis:
                 vec = [Q0] * tgt.dim
                 for b in graph.down(vk):
-                    for i, c in enumerate(tgt.expand(f + (b,))):
-                        vec[i] += Fraction((-1) ** p) * c
+                    _, _, coords = tgt.expand(f + (b,))
+                    _add_at(vec, tgt.offsets[b], sign, coords)
                 cols.append(vec)
         diffs.append(Matrix.from_cols(cols, tgt.dim))
     return ChainComplex(0, dims, diffs)
@@ -335,11 +348,18 @@ def aomoto_complex(graph: ArrangementGraph, a: ExponentAssignment) -> ChainCompl
                 aj = a.of(j)
                 if aj == 0:
                     continue
-                for i, c in enumerate(tgt.expand((j,) + t)):
-                    vec[i] += aj * c
+                vk, sign, coords = tgt.expand((j,) + t)
+                if coords:
+                    _add_at(vec, tgt.offsets[vk], sign * aj, coords)
             cols.append(vec)
         diffs.append(Matrix.from_cols(cols, tgt.dim))
     return ChainComplex(0, dims, diffs)
+
+
+def _add_at(vec, off, f, coords):
+    """vec[off + i] += f * c over the sparse coordinates (i, c)."""
+    for i, c in coords:
+        vec[off + i] += f * c
 
 
 def duality_pairing(os: OSBasis, fl: FlagDegree) -> Matrix:
@@ -394,8 +414,9 @@ def shapovalov_scalar(graph: ArrangementGraph, a: ExponentAssignment) -> ChainMa
                         coef *= a.of(j)
                     if coef == 0:
                         continue
-                    for i, c in enumerate(osd.expand(tup)):
-                        vec[i] += coef * c
+                    vk, sign, coords = osd.expand(tup)
+                    if coords:
+                        _add_at(vec, osd.offsets[vk], sign * coef, coords)
                 cols.append(vec)
         comps.append(Matrix.from_cols(cols, osd.dim))
     return ChainMap(f, am, comps)

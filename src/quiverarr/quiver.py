@@ -22,7 +22,8 @@ from .errors import (InvalidQuiverError, MissingLoopError, ParseError,
                      ShapeError)
 from .linalg import (ChainComplex, Matrix, Q0, Subspace, _int_product,
                      block_diag, char_poly_of_product, frac, kernel_basis,
-                     parse_rational, poly_format, rational_roots)
+                     parse_rational, poly_format, products_equal,
+                     rational_roots)
 
 
 class Quiver:
@@ -164,19 +165,21 @@ class QuiverMorphism:
                 raise InvalidQuiverError(f"not a morphism: fails at {bad[:3]}")
 
     def violations(self):
+        """The edges (a, b) where f_a A_ab != B_ab f_b, and at level the
+        loops where f_a A_a^via != B_a^via f_a, compared on integer
+        numerators (`linalg.products_equal`)."""
         out = []
         g = self.source.graph
+        f = self.components
         for a in g.vertices:
             for b in _neighbors(g, a):
-                lhs = self.components[a] * self.source.map(a, b)
-                rhs = self.target.map(a, b) * self.components[b]
-                if lhs != rhs:
+                if not products_equal(f[a], self.source.map(a, b),
+                                      self.target.map(a, b), f[b]):
                     out.append((a, b))
         if isinstance(self.source, LevelQuiver):
             for (at, via) in self.source.tgraph.loops:
-                lhs = self.components[at] * self.source.loop(at, via)
-                rhs = self.target.loop(at, via) * self.components[at]
-                if lhs != rhs:
+                if not products_equal(f[at], self.source.loop(at, via),
+                                      self.target.loop(at, via), f[at]):
                     out.append((at, at, via))
         return out
 
@@ -279,9 +282,10 @@ def _check_loops(v: LevelQuiver):
             s = Matrix.zero(v.dim(d), v.dim(d))
             for c in mids:
                 s = s + v.map(d, c) * v.map(c, d)
-            if v.loop(at, via) * v.map(at, d) != v.map(at, d) * s:
+            loop, ad, da = v.loop(at, via), v.map(at, d), v.map(d, at)
+            if not products_equal(loop, ad, ad, s):
                 out.append(("(iv)", (at, via, d)))
-            if v.map(d, at) * v.loop(at, via) != s * v.map(d, at):
+            if not products_equal(da, loop, s, da):
                 out.append(("(iv)*", (at, via, d)))
     for at in [k for k in g.vertices if g.level[k] == n]:
         deep = {c for b in full.down(at) for c in full.down(b)}
@@ -292,16 +296,9 @@ def _check_loops(v: LevelQuiver):
                 s = s + v.loop(at, b)
             for b in betas:
                 lb = v.loop(at, b)
-                if lb * s != s * lb:
+                if not products_equal(lb, s, s, lb):
                     out.append(("(v)", (at, b, c)))
     return out
-
-
-def require_valid(v: Quiver):
-    bad = check_quiver(v)
-    if bad:
-        raise InvalidQuiverError(f"quiver relations fail: {bad[:5]}")
-    return v
 
 
 # -- duality -----------------------------------------------------------------------
@@ -503,10 +500,6 @@ def spectrum_lambda(g: ArrangementGraph, s: Spectrum, alpha) -> Fraction:
     return sum((s.of(j) for j in key), Q0)
 
 
-def lambda_infinity(g: ArrangementGraph, s: Spectrum) -> Fraction:
-    return sum((s.of(j) for j in range(1, g.arrangement.size + 1)), Q0)
-
-
 def is_nonresonant_spectrum(g: ArrangementGraph, s: Spectrum) -> bool:
     """No lambda_alpha is a nonzero integer."""
     for k in g.vertices:
@@ -602,10 +595,6 @@ def morphism_from_coords(v: Quiver, w: Quiver, coords, check=True) -> QuiverMorp
         components[k] = Matrix(w.dim(k), v.dim(k), block)
         pos += n
     return QuiverMorphism(v, w, components, check=check)
-
-
-def hom_dim(v, w) -> int:
-    return hom_space(v, w).dim
 
 
 # -- serialization (.qvr) ----------------------------------------------------------

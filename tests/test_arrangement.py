@@ -50,8 +50,6 @@ def test_boolean2_graph_matches_oracle():
 @pytest.mark.parametrize("name", sorted(corpus.CORPUS))
 def test_graph_matches_brute_force_oracle(name):
     arr = corpus.CORPUS[name]()
-    if arr.size > 5:
-        pytest.skip("oracle reserved for small arrangements")
     g = build_graph(arr)
     oracle = brute_force_vertices(arr)
     built = {g.vertex(k).equations.entries for k in g.vertices}

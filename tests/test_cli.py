@@ -764,3 +764,22 @@ def test_golden_presented_space_reports(tmp_path):
     reports = presented_space_reports(tmp_path)
     digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in reports.items()}
     assert digests == PRESENTED_SPACE_DIGESTS
+
+
+@pytest.mark.parametrize("rank", ["-2", "0"])
+def test_dim_below_one_is_refused_where_it_is_parsed(files, capsys, rank):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", files["three.arr"], "--model", "local",
+              "--exp", files["sl2.exp"], "--dim", rank])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dim" in captured.err and f"at least 1, got {int(rank)}" in captured.err
+
+
+def test_dim_one_is_the_default_rank(files, capsys):
+    argv = ["cohomology", files["three.arr"], "--model", "local", "--exp", files["sl2.exp"]]
+    code, default = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--dim", "1") == (0, default)
+    assert default["betti"]

@@ -395,10 +395,11 @@ def test_shapovalov_form_symmetric_for_commuting_ops():
 
     # form(F, F') = sum over the OS basis b of coords(s0 F)[b] <b, F'>
     def form_via_pairing(fa, fbp):
-        ca = fb.expand(fa)
+        ca = fb.space.coords_of_generator(fa)
         out = Matrix.zero(dw, dw)
         for osi in range(fb.dim):
-            coeff = sum((pair[osi, j] * fb.expand(fbp)[j] for j in range(fb.dim)),
+            coeff = sum((pair[osi, j] * fb.space.coords_of_generator(fbp)[j]
+                         for j in range(fb.dim)),
                         Fraction(0))
             if coeff == 0:
                 continue

@@ -32,3 +32,66 @@ def test_no_unused_top_level_import(path):
 
 def test_unused_import_is_caught():
     assert unused_imports("import os\nfrom a import b as c, d\nd()\n") == [(1, "os"), (2, "c")]
+
+
+# -- every function and method is referenced -----------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = ([Path(quiverarr.__file__).parent / "__init__.py"] + MODULES
+           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
+
+
+def _references(tree):
+    """Names read as a variable, an attribute or an imported name."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.split(".")[-1]
+
+
+def _definitions(tree):
+    """The module-level functions and the methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body
+                        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def unreferenced(library, others=()):
+    """(file, line, name) of every function or method defined in the
+    `library` sources that no source references outside the bodies of the
+    definitions of that name.  Dunder methods are called by Python."""
+    trees = {name: ast.parse(text) for name, text in [*library, *others]}
+    refs = {}
+    for tree in trees.values():
+        for name in _references(tree):
+            refs[name] = refs.get(name, 0) + 1
+    defs = [(name, d) for name, _ in library for d in _definitions(trees[name])]
+    own = {}
+    for _, d in defs:
+        own[d.name] = own.get(d.name, 0) + sum(
+            1 for r in _references(ast.Module(body=d.body, type_ignores=[])) if r == d.name)
+    return sorted((name, d.lineno, d.name) for name, d in defs
+                  if not (d.name.startswith("__") and d.name.endswith("__"))
+                  and refs.get(d.name, 0) - own[d.name] <= 0)
+
+
+def test_every_function_and_method_is_referenced():
+    library = [(p.name, p.read_text(encoding="utf-8")) for p in MODULES]
+    others = [(str(p), p.read_text(encoding="utf-8")) for p in SOURCES
+              if p not in MODULES]
+    assert unreferenced(library, others) == []
+
+
+def test_unreferenced_function_is_caught():
+    lib = ("m.py", "def used():\n    return 1\n\n"
+                   "def unused():\n    return unused()\n\n"
+                   "class C:\n    def __init__(self):\n        pass\n\n"
+                   "    def gone(self):\n        return 2\n")
+    other = ("t.py", "from m import used\nused()\n")
+    assert unreferenced([lib], [other]) == [("m.py", 4, "unused"), ("m.py", 11, "gone")]

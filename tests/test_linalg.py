@@ -380,6 +380,21 @@ def test_product_is_zero_matches_the_product(data, a):
     assert product_is_zero(a, b) == (a * b).is_zero()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), matrices(), st.sampled_from(DENOMINATORS), st.integers(1, 5))
+def test_products_equal_matches_the_products(data, a, den, num):
+    from quiverarr.linalg import products_equal
+    b = data.draw(matrices(rows=a.cols))
+    # the same product over other denominators
+    q = Fraction(num, den)
+    assert products_equal(a, b, a.scale(q), b.scale(1 / q))
+    c = data.draw(matrices(rows=a.rows))
+    d = data.draw(matrices(rows=c.cols, cols=b.cols))
+    assert products_equal(a, b, c, d) == (entrywise_product(a, b) == entrywise_product(c, d))
+    with pytest.raises(ShapeError):
+        products_equal(a, b, c, Matrix.zero(d.rows + 1, d.cols))
+
+
 # -- rational roots of integer coefficient tuples ------------------------------
 
 def test_rational_roots_of_int_coefficients():

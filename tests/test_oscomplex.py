@@ -68,7 +68,9 @@ def test_three_lines_flag_space():
     assert fb.dim == 2
     # the dropped flag is minus the sum of the two basis flags
     last = fb.generators[-1]
-    assert fb.expand(last) == (Fraction(-1), Fraction(-1))
+    assert fb.space.coords_of_generator(last) == (Fraction(-1), Fraction(-1))
+    assert flag_degree(g, 2).expand(last) == (
+        (1, 2, 3), 1, ((0, Fraction(-1)), (1, Fraction(-1))))
 
 
 def test_flag_space_of_top_vertex():
@@ -144,8 +146,9 @@ def os_boundary_matrix(g, p):
         vec = [Fraction(0)] * tgt.dim
         for k in range(p):
             sub = t[:k] + t[k + 1:]
-            for i, c in enumerate(tgt.expand(sub)):
-                vec[i] += Fraction((-1) ** k) * c
+            vk, sign, coords = tgt.expand(sub)
+            for i, c in coords:
+                vec[tgt.offsets[vk] + i] += (-1) ** k * sign * c
         cols.append(vec)
     return Matrix.from_rows(
         [[cols[j][i] for j in range(src.dim)] for i in range(tgt.dim)], cols=src.dim)

@@ -11,14 +11,26 @@ A vertex is identified by its *maximal* set of hyperplane indices: every
 hyperplane containing the stratum is listed.  Hyperplane indices are
 1-based throughout, matching the text file formats; the open stratum is
 the empty tuple ().
+
+`build_graph` works on each stratum once, over the integers: it reduces
+every hyperplane outside the stratum's id set against the stratum's
+echelon rows, and each class of proportional residues is one child
+stratum with its maximal id set.  Strata are deduplicated by their ids,
+and the edges are the (parent, child) pairs of that closure.
+`verify_graph_properties` re-checks maximal containment independently,
+by one elimination per (stratum, hyperplane) pair.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
+from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError, ShapeError, UnsupportedError
-from .linalg import Matrix, Q0, Q1, frac, parse_rational, rref
+from .linalg import (Matrix, Q0, Q1, _eliminate, _int_rows, frac, parse_rational,
+                     rref)
 
 
 class Hyperplane:
@@ -86,7 +98,7 @@ class Vertex:
     """A closed stratum: maximal id set, codimension, canonical equations.
 
     `equations` is the RREF of the defining affine system with columns
-    (z_1 .. z_N, 1); its entry tuple is the canonical dedup key."""
+    (z_1 .. z_N, 1)."""
 
     __slots__ = ("id", "codim", "equations")
 
@@ -219,11 +231,10 @@ class ArrangementGraph(AdmissibleGraph):
     """AdmissibleGraph plus the geometry: Vertex objects keyed by their
     maximal id tuples."""
 
-    def __init__(self, arrangement, vertices):
+    def __init__(self, arrangement, vertices, edges):
         self.arrangement = arrangement
         self.vertex_by_key = {v.id: v for v in vertices}
-        super().__init__({v.id: v.codim for v in vertices},
-                         _containment_edges(vertices))
+        super().__init__({v.id: v.codim for v in vertices}, edges)
 
     def vertex(self, key):
         if isinstance(key, Vertex):
@@ -237,41 +248,88 @@ class ArrangementGraph(AdmissibleGraph):
         return f"ArrangementGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def _containment_edges(vertices):
-    edges = []
-    for a in vertices:
-        for b in vertices:
-            if a.codim + 1 == b.codim and set(a.id) <= set(b.id):
-                edges.append((a.id, b.id))
-    return edges
+def _primitive(row):
+    """The integer row divided by the gcd of its entries, signed so that
+    its first nonzero entry is positive: proportional rows map to one."""
+    g = gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
+def _residue(row, rows, pivots):
+    """`row` reduced against the echelon rows of a stratum: zero in every
+    pivot column, primitive, in the same line modulo their span."""
+    for r, c in zip(rows, pivots):
+        if row[c]:
+            row = _eliminate(row, r[c:], c)
+    return row
+
+
+def _meet(rows, pivots, res):
+    """The echelon rows and pivots of the stratum cut out by `rows` and the
+    primitive residue `res`: the rows are back-eliminated by `res`, which
+    is inserted at its pivot."""
+    q = next(c for c, x in enumerate(res) if x)
+    out = [_eliminate(r, res[q:], q) if r[q] else r for r in rows]
+    at = bisect_left(pivots, q)
+    return out[:at] + [list(res)] + out[at:], pivots[:at] + (q,) + pivots[at:]
+
+
+def _equations(rows, pivots, cols):
+    """The RREF of echelon integer rows: each row over its pivot entry."""
+    out = []
+    for r, c in zip(rows, pivots):
+        p = r[c]
+        out.extend(Fraction(x, p) if x else Q0 for x in r)
+    return Matrix._raw(len(rows), cols, tuple(out))
 
 
 def build_graph(arrangement: Arrangement) -> ArrangementGraph:
     """Enumerate all nonempty intersections of hyperplanes by breadth-first
-    closure, deduplicated by the canonical equation row space."""
+    closure, working on each stratum once.
+
+    A stratum X keeps its defining rows in integer echelon form.  Every
+    hyperplane row outside its id set is reduced against them once; the
+    residue of H_j is zero in every pivot column.  A residue nonzero only
+    in the constant column means X and H_j do not meet.  Otherwise
+    H_k contains X ^ H_j exactly when residue_k is proportional to
+    residue_j, so each class of proportional residues is one child stratum
+    X ^ H_j, whose maximal id set is the ids of X plus the class.  A
+    stratum is its maximal id set, so ids are the dedup key.  Each child
+    has codim one more than its parent, and every codim-one containment
+    a > b is a ^ H_j for any j in ids(b) - ids(a), so the edges are the
+    (parent, child) pairs of the closure."""
     n = arrangement.ambient_dim
-    empty = Matrix(0, n + 1, ())
-    seen = {empty.entries: (empty, 0)}
-    frontier = [empty]
+    hyps = _int_rows(Matrix.from_rows([h.equation_row() for h in arrangement.hyperplanes],
+                                      cols=n + 1))
+    echelon = {(): ([], ())}
+    vertices = [Vertex((), 0, Matrix._raw(0, n + 1, ()))]
+    edges = []
+    frontier = [()]
     while frontier:
         nxt = []
-        for eqs in frontier:
-            for h in arrangement.hyperplanes:
-                canon = _canonicalize(_stack_row(eqs, h.equation_row()), n)
-                if canon is None:
+        for ids in frontier:
+            rows, pivots = echelon[ids]
+            inside = set(ids)
+            children = {}
+            for j, h in enumerate(hyps, start=1):
+                if j in inside:
                     continue
-                mat, codim = canon
-                if mat.entries not in seen:
-                    seen[mat.entries] = (mat, codim)
-                    nxt.append(mat)
+                res = _residue(h, rows, pivots)
+                if not any(res[:n]):
+                    continue
+                children.setdefault(_primitive(res), []).append(j)
+            for res, js in children.items():
+                child = tuple(sorted(ids + tuple(js)))
+                edges.append((ids, child))
+                if child not in echelon:
+                    echelon[child] = _meet(rows, pivots, res)
+                    vertices.append(Vertex(child, len(pivots) + 1,
+                                           _equations(*echelon[child], n + 1)))
+                    nxt.append(child)
         frontier = nxt
-    vertices = []
-    for mat, codim in seen.values():
-        ids = [j for j in range(1, arrangement.size + 1)
-               if _canonicalize(_stack_row(mat, arrangement.hyperplane(j).equation_row()), n)
-               == (mat, codim)]
-        vertices.append(Vertex(ids, codim, mat))
-    return ArrangementGraph(arrangement, vertices)
+    return ArrangementGraph(arrangement, vertices, edges)
 
 
 def wedge(g: AdmissibleGraph, a, b):

@@ -156,6 +156,11 @@ def cmd_push(args, star):
     if not isinstance(v, LevelQuiver):
         raise ParseError("push needs a level quiver (set \"level\" in the .qvr)")
     target = args.level if args.level is not None else g.max_level
+    if args.level is not None and not v.level < target <= g.max_level:
+        allowed = (f"{v.level + 1}..{g.max_level}" if v.level < g.max_level
+                   else "none (the input is at the top level)")
+        raise ParseError(f"--level {target} is out of range for a level-{v.level} "
+                         f"input: allowed {allowed}")
     witness = None
     while v.level < target:
         v, witness = (push_star_step if star else push_shriek_step)(v)

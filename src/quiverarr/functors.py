@@ -414,10 +414,13 @@ def _t_acc_cols(cols, src_flag_index, coords, wmat, dw):
 
 def _cutoff_candidates(graph, flag, a):
     """Flags ending at `a` whose members each contain the next member of
-    `flag`."""
-    m = len(flag) - 1
-    return [cand for cand in flag_space(graph, a).generators
-            if all(graph.adjacent(cand[k], flag[k + 1]) for k in range(m))]
+    `flag`, walked up from `a`: member k lies one level above member k+1
+    and above flag[k+1]."""
+    cands = [(a,)]
+    for k in range(len(flag) - 3, -1, -1):
+        above = set(graph.up(flag[k + 1]))
+        cands = [(u,) + c for c in cands for u in graph.up(c[0]) if u in above]
+    return cands
 
 
 def _cutoff_sum_condition(graph, flag, cut, k, j):

@@ -1,10 +1,11 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
-from quiverarr import corpus
+from quiverarr import arrangement, corpus, linalg
 from quiverarr.arrangement import (
-    Arrangement, Hyperplane, build_graph, discriminantal, epsilon,
+    Arrangement, Hyperplane, Vertex, build_graph, discriminantal, epsilon,
     format_arrangement, format_vertex_key, leq, parse_arrangement,
     parse_vertex_key, specialization_graph, truncated_graph,
     verify_graph_properties, wedge, _canonicalize,
@@ -12,18 +13,73 @@ from quiverarr.arrangement import (
 from quiverarr.errors import ParseError, ShapeError, UnsupportedError
 from quiverarr.linalg import Matrix
 
+from test_random_arrangements import affine_arrangements
 
-def brute_force_vertices(arr):
-    """Oracle: intersect every subset of hyperplanes, dedup by canonical form."""
-    seen = set()
+
+def graph_signature(vertices, edges):
+    """Every vertex's ids, codim and equation entries, and the edges as
+    sets of two id tuples."""
+    return ({v.id: (v.codim, v.equations.entries) for v in vertices},
+            {frozenset(e) for e in edges})
+
+
+def brute_force_graph(arr):
+    """Oracle: intersect every subset of hyperplanes and dedup by canonical
+    form; a stratum's ids are the hyperplanes whose equation adds nothing
+    to its system, and a > b is an edge when b has codim one more and
+    a's equations add nothing to b's."""
+    n = arr.ambient_dim
+    rows = [arr.hyperplane(j).equation_row() for j in range(1, arr.size + 1)]
+    strata = {}
     for r in range(arr.size + 1):
-        for subset in combinations(range(1, arr.size + 1), r):
-            rows = [arr.hyperplane(j).equation_row() for j in subset]
-            mat = Matrix.from_rows(rows, cols=arr.ambient_dim + 1)
-            canon = _canonicalize(mat, arr.ambient_dim)
+        for subset in combinations(range(arr.size), r):
+            mat = Matrix.from_rows([rows[j] for j in subset], cols=n + 1)
+            canon = _canonicalize(mat, n)
             if canon is not None:
-                seen.add(canon[0].entries)
-    return seen
+                strata[canon[0].entries] = canon
+    vertices = []
+    for mat, codim in strata.values():
+        ids = [j + 1 for j, row in enumerate(rows)
+               if _canonicalize(mat.vstack(Matrix.from_rows([row])), n) == (mat, codim)]
+        vertices.append(Vertex(ids, codim, mat))
+    edges = [(a.id, b.id) for a in vertices for b in vertices
+             if a.codim + 1 == b.codim
+             and _canonicalize(a.equations.vstack(b.equations), n) == (b.equations, b.codim)]
+    return graph_signature(vertices, edges)
+
+
+def two_pass_graph(arr):
+    """The earlier `build_graph`, kept as a second reference: one
+    elimination per (stratum, hyperplane) pair for the closure, a second
+    per pair for the ids, and an all-pairs containment test for the
+    edges."""
+    n = arr.ambient_dim
+    empty = Matrix(0, n + 1, ())
+    seen = {empty.entries: (empty, 0)}
+    frontier = [empty]
+    while frontier:
+        nxt = []
+        for eqs in frontier:
+            for h in arr.hyperplanes:
+                canon = _canonicalize(eqs.vstack(Matrix.from_rows([h.equation_row()])), n)
+                if canon is not None and canon[0].entries not in seen:
+                    seen[canon[0].entries] = canon
+                    nxt.append(canon[0])
+        frontier = nxt
+    vertices = []
+    for mat, codim in seen.values():
+        ids = [j for j in range(1, arr.size + 1)
+               if _canonicalize(mat.vstack(Matrix.from_rows([arr.hyperplane(j).equation_row()])), n)
+               == (mat, codim)]
+        vertices.append(Vertex(ids, codim, mat))
+    edges = [(a.id, b.id) for a in vertices for b in vertices
+             if a.codim + 1 == b.codim and set(a.id) <= set(b.id)]
+    return graph_signature(vertices, edges)
+
+
+def built_signature(arr):
+    g = build_graph(arr)
+    return graph_signature(g.vertex_by_key.values(), g.edges)
 
 
 def test_three_lines_graph():
@@ -50,10 +106,33 @@ def test_boolean2_graph_matches_oracle():
 @pytest.mark.parametrize("name", sorted(corpus.CORPUS))
 def test_graph_matches_brute_force_oracle(name):
     arr = corpus.CORPUS[name]()
-    g = build_graph(arr)
-    oracle = brute_force_vertices(arr)
-    built = {g.vertex(k).equations.entries for k in g.vertices}
-    assert built == oracle
+    built = built_signature(arr)
+    assert built == brute_force_graph(arr)
+    assert built == two_pass_graph(arr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(affine_arrangements())
+def test_graph_matches_oracles_on_affine_arrangements(arr):
+    built = built_signature(arr)
+    assert built == brute_force_graph(arr)
+    assert built == two_pass_graph(arr)
+
+
+def test_build_graph_does_no_elimination(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    for module, name in ((linalg, "rref"), (arrangement, "rref"),
+                         (arrangement, "_canonicalize")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    for arr in (corpus.c14(), corpus.parallel_lines(), corpus.generic_lines()):
+        build_graph(arr)
+    assert calls == []
+    verify_graph_properties(build_graph(corpus.three_lines()))
+    assert calls
 
 
 @pytest.mark.parametrize("name", sorted(corpus.CORPUS))

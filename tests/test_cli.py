@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -121,6 +123,31 @@ def test_push_shriek_and_dual(files, capsys):
     code, dualed = run(capsys, "dual", files["three.arr"], "--exp", files["sl2.exp"])
     assert code == 0
     assert dualed["level"] == 0
+
+
+@pytest.mark.parametrize("command", ["push-star", "push-shriek"])
+def test_push_level_range(files, capsys, tmp_path, command):
+    # three_lines has top level 2: a level-0 input goes to level 1 or 2
+    for level in ("-3", "0", "3"):
+        code, err = run_failing(capsys, command, files["three.arr"],
+                                "--exp", files["sl2.exp"], "--level", level)
+        assert code == 2
+        assert f"--level {level} is out of range for a level-0 input: allowed 1..2" in err
+    code, out = run(capsys, command, files["three.arr"], "--exp", files["sl2.exp"],
+                    "--level", "2")
+    assert (code, out["level"]) == (0, 2)
+    qvr = tmp_path / "top.qvr"
+    qvr.write_text(json.dumps(out))
+    code, err = run_failing(capsys, command, files["three.arr"], "--qvr", str(qvr),
+                            "--level", "2")
+    assert code == 2
+    assert "allowed none (the input is at the top level)" in err
+    code, out = run(capsys, command, files["three.arr"], "--exp", files["sl2.exp"],
+                    "--level", "1")
+    qvr.write_text(json.dumps(out))
+    for level, code in (("1", 2), ("2", 0)):
+        assert main([command, files["three.arr"], "--qvr", str(qvr), "--level", level]) == code
+        capsys.readouterr()
 
 
 def test_ic_quiver(files, capsys):
@@ -783,3 +810,62 @@ def test_dim_one_is_the_default_rank(files, capsys):
     assert code == 0
     assert run(capsys, *argv, "--dim", "1") == (0, default)
     assert default["betti"]
+
+
+# -- mutation fuzz -----------------------------------------------------------------
+
+FUZZ_TOKENS = ("0", "1", "-1", "2", "-2", "1/2", "-3/2", "0.5", "1/0", "x",
+               "dim", "H", "a", "g", "kappa", "#")
+
+# every subcommand that reads an .arr, with its other inputs; "EXP" and
+# "GRP" stand for the (possibly mutated) exponent and group files
+FUZZ_COMMANDS = (
+    ("lattice",), ("os",), ("flags",), ("aomoto", "--exp", "EXP"),
+    ("check-quiver", "--exp", "EXP"), ("dual", "--exp", "EXP"),
+    ("push-star", "--exp", "EXP"), ("push-shriek", "--exp", "EXP", "--level", "1"),
+    ("ic-quiver", "--exp", "EXP"), ("shapovalov", "--exp", "EXP"),
+    ("cohomology", "--model", "local", "--exp", "EXP"),
+    ("cohomology", "--model", "ih", "--exp", "EXP"),
+    ("equivariant", "--exp", "EXP", "--grp", "GRP", "--functor", "star"),
+)
+
+
+def mutate(rng, text):
+    """One to three edits of the tokens of `text`: replace, delete or
+    insert a token, or repeat a line."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        tokens = lines[rng.randrange(len(lines))]
+        op = rng.randrange(4)
+        if op == 0 and tokens:
+            tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+        elif op == 1 and tokens:
+            del tokens[rng.randrange(len(tokens))]
+        elif op == 2:
+            tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(FUZZ_TOKENS))
+        else:
+            lines.insert(rng.randrange(len(lines) + 1), list(tokens))
+    return "\n".join(" ".join(t) for t in lines) + "\n"
+
+
+def test_mutated_inputs_exit_cleanly(files, capsys):
+    rng = random.Random(7)
+    codes = Counter()
+    for case in range(260):
+        command = FUZZ_COMMANDS[case % len(FUZZ_COMMANDS)]
+        texts = {"ARR": rng.choice((THREE_LINES_ARR, PARALLEL_ARR)),
+                 "EXP": SL2_EXP, "GRP": SWAP_GRP}
+        target = rng.choice(["ARR"] + [k for k in ("EXP", "GRP") if k in command])
+        texts[target] = mutate(rng, texts[target])
+        paths = {}
+        for kind, text in texts.items():
+            path = files["tmp"] / f"fuzz.{kind.lower()}"
+            path.write_text(text)
+            paths[kind] = str(path)
+        argv = [command[0], paths["ARR"]] + [paths.get(x, x) for x in command[1:]]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, texts, code, err)
+        assert "Traceback" not in err
+        codes[code] += 1
+    assert codes[0] and codes[2] and codes[3]

@@ -2,23 +2,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from quiverarr import corpus
 from quiverarr.arrangement import build_graph
 from quiverarr.errors import InternalInconsistencyError, ShapeError, UnsupportedError
 from quiverarr.functors import (
-    adjoint_transport, as_level_quiver, fourier_dual, j0_shriek, j0_star,
+    _cutoff_candidates, adjoint_transport, as_level_quiver, fourier_dual, j0_shriek, j0_star,
     macpherson, push_shriek, push_shriek_step, push_star, push_star_step,
     restrict, s0, s_general, shapovalov_form, spec_nonres_ops, specialize,
     unique_morphism_restricting_to_identity,
 )
 from quiverarr.linalg import Matrix, rank
-from quiverarr.oscomplex import ExponentAssignment, aomoto_complex, flag_complex, shapovalov_scalar
+from quiverarr.oscomplex import (ExponentAssignment, aomoto_complex, flag_complex,
+                                 flag_space, shapovalov_scalar)
 from quiverarr.quiver import (
     LevelQuiver, Quiver, QuiverMorphism, c_plus, check_quiver, dual,
     dual_level, hom_space, level_zero_quiver, local_ops,
     morphism_from_coords,
 )
+
+from test_random_arrangements import random_arrangements
 
 A1, A2, A3 = Fraction(3, 7), Fraction(5, 11), Fraction(2, 13)
 
@@ -629,3 +633,33 @@ def test_push_steps_reject_a_boundary_that_breaks_relations():
     with pytest.raises(InternalInconsistencyError,
                        match=r"^upward map not defined on the quotient at \(1, 2, 3\)$"):
         push_shriek_step(u)
+
+
+# -- cutoff candidates ------------------------------------------------------------
+
+def scanned_cutoff_candidates(g, flag, a):
+    """Reference: every generator flag of `a` whose members each contain
+    the next member of `flag`."""
+    m = len(flag) - 1
+    return [cand for cand in flag_space(g, a).generators
+            if all(g.adjacent(cand[k], flag[k + 1]) for k in range(m))]
+
+
+def assert_cutoff_walk_is_the_scan(g):
+    for b in g.vertices:
+        for f in flag_space(g, b).generators:
+            for a in g.up(b):
+                walked = _cutoff_candidates(g, f, a)
+                assert len(set(walked)) == len(walked)
+                assert set(walked) == set(scanned_cutoff_candidates(g, f, a))
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_cutoff_candidates_walk_is_the_scan_on_the_corpus(name):
+    assert_cutoff_walk_is_the_scan(graph(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_arrangements())
+def test_cutoff_candidates_walk_is_the_scan_on_random_arrangements(arr):
+    assert_cutoff_walk_is_the_scan(build_graph(arr))

@@ -1,10 +1,12 @@
-"""Theorem oracles on random central arrangements: dimension 2 or 3, at
-most six hyperplanes with small integer normals, no hyperplane twice.
+"""Theorem oracles on random arrangements: central ones in dimension 2 or
+3 with at most six hyperplanes, and affine ones in dimension 1 to 4 with
+at most seven, parallel copies among them; small integer coefficients, no
+hyperplane twice.
 
-The intersection lattice is rebuilt here by brute force (ranks of
-hyperplane subsets), independently of the strata graph, and serves as the
-reference for the Orlik-Solomon dimensions and for the vertex of every
-hyperplane tuple."""
+The intersection lattice of a central arrangement is rebuilt here by brute
+force (ranks of hyperplane subsets), independently of the strata graph,
+and serves as the reference for the Orlik-Solomon dimensions and for the
+vertex of every hyperplane tuple."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from quiverarr.arrangement import Arrangement, Hyperplane, build_graph
 from quiverarr.functors import j0_shriek, j0_star, s0
-from quiverarr.linalg import Matrix, Q0, block_diag, rank, sort_with_sign
+from quiverarr.linalg import Matrix, Q0, betti, block_diag, rank, sort_with_sign
 from quiverarr.oscomplex import (ExponentAssignment, aomoto_complex,
                                  flag_complex, flag_degree, os_space,
                                  shapovalov_scalar)
@@ -31,6 +33,27 @@ def central_arrangements(draw):
         if h not in hyperplanes:
             hyperplanes.append(h)
     return Arrangement(n, hyperplanes)
+
+
+@st.composite
+def affine_arrangements(draw):
+    """Each drawn hyperplane may bring a parallel copy one unit away, so
+    empty intersections are common."""
+    n = draw(st.integers(1, 4))
+    normal = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    drawn = draw(st.lists(st.tuples(normal, st.integers(-2, 2), st.booleans()),
+                          min_size=1, max_size=7))
+    hyperplanes = []
+    for v, c, parallel in drawn:
+        for const in ((c, c + 1) if parallel else (c,)):
+            h = Hyperplane(const, v)
+            if h not in hyperplanes and len(hyperplanes) < 7:
+                hyperplanes.append(h)
+    return Arrangement(n, hyperplanes)
+
+
+def random_arrangements():
+    return st.one_of(central_arrangements(), affine_arrangements())
 
 
 def exponent_values(size, data):
@@ -134,3 +157,57 @@ def test_level_zero_images_are_the_scalar_oracles(arr, data):
     for p in range(g.max_level + 1):
         keys = sorted(k for k in g.vertices if g.level[k] == p)
         assert block_diag([s.component(k) for k in keys]) == scalar.components[p]
+
+
+def os_euler_characteristic(g):
+    """chi(M) = sum of (-1)^p dim A^p (Orlik-Solomon 1980)."""
+    return sum((-1) ** p * os_space(g, p).dim for p in range(g.max_level + 1))
+
+
+def alternating_sum(bs):
+    return sum((-1) ** p * b for p, b in enumerate(bs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_arrangements(), st.data())
+def test_complex_euler_characteristics_are_the_os_one(arr, data):
+    g = build_graph(arr)
+    chi = os_euler_characteristic(g)
+    a = ExponentAssignment(exponent_values(arr.size, data))
+    assert alternating_sum(betti(aomoto_complex(g, a))) == chi
+    assert alternating_sum(betti(flag_complex(g))) == chi
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_arrangements(), st.data())
+def test_generic_aomoto_cohomology_is_the_top_degree(arr, data):
+    """Esnault-Schechtman-Viehweg 1992, Yuzvinsky 1995: if the exponent
+    sum of every dense edge of the projective closure is nonzero, the
+    Aomoto complex has cohomology in the top degree only, of dimension
+    |chi(M)|.  Positive exponents are such a choice: an edge at infinity
+    sums to minus the exponents of the hyperplanes missing it."""
+    g = build_graph(arr)
+    top = g.max_level
+    a = ExponentAssignment({j: Fraction(data.draw(st.integers(1, 9)), 97)
+                            for j in range(1, arr.size + 1)})
+    want = tuple(abs(os_euler_characteristic(g)) if p == top else 0
+                 for p in range(top + 1))
+    assert betti(aomoto_complex(g, a)) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(central_arrangements(), st.data())
+def test_central_aomoto_complex_with_nonzero_sum_is_acyclic(arr, data):
+    vals = exponent_values(arr.size, data)
+    if sum(vals.values()) == 0:
+        vals[1] += 1
+    g = build_graph(arr)
+    assert not any(betti(aomoto_complex(g, ExponentAssignment(vals))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_arrangements())
+def test_flag_complex_is_exact_below_the_top_degree(arr):
+    # Schechtman-Varchenko 1991
+    g = build_graph(arr)
+    assert not any(betti(flag_complex(g))[:g.max_level])

@@ -413,13 +413,11 @@ def specialization_graph(g: ArrangementGraph, alpha) -> SpecializationGraph:
     if not g.is_central():
         raise UnsupportedError("specialization requires a central arrangement")
     alpha = g.vertex(g.key(alpha))
-    n = g.arrangement.ambient_dim
 
     def signature(beta):
-        v = g.vertex(beta)
-        inter = _canonicalize(alpha.equations.vstack(v.equations), n)
+        # in a central arrangement every two strata meet, in their wedge
         upset = frozenset(d for d in g.vertices if g.geq(d, alpha.id) and g.geq(d, beta))
-        return (inter[0].entries, upset)
+        return (g.wedge_key(alpha.id, beta), upset)
 
     groups = {}
     for bk in g.vertices:

@@ -21,7 +21,7 @@ from .arrangement import ArrangementGraph, Hyperplane
 from .cohomology import CohomologyReport, _betti_map, smallness_status
 from .errors import (InternalInconsistencyError, NotFiniteError, ParseError,
                      ShapeError, SymmetryError, UnsupportedError)
-from .functors import _t_acc_cols, j0_shriek, j0_star, macpherson
+from .functors import _tensor_map, j0_shriek, j0_star, macpherson
 from .linalg import (Matrix, Q0, Q1, block_diag, det, kernel_basis,
                      parse_rational, rank, solve_matrix, subcomplex)
 from .oscomplex import flag_degree, os_space
@@ -254,13 +254,9 @@ def _tensor_action(degree, images, rho):
     """The matrix on a whole degree (OSBasis or FlagDegree) tensored with
     W that takes the s-th basis element, in offset order, to images[s],
     an expansion (vertex, sign, coords), tensored with rho."""
-    dw = rho.rows
-    dim = degree.dim * dw
-    cols = [[Q0] * dim for _ in range(dim)]
-    for s, (vk, sign, coords) in enumerate(images):
-        off = degree.offsets[vk]
-        _t_acc_cols(cols, s, [(off + i, sign * c) for i, c in coords], rho, dw)
-    return Matrix.from_cols(cols, dim)
+    entries = [[(None, [(degree.offsets[vk] + i, sign * c) for i, c in coords])]
+               for vk, sign, coords in images]
+    return _tensor_map(entries, degree.dim, rho.rows, lambda _: rho)
 
 
 def _degree_inclusion(graph, mac, p):

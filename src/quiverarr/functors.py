@@ -8,19 +8,30 @@ MacPherson extension, specialization at a stratum, and the Fourier dual.
 Subspaces and quotients are carried as explicit inclusion / projection
 matrices over the canonical bases (kernel bases in RREF, non-pivot
 coordinates for quotients), so induced maps reduce to exact solves.
+
+The level-zero direct images J_{0,*} (Orlik-Solomon coordinates) and
+J_{0,!} (flag coordinates) and the Shapovalov morphism S_0 between them
+share one form.  A per-graph skeleton (`_star_structure`,
+`_shriek_structure`, `_s0_structure`) gives, per source basis element,
+a list of (word, sparse coordinates) terms, a word being a tuple of
+hyperplane indices.  `_word_table` turns a word into its product of loop
+operators on W, each word once, and `_tensor_map` assembles any such
+matrix as the sum of coordinates tensor word; the group actions of
+`equivariant` are assembled by it too.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from typing import NamedTuple
 
 from .arrangement import (ArrangementGraph, TruncatedGraph,
                           specialization_graph)
 from .errors import (InternalInconsistencyError, InvalidQuiverError,
                      ShapeError, UnsupportedError)
-from .linalg import (Matrix, Q0, Q1, _int_product, image_basis, kernel_basis,
-                     product_is_zero, rref, solve_matrix, sort_with_sign)
+from .linalg import (Matrix, Q0, Q1, _int_product, block_diag, image_basis,
+                     kernel_basis, product_is_zero, rref, solve_matrix,
+                     sort_with_sign)
 from .oscomplex import flag_space, os_space
 from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _level_map,
                      check_quiver, hom_space, morphism_from_coords)
@@ -133,25 +144,18 @@ def _boundary_op(v: LevelQuiver, beta, bd: _Boundary) -> Matrix:
     return Matrix._raw(n, n, tuple(ents))
 
 
-def _loop_sum_ambient(v, ups, offsets, ambient_dim, beta, c):
+def _loop_sum_ambient(v, bd: _Boundary, beta, c):
     """The block-diagonal operator sum of the input loops A_g^d over
-    d != beta with g > d > c, acting on the ambient sum."""
+    d != beta with g > d > c, acting on the ambient sum of bd."""
     full = v.tgraph.full
-    blocks = {}
-    for g in ups:
+    blocks = []
+    for g in bd.ups:
         acc = Matrix.zero(v.dim(g), v.dim(g))
         for d in full.down(g):
             if d != beta and full.adjacent(d, c):
                 acc = acc + v.loop(g, d)
-        blocks[g] = acc
-    rows = [[Q0] * ambient_dim for _ in range(ambient_dim)]
-    for g in ups:
-        o = offsets[g]
-        for i in range(blocks[g].rows):
-            r = blocks[g].row(i)
-            for j in range(blocks[g].cols):
-                rows[o + i][o + j] = r[j]
-    return Matrix.from_rows(rows, cols=ambient_dim)
+        blocks.append(acc)
+    return block_diag(blocks)
 
 
 def push_star_step(v: LevelQuiver):
@@ -189,7 +193,7 @@ def push_star_step(v: LevelQuiver):
     loops = {}
     for (at, via) in t.loops:
         bd, inc = incl[at]
-        amb_op = _loop_sum_ambient(v, bd.ups, bd.offsets, bd.ambient, at, via)
+        amb_op = _loop_sum_ambient(v, bd, at, via)
         x = solve_matrix(inc, amb_op * inc)
         if x is None:
             raise InternalInconsistencyError(f"loop does not preserve the subspace at {at}")
@@ -255,7 +259,7 @@ def push_shriek_step(v: LevelQuiver):
     loops = {}
     for (at, via) in t.loops:
         bd, proj, free = quo[at]
-        amb_op = proj * _loop_sum_ambient(v, bd.ups, bd.offsets, bd.ambient, at, via)
+        amb_op = proj * _loop_sum_ambient(v, bd, at, via)
         loops[(at, via)] = amb_op.submatrix(range(amb_op.rows), free)
         if not product_is_zero(amb_op, bd.down):
             raise InternalInconsistencyError(f"loop not defined on the quotient at {at}")
@@ -316,23 +320,74 @@ def _hyperplane_ops(graph: ArrangementGraph, w: LevelQuiver):
     return {j: w.loop(top, (j,)) for j in range(1, graph.arrangement.size + 1)}
 
 
+def _word_table(graph: ArrangementGraph, w: LevelQuiver):
+    """(word, dim W) for a level-zero quiver w, whose relations are
+    checked when the table is built: word(t), for a tuple t = (t_1, ...,
+    t_m) of hyperplane indices, is the product ops[t_m] ... ops[t_1] of
+    their loop operators on W, built once per tuple from its prefix's;
+    word(()) is the identity.  The graph keeps the table of the last
+    quiver asked for, so `s0` and the two images it builds share one
+    table and one check."""
+    from .oscomplex import _graph_cache
+    cache = _graph_cache(graph)
+    kept = cache.get("word_table")
+    if kept is not None and kept[0] is w:
+        return kept[1]
+    ops = _hyperplane_ops(graph, w)
+    dw = w.dim(graph.top())
+    words = {(): Matrix.identity(dw)}
+    words.update(((j,), m) for j, m in ops.items())
+
+    def word(t):
+        if t not in words:
+            words[t] = ops[t[-1]] * word(t[:-1])
+        return words[t]
+
+    cache["word_table"] = (w, (word, dw))
+    return word, dw
+
+
+def _tensor_map(entries, rows, dw, word):
+    """The matrix on (coordinates tensor W) whose dw columns for source
+    basis element s are the sum, over its terms (key, coords) in
+    entries[s], of the sparse coordinates tensored with word(key): rows*dw
+    rows, len(entries)*dw columns.  Every direct-image matrix is
+    assembled here."""
+    cols = [[Q0] * (rows * dw) for _ in range(len(entries) * dw)]
+    for si, terms in enumerate(entries):
+        for key, coords in terms:
+            _t_acc_cols(cols, si, coords, word(key), dw)
+    return Matrix.from_cols(cols, rows * dw)
+
+
+def _direct_image(graph, edges, dims, word, dw) -> Quiver:
+    """The quiver with spaces dims[a] tensor W and, per edge, the map
+    assembled from its terms (`edges`, a skeleton's terms per edge)."""
+    return Quiver(graph, {a: dims[a] * dw for a in graph.vertices},
+                  {e: _tensor_map(entries, dims[e[0]], dw, word)
+                   for e, entries in edges.items()})
+
+
 def _shriek_structure(graph):
-    """Per-graph skeleton of the flag-coordinate direct image: for every
-    oriented edge and basis flag, the sparse target coordinates and (for
-    upward maps) the contributing hyperplanes of the single live cutoff."""
+    """Per-graph skeleton of the flag-coordinate direct image: (terms,
+    dims).  terms[(target, source)] lists, per basis flag of the source,
+    its (word, sparse target coordinates) terms; dims are the flag space
+    dimensions.  A downward edge has the one term ((), coords of the
+    extended flag, signed); an upward edge has one term ((j,), coords of
+    the cutoff flag, signed) per hyperplane j of the single live cutoff."""
     from .oscomplex import _graph_cache
     cache = _graph_cache(graph)
     if "shriek_structure" in cache:
         return cache["shriek_structure"]
     down = {}
     up = {}
-    js = range(1, graph.arrangement.size + 1)
+    words = [(j,) for j in range(1, graph.arrangement.size + 1)]
     for b in graph.vertices:
         m = graph.level[b]
         fb = flag_space(graph, b)
         for b2 in graph.down(b):
             coords = flag_space(graph, b2).space.coords
-            down[(b2, b)] = [_signed((-1) ** m, coords(f + (b2,))) for f in fb.basis]
+            down[(b2, b)] = [[((), _signed((-1) ** m, coords(f + (b2,))))] for f in fb.basis]
         for a in graph.up(b):
             coords = flag_space(graph, a).space.coords
             entries = []
@@ -340,23 +395,24 @@ def _shriek_structure(graph):
                 # at most one candidate cutoff carries a nonempty
                 # hyperplane sum; summing over candidates agrees with the
                 # single-cutoff formulation and stays total
-                live = None
+                live = []
                 for cut in _cutoff_candidates(graph, f, a):
                     agree = 0
                     while agree < m and f[agree] == cut[agree]:
                         agree += 1
                     k = agree - 1
-                    hits = tuple(j for j in js
-                                 if _cutoff_sum_condition(graph, f, cut, k, j))
+                    hits = [jw for jw in words if _cutoff_sum_condition(graph, f, cut, k, jw)]
                     if not hits:
                         continue
-                    if live is not None:
+                    if live:
                         raise InternalInconsistencyError(
                             "two cutoff flags carry nonempty sums")
-                    live = (_signed((-1) ** k, coords(cut)), hits)
+                    vec = _signed((-1) ** k, coords(cut))
+                    live = [(jw, vec) for jw in hits]
                 entries.append(live)
             up[(a, b)] = entries
-    cache["shriek_structure"] = (down, up)
+    cache["shriek_structure"] = ({**down, **up},
+                                 {a: flag_space(graph, a).dim for a in graph.vertices})
     return cache["shriek_structure"]
 
 
@@ -364,29 +420,7 @@ def j0_shriek(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
     """The full direct image of the ! kind in flag coordinates: spaces
     F_alpha tensor W, downward maps extend the flag with sign (-1)^level,
     upward maps are the cutoff rule."""
-    ops = _hyperplane_ops(graph, w)
-    dw = w.dim(graph.top())
-    down, up = _shriek_structure(graph)
-    spaces = {a: flag_space(graph, a).dim * dw for a in graph.vertices}
-    maps = {}
-    idw = Matrix.identity(dw)
-    for (b2, b), vecs in down.items():
-        cols = [[Q0] * spaces[b2] for _ in range(spaces[b])]
-        for si, vec in enumerate(vecs):
-            _t_acc_cols(cols, si, vec, idw, dw)
-        maps[(b2, b)] = Matrix.from_cols(cols, spaces[b2])
-    for (a, b), entries in up.items():
-        cols = [[Q0] * spaces[a] for _ in range(spaces[b])]
-        for si, entry in enumerate(entries):
-            if entry is None:
-                continue
-            vec, hits = entry
-            bsum = Matrix.zero(dw, dw)
-            for j in hits:
-                bsum = bsum + ops[j]
-            _t_acc_cols(cols, si, vec, bsum, dw)
-        maps[(a, b)] = Matrix.from_cols(cols, spaces[a])
-    return Quiver(graph, spaces, maps)
+    return _direct_image(graph, *_shriek_structure(graph), *_word_table(graph, w))
 
 
 def _signed(sign, coords):
@@ -423,11 +457,10 @@ def _cutoff_candidates(graph, flag, a):
     return cands
 
 
-def _cutoff_sum_condition(graph, flag, cut, k, j):
-    """Hyperplane j contributes when j ^ flag[k] = flag[k+1] and
-    j ^ cut[t] = flag[t+1] for t = k+1 .. m-1."""
+def _cutoff_sum_condition(graph, flag, cut, k, jk):
+    """Hyperplane j, given as its vertex key jk = (j,), contributes when
+    j ^ flag[k] = flag[k+1] and j ^ cut[t] = flag[t+1] for t = k+1 .. m-1."""
     m = len(flag) - 1
-    jk = (j,)
     if graph.wedge_key(jk, flag[k]) != flag[k + 1]:
         return False
     for t in range(k + 1, m):
@@ -437,16 +470,18 @@ def _cutoff_sum_condition(graph, flag, cut, k, j):
 
 
 def _star_structure(graph):
-    """Per-graph skeleton of the Orlik-Solomon direct image, per basis
-    generator of each vertex: for downward edges the hyperplanes j whose
-    insertion lands there, with the sparse coordinates of (j,) + t; for
-    upward edges the sparse coordinates of the signed deletion sum."""
+    """Per-graph skeleton of the Orlik-Solomon direct image: (terms,
+    dims).  terms[(target, source)] lists, per basis generator t of the
+    source, its (word, sparse target coordinates) terms; dims are the OS
+    space dimensions.  A downward edge has one term ((j,), coords of
+    (j,) + t) per hyperplane j whose insertion lands there; an upward edge
+    has the one term ((), coords of the signed deletion sum)."""
     from .oscomplex import _graph_cache
     cache = _graph_cache(graph)
     if "star_structure" in cache:
         return cache["star_structure"]
     os_by_level = {p: os_space(graph, p) for p in range(graph.max_level + 1)}
-    js = range(1, graph.arrangement.size + 1)
+    words = [(j,) for j in range(1, graph.arrangement.size + 1)]
     down = {}
     up = {}
     for b in graph.vertices:
@@ -455,10 +490,10 @@ def _star_structure(graph):
         below = {b2: [[] for _ in basis] for b2 in graph.down(b)}
         if below:
             for si, t in enumerate(basis):
-                for j in js:
-                    b2, sign, coords = os_by_level[m + 1].expand((j,) + t)
+                for jw in words:
+                    b2, sign, coords = os_by_level[m + 1].expand(jw + t)
                     if coords and b2 in below:
-                        below[b2][si].append((j, _signed(sign, coords)))
+                        below[b2][si].append((jw, _signed(sign, coords)))
         for b2, entries in below.items():
             down[(b2, b)] = entries
         above = {a: [{} for _ in basis] for a in graph.up(b)}
@@ -470,10 +505,11 @@ def _star_structure(graph):
                     for i, c in _signed((-1) ** k, coords):
                         acc[i] = acc.get(i, Q0) + c
         for a, entries in above.items():
-            up[(a, b)] = [tuple(sorted((i, c) for i, c in acc.items() if c))
+            up[(a, b)] = [[((), tuple(sorted((i, c) for i, c in acc.items() if c)))]
                           for acc in entries]
-    cache["star_structure"] = (down, up, {a: os_by_level[graph.level[a]].spaces[a].dim
-                                          for a in graph.vertices})
+    cache["star_structure"] = ({**down, **up},
+                               {a: os_by_level[graph.level[a]].spaces[a].dim
+                                for a in graph.vertices})
     return cache["star_structure"]
 
 
@@ -481,30 +517,14 @@ def j0_star(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
     """The full direct image of the * kind in Orlik-Solomon coordinates:
     spaces P_alpha(A) tensor W, downward maps insert a hyperplane symbol
     against its loop operator, upward maps delete with alternating signs."""
-    ops = _hyperplane_ops(graph, w)
-    dw = w.dim(graph.top())
-    down, up, slice_dims = _star_structure(graph)
-    spaces = {a: slice_dims[a] * dw for a in graph.vertices}
-    maps = {}
-    idw = Matrix.identity(dw)
-    for (b2, b), entries in down.items():
-        cols = [[Q0] * spaces[b2] for _ in range(spaces[b])]
-        for si, per_j in enumerate(entries):
-            for j, vec in per_j:
-                _t_acc_cols(cols, si, vec, ops[j], dw)
-        maps[(b2, b)] = Matrix.from_cols(cols, spaces[b2])
-    for (a, b), entries in up.items():
-        cols = [[Q0] * spaces[a] for _ in range(spaces[b])]
-        for si, coords in enumerate(entries):
-            _t_acc_cols(cols, si, coords, idw, dw)
-        maps[(a, b)] = Matrix.from_cols(cols, spaces[a])
-    return Quiver(graph, spaces, maps)
+    return _direct_image(graph, *_star_structure(graph), *_word_table(graph, w))
 
 
 def _s0_structure(graph):
     """Per-graph skeleton of the Shapovalov morphism: per vertex and basis
-    flag, the hyperplane tuples tracing the flag with the sparse
-    coordinates of their class at that vertex."""
+    flag, its (word, sparse coordinates) terms, one per hyperplane tuple
+    tracing the flag whose OS class at that vertex is nonzero, the word
+    being the tuple itself."""
     from .oscomplex import _graph_cache
     cache = _graph_cache(graph)
     if "s0_structure" in cache:
@@ -530,35 +550,21 @@ def _s0_structure(graph):
 def s0(graph: ArrangementGraph, w: LevelQuiver) -> QuiverMorphism:
     """The quiver Shapovalov morphism from the flag-coordinate direct image
     to the Orlik-Solomon one: a flag goes to the sum over hyperplane tuples
-    tracing it, against the reversed product of their loop operators.
-    Each word ops[t_m]...ops[t_1] is built once, from its prefix's."""
-    ops = _hyperplane_ops(graph, w)
-    dw = w.dim(graph.top())
+    tracing it, against the reversed product of their loop operators.  The
+    two images and the components share one word table."""
     shriek = j0_shriek(graph, w)
     star = j0_star(graph, w)
-    structure = _s0_structure(graph)
-    words = {(): Matrix.identity(dw)}
-
-    def word(tup):
-        if tup not in words:
-            words[tup] = ops[tup[-1]] * word(tup[:-1])
-        return words[tup]
-
-    comps = {}
-    for a in graph.vertices:
-        cols = [[Q0] * star.dim(a) for _ in range(shriek.dim(a))]
-        for si, terms in enumerate(structure[a]):
-            for tup, coords in terms:
-                _t_acc_cols(cols, si, coords, word(tup), dw)
-        comps[a] = Matrix.from_cols(cols, star.dim(a))
+    word, dw = _word_table(graph, w)
+    dims = _star_structure(graph)[1]
+    comps = {a: _tensor_map(terms, dims[a], dw, word)
+             for a, terms in _s0_structure(graph).items()}
     return QuiverMorphism(shriek, star, comps)
 
 
 def shapovalov_form(graph: ArrangementGraph, w: LevelQuiver):
     """The quiver Shapovalov form: a function of two flags (of the same
     vertex-chain shape) with values in endomorphisms of W."""
-    ops = _hyperplane_ops(graph, w)
-    dw = w.dim(graph.top())
+    word, dw = _word_table(graph, w)
 
     def form(flag1, flag2):
         flag1, flag2 = tuple(flag1), tuple(flag2)
@@ -568,22 +574,14 @@ def shapovalov_form(graph: ArrangementGraph, w: LevelQuiver):
         ids1 = [graph.vertex(flag1[k]).id for k in range(1, m + 1)]
         ids2 = [graph.vertex(flag2[k]).id for k in range(1, m + 1)]
         total = Matrix.zero(dw, dw)
-        for sigma in _permutations(m):
+        for sigma in permutations(range(m)):
             sign = sort_with_sign(sigma)[1]
             for tup in product(*ids1):
                 if all(tup[sigma[k]] in ids2[k] for k in range(m)):
-                    word = Matrix.identity(dw)
-                    for j in tup:
-                        word = ops[j] * word
-                    total = total + word.scale(sign)
+                    total = total + word(tup).scale(sign)
         return total
 
     return form
-
-
-def _permutations(m):
-    from itertools import permutations
-    return list(permutations(range(m)))
 
 
 class MacPhersonResult:
@@ -697,33 +695,11 @@ def specialize(v: Quiver, alpha):
         raise UnsupportedError("specialization needs the arrangement geometry")
     sp = specialization_graph(g, alpha)
     cg = sp.graph
-    spaces = {}
-    member_offsets = {}
-    for ck, members in sp.classes.items():
-        spaces[ck] = sum(v.dim(m) for m in members)
-        off = {}
-        pos = 0
-        for m in members:
-            off[m] = pos
-            pos += v.dim(m)
-        member_offsets[ck] = off
+    spaces = {ck: sum(v.dim(m) for m in members) for ck, members in sp.classes.items()}
     maps = {}
     for ck in cg.vertices:
         for ck2 in list(cg.up(ck)) + list(cg.down(ck)):
-            rows = [[Q0] * spaces[ck2] for _ in range(spaces[ck])]
-            for m1 in sp.classes[ck]:
-                for m2 in sp.classes[ck2]:
-                    if g.adjacent(m1, m2):
-                        blk = v.map(m1, m2)
-                        o1 = member_offsets[ck][m1]
-                        o2 = member_offsets[ck2][m2]
-                        for i in range(blk.rows):
-                            r = blk.row(i)
-                            for j in range(blk.cols):
-                                rows[o1 + i][o2 + j] += r[j]
-            m = Matrix.from_rows(rows, cols=spaces[ck2])
-            if not m.is_zero():
-                maps[(ck, ck2)] = m
+            maps[(ck, ck2)] = _level_map(v, sp.classes[ck], sp.classes[ck2])
     return Quiver(cg, spaces, maps), sp
 
 
@@ -736,23 +712,12 @@ def spec_nonres_ops(v: Quiver, alpha):
         raise UnsupportedError("specialization needs the arrangement geometry")
     if not g.is_central():
         raise UnsupportedError("specialization requires a central arrangement")
-    from .arrangement import _canonicalize
-    n = g.arrangement.ambient_dim
-    av = g.vertex(g.key(alpha))
-
-    def meet(vk):
-        return _canonicalize(av.equations.vstack(g.vertex(vk).equations), n)[0].entries
-
+    a = g.vertex(g.key(alpha)).id
     out = {}
     for b in g.vertices:
         acc = Matrix.zero(v.dim(b), v.dim(b))
-        vb = g.vertex(b)
         for c in list(g.up(b)) + list(g.down(b)):
-            stack = _canonicalize(vb.equations.vstack(g.vertex(c).equations), n)
-            meet_bc = stack[0].entries
-            meet_ac = _canonicalize(av.equations.vstack(g.vertex(c).equations),
-                                    n)[0].entries
-            if meet_ac == meet_bc:
+            if g.wedge_key(a, c) == g.wedge_key(b, c):
                 acc = acc + v.map(b, c) * v.map(c, b)
         out[b] = acc
     return out

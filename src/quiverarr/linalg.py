@@ -710,49 +710,19 @@ def _divisors(n):
 
 
 def integer_roots(p):
-    """The set of integer roots of p, exact (rational root theorem)."""
-    p = poly_trim(p)
+    """The set of integer roots of p, as ints: the integral members of
+    `rational_roots(p)`, which works on the squarefree part."""
     if all(c == 0 for c in p):
         raise ShapeError("integer_roots of the zero polynomial")
-    roots = set()
-    coeffs = list(p)
-    low = 0
-    while coeffs[low] == 0:
-        low += 1
-    if low > 0:
-        roots.add(0)
-        coeffs = coeffs[low:]
-    if len(coeffs) == 1:
-        return roots
-    ints = _integer_multiple(coeffs)
-    for d in _divisors(ints[0]):
-        for r in (d, -d):
-            if poly_eval(p, r) == 0:
-                roots.add(r)
-    return roots
+    return {int(r) for r in rational_roots(p)[0] if r.denominator == 1}
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
+    """Determinant, (-1)^n times the constant term of det(tI - m)."""
     if m.rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
-    n = m.rows
-    rows = m.row_list()
-    out = Q1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            return Q0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            out = -out
-        out *= rows[c][c]
-        inv = Q1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out
+    c = char_poly(m)[0]
+    return -c if m.rows % 2 else c
 
 
 def poly_monic(p):

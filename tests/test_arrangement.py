@@ -13,7 +13,7 @@ from quiverarr.arrangement import (
 from quiverarr.errors import ParseError, ShapeError, UnsupportedError
 from quiverarr.linalg import Matrix
 
-from test_random_arrangements import affine_arrangements
+from test_random_arrangements import affine_arrangements, random_arrangements
 
 
 def graph_signature(vertices, edges):
@@ -202,6 +202,45 @@ def test_specialization_three_lines_merges_other_lines():
     assert members == [((),), ((1,),), ((1, 2, 3),), ((2,), (3,))]
     assert len(sp.graph.edges) == 4
     assert sp.graph.level[sp.class_of((2,))] == 1
+
+
+def assert_elimination_meets_are_wedges(g):
+    """In a central arrangement every two strata meet; stacking their
+    equations and eliminating gives the equations of their wedge."""
+    n = g.arrangement.ambient_dim
+    for a in g.vertices:
+        for b in g.vertices:
+            eqs, _ = _canonicalize(g.vertex(a).equations.vstack(g.vertex(b).equations), n)
+            assert eqs.entries == g.vertex(g.wedge_key(a, b)).equations.entries
+
+
+@pytest.mark.parametrize("name", sorted(n for n, f in corpus.CORPUS.items()
+                                        if f().is_central()))
+def test_elimination_meet_is_the_wedge_on_the_corpus(name):
+    assert_elimination_meets_are_wedges(build_graph(corpus.CORPUS[name]()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_arrangements().filter(lambda arr: arr.is_central()))
+def test_elimination_meet_is_the_wedge_on_random_arrangements(arr):
+    assert_elimination_meets_are_wedges(build_graph(arr))
+
+
+def test_specialization_does_no_elimination(monkeypatch):
+    from quiverarr.functors import j0_star, spec_nonres_ops, specialize
+    from quiverarr.quiver import level_zero_quiver
+    calls = []
+    for module, name in ((linalg, "rref"), (arrangement, "rref"),
+                         (arrangement, "_canonicalize")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=fn: calls.append(fn.__name__) or fn(*args))
+    g = build_graph(corpus.three_lines())
+    v = j0_star(g, level_zero_quiver(g, 1, {j: Matrix.identity(1) for j in (1, 2, 3)}))
+    specialization_graph(g, (1,))
+    specialize(v, (1,))
+    spec_nonres_ops(v, (1,))
+    assert calls == []
 
 
 def test_specialization_requires_central():

@@ -663,3 +663,90 @@ def test_cutoff_candidates_walk_is_the_scan_on_the_corpus(name):
 @given(random_arrangements())
 def test_cutoff_candidates_walk_is_the_scan_on_random_arrangements(arr):
     assert_cutoff_walk_is_the_scan(build_graph(arr))
+
+
+# -- one column assembler ---------------------------------------------------------
+
+def test_s0_checks_its_quiver_once(monkeypatch):
+    import quiverarr.functors as functors
+    calls = []
+    real = functors.check_quiver
+    monkeypatch.setattr(functors, "check_quiver", lambda v: calls.append(v) or real(v))
+    g = graph("c13")
+    w = scalar_family_level0(g, {j: Fraction(j, 17) for j in range(1, g.arrangement.size + 1)})
+    s0(g, w)
+    assert len(calls) == 1
+
+
+def test_word_table_follows_the_quiver():
+    """The graph keeps only the last quiver's checked table: another
+    quiver on the same graph gets its own images, and an invalid one is
+    still refused."""
+    from quiverarr.errors import InvalidQuiverError
+    g = graph("three_lines")
+    w1, w2 = three_lines_w(dim=2, seed=3), three_lines_w(dim=2, seed=8)
+    first = s0(g, w1)
+    second = s0(g, w2)
+    assert first.source != second.source and first.target != second.target
+    fresh = graph("three_lines")
+    assert second.components == s0(fresh, w2).components
+    assert j0_star(g, w1) == j0_star(fresh, w1)
+    bad = level_zero_quiver(g, 2, {1: M([[0, 1], [0, 0]]), 2: M([[0, 0], [1, 0]])})
+    with pytest.raises(InvalidQuiverError, match="level-zero relations fail"):
+        j0_shriek(g, bad)
+
+
+def test_only_tensor_map_assembles_columns():
+    """Every call that allocates or fills direct-image columns sits in
+    `functors._tensor_map`; the images, s0, the Shapovalov form and the
+    group actions have no column loop of their own."""
+    import ast
+    import inspect
+
+    from quiverarr import equivariant, functors
+    callers = {}
+    for mod in (functors, equivariant):
+        for fn in ast.walk(ast.parse(inspect.getsource(mod))):
+            if isinstance(fn, ast.FunctionDef):
+                for n in ast.walk(fn):
+                    if isinstance(n, ast.Call):
+                        name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                        if name in ("_t_acc_cols", "from_cols"):
+                            callers.setdefault(name, set()).add(fn.name)
+    assert callers == {"_t_acc_cols": {"_tensor_map"}, "from_cols": {"_tensor_map"}}
+
+
+def per_term_shapovalov_form(g, w, flag1, flag2):
+    """Reference: the form summed term by term, each word multiplied out
+    on its own."""
+    from itertools import permutations, product
+
+    from quiverarr.linalg import sort_with_sign
+    top = g.top()
+    dw = w.dim(top)
+    m = len(flag1) - 1
+    ids1 = [g.vertex(flag1[k]).id for k in range(1, m + 1)]
+    ids2 = [g.vertex(flag2[k]).id for k in range(1, m + 1)]
+    total = Matrix.zero(dw, dw)
+    for sigma in permutations(range(m)):
+        sign = sort_with_sign(sigma)[1]
+        for tup in product(*ids1):
+            if all(tup[sigma[k]] in ids2[k] for k in range(m)):
+                word = Matrix.identity(dw)
+                for j in tup:
+                    word = w.loop(top, (j,)) * word
+                total = total + word.scale(sign)
+    return total
+
+
+@pytest.mark.parametrize("name", ["three_lines", "boolean3", "c13"])
+def test_shapovalov_form_is_the_per_term_sum(name):
+    g = graph(name)
+    w = scalar_family_level0(g, {j: Fraction(2 * j - 5, 7) for j in range(1, g.arrangement.size + 1)},
+                             dim=2, seed=5)
+    form = shapovalov_form(g, w)
+    for a in g.vertices:
+        flags = flag_space(g, a).generators
+        for f1 in flags:
+            for f2 in flags:
+                assert form(f1, f2) == per_term_shapovalov_form(g, w, f1, f2)

@@ -62,10 +62,30 @@ def _definitions(tree):
                         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
 
+def _count(name, body):
+    """How often `name` is referenced in the statements `body`."""
+    return sum(1 for r in _references(ast.Module(body=body, type_ignores=[])) if r == name)
+
+
+def _nested(func):
+    """The functions defined inside func, at any depth, each with the
+    function whose body defines it."""
+    todo = [(n, func) for n in func.body]
+    while todo:
+        node, outer = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, outer
+            todo.extend((n, node) for n in node.body)
+        else:
+            todo.extend((n, outer) for n in ast.iter_child_nodes(node))
+
+
 def unreferenced(library, others=()):
     """(file, line, name) of every function or method defined in the
     `library` sources that no source references outside the bodies of the
-    definitions of that name.  Dunder methods are called by Python."""
+    definitions of that name, and of every function nested in one of them
+    that its enclosing function's body references only inside its own.
+    Dunder methods are called by Python."""
     trees = {name: ast.parse(text) for name, text in [*library, *others]}
     refs = {}
     for tree in trees.values():
@@ -74,11 +94,13 @@ def unreferenced(library, others=()):
     defs = [(name, d) for name, _ in library for d in _definitions(trees[name])]
     own = {}
     for _, d in defs:
-        own[d.name] = own.get(d.name, 0) + sum(
-            1 for r in _references(ast.Module(body=d.body, type_ignores=[])) if r == d.name)
-    return sorted((name, d.lineno, d.name) for name, d in defs
-                  if not (d.name.startswith("__") and d.name.endswith("__"))
-                  and refs.get(d.name, 0) - own[d.name] <= 0)
+        own[d.name] = own.get(d.name, 0) + _count(d.name, d.body)
+    out = [(name, d.lineno, d.name) for name, d in defs
+           if not (d.name.startswith("__") and d.name.endswith("__"))
+           and refs.get(d.name, 0) - own[d.name] <= 0]
+    out += [(name, f.lineno, f.name) for name, d in defs for f, outer in _nested(d)
+            if _count(f.name, outer.body) - _count(f.name, f.body) <= 0]
+    return sorted(out)
 
 
 def test_every_function_and_method_is_referenced():
@@ -95,3 +117,17 @@ def test_unreferenced_function_is_caught():
                    "    def gone(self):\n        return 2\n")
     other = ("t.py", "from m import used\nused()\n")
     assert unreferenced([lib], [other]) == [("m.py", 4, "unused"), ("m.py", 11, "gone")]
+
+
+def test_unreferenced_nested_function_is_caught():
+    lib = ("m.py", "def f():\n"
+                   "    def used():\n        return 1\n"
+                   "    def unused(n):\n        return unused(n - 1)\n"
+                   "    def deeper():\n"
+                   "        def gone():\n            return 2\n"
+                   "        return 3\n"
+                   "    for _ in ():\n"
+                   "        def in_loop():\n            return 4\n"
+                   "    return used() + deeper() + in_loop()\n")
+    other = ("t.py", "from m import f\nf()\n")
+    assert unreferenced([lib], [other]) == [("m.py", 4, "unused"), ("m.py", 7, "gone")]

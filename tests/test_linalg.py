@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quiverarr.errors import InvalidComplexError, ShapeError
 from quiverarr.linalg import (
-    ChainComplex, ChainMap, Matrix, betti, char_poly, image_basis,
+    ChainComplex, ChainMap, Matrix, betti, char_poly, det, image_basis,
     image_complex, integer_roots, kernel_basis, poly_eval, poly_format,
     poly_mod, poly_monic, poly_mul, poly_sub, rank, rational_roots, rref,
     solve, solve_matrix,
@@ -428,3 +428,75 @@ def test_from_cols_is_from_rows_transposed(m):
 def test_from_cols_rejects_ragged_columns():
     with pytest.raises(ShapeError):
         Matrix.from_cols([[1, 2], [3]], 2)
+
+
+# -- integer roots and determinants -----------------------------------------------
+
+def test_integer_roots_of_a_high_power_are_quick():
+    # trial division of the full constant term 3^40 never finished
+    p = (Fraction(1),)
+    for _ in range(40):
+        p = poly_mul(p, (-3, 1))
+    roots = integer_roots(p)
+    assert roots == {3}
+    assert all(type(r) is int for r in roots)
+    assert integer_roots(poly_mul(p, (0, 0, 2, 1))) == {-2, 0, 3}
+
+
+def brute_force_integer_roots(p):
+    """Every integer root lies within Cauchy's bound 1 + max |p_i / p_n|."""
+    coeffs = [Fraction(c) for c in p]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    bound = 1 + max((abs(c / coeffs[-1]) for c in coeffs[:-1]), default=0)
+    return {r for r in range(-int(bound), int(bound) + 1) if poly_eval(tuple(coeffs), r) == 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=4),
+       st.lists(st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3))),
+                min_size=1, max_size=4).filter(lambda c: c[-1] != 0))
+def test_integer_roots_match_a_brute_force_search(roots, cofactor):
+    p = tuple(cofactor)
+    for r in roots:
+        p = poly_mul(p, (-r, 1))
+    expect = brute_force_integer_roots(p)
+    assert expect >= set(roots)
+    assert integer_roots(p) == expect
+
+
+def elimination_det(m):
+    """Reference: the determinant by Fraction Gaussian elimination."""
+    n = m.rows
+    rows = m.row_list()
+    out = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(max_dim=5))
+@example(Matrix.zero(0, 0))
+@example(Matrix.zero(3, 3))
+@example(Matrix.from_rows([[1, 2], [2, 4]]))
+@example(Matrix.from_rows([[0, 1], [1, 0]]))
+def test_det_matches_fraction_elimination(m):
+    d = det(m)
+    assert type(d) is Fraction
+    assert d == elimination_det(m)
+
+
+def test_det_rejects_non_square():
+    with pytest.raises(ShapeError, match="determinant of a non-square matrix"):
+        det(Matrix.zero(2, 3))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from fractions import Fraction
+from functools import wraps
 from math import gcd
 
 from .errors import ParseError, ShapeError, UnsupportedError
@@ -161,6 +162,7 @@ class AdmissibleGraph:
                 acc |= self._descendants[w]
             self._descendants[v] = frozenset(acc)
         self._wedge_cache = {}
+        self.memo = {}  # see `per_graph`
 
     @property
     def max_level(self):
@@ -225,6 +227,19 @@ class AdmissibleGraph:
         if len(tops) != 1:
             raise ShapeError("graph has no unique level-0 vertex")
         return tops[0]
+
+
+def per_graph(fn):
+    """Memoize fn(graph, *args) in `graph.memo`, keyed by fn and args: the
+    structures built from a graph live and die with it."""
+    @wraps(fn)
+    def memoized(graph, *args):
+        key = (fn, args)
+        memo = graph.memo
+        if key not in memo:
+            memo[key] = fn(graph, *args)
+        return memo[key]
+    return memoized
 
 
 class ArrangementGraph(AdmissibleGraph):

@@ -28,8 +28,8 @@ from .functors import (fourier_dual, macpherson, push_shriek_step,
                        push_star_step, restrict, s0, specialize)
 from .liecheck import KZInstance, kz_check
 from .linalg import betti, parse_rational
-from .oscomplex import (aomoto_complex, flag_space, os_space, parse_exponents,
-                        shapovalov_scalar)
+from .oscomplex import (ExponentAssignment, aomoto_complex, flag_space,
+                        os_space, parse_exponents, shapovalov_scalar)
 from .quiver import (LevelQuiver, _matrix_json, check_quiver, dual,
                      parse_quiver, quiver_to_json)
 
@@ -55,7 +55,6 @@ def _exponents(args):
     a = parse_exponents(_read(args.exp), args.exp)
     kappa = getattr(args, "kappa", None)
     if kappa is not None:
-        from .oscomplex import ExponentAssignment
         a = ExponentAssignment(a.values, parse_rational(kappa, "--kappa"))
     return a
 

@@ -11,10 +11,10 @@ refused outright.
 from __future__ import annotations
 
 from .arrangement import ArrangementGraph
-from .errors import UnsupportedError
+from .errors import ShapeError, UnsupportedError
 from .functors import j0_star, macpherson
 from .linalg import ChainComplex, Matrix, Q0, betti, char_poly, rational_roots
-from .oscomplex import ExponentAssignment
+from .oscomplex import ExponentAssignment, aomoto_complex, flag_complex
 from .quiver import (LevelQuiver, Quiver, c_plus, level_zero_quiver,
                      local_ops, spectrum_lambda, Spectrum)
 
@@ -126,7 +126,10 @@ def _betti_map(complex_: ChainComplex, lo, hi, shift=0):
 def perverse_cohomology(v: Quiver) -> CohomologyReport:
     """Betti numbers of the ambient space with coefficients in the sheaf
     modeled by the quiver: degree k reports H^{k+N}(C+(V)) for
-    k = -N .. 0."""
+    k = -N .. 0.  A level quiver (such as the scalar one of an exponent
+    assignment) is refused: the model takes a full quiver."""
+    if isinstance(v, LevelQuiver):
+        raise ShapeError("the perverse model takes a full quiver, not a level quiver")
     g = v.graph
     _require_central(g)
     n = g.arrangement.ambient_dim
@@ -165,7 +168,6 @@ def intersection_cohomology(graph: ArrangementGraph,
 
 
 def aomoto_report(graph: ArrangementGraph, a: ExponentAssignment) -> CohomologyReport:
-    from .oscomplex import aomoto_complex
     c = aomoto_complex(graph, a)
     return CohomologyReport(
         "aomoto", _betti_map(c, 0, graph.arrangement.ambient_dim), [],
@@ -173,7 +175,6 @@ def aomoto_report(graph: ArrangementGraph, a: ExponentAssignment) -> CohomologyR
 
 
 def flag_report(graph: ArrangementGraph) -> CohomologyReport:
-    from .oscomplex import flag_complex
     c = flag_complex(graph)
     return CohomologyReport(
         "flag", _betti_map(c, 0, graph.arrangement.ambient_dim), [],

@@ -260,8 +260,7 @@ def _tensor_action(degree, images, rho):
 
 
 def _degree_inclusion(graph, mac, p):
-    keys = sorted(k for k in graph.vertices if graph.level[k] == p)
-    return block_diag([mac.witness[k]["matrix"] for k in keys])
+    return block_diag([mac.witness[k]["matrix"] for k in graph.levels(p)])
 
 
 def chain_automorphism(eq: EquivariantLevelZero, functor, gi, mac=None):

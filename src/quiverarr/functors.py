@@ -17,7 +17,13 @@ a list of (word, sparse coordinates) terms, a word being a tuple of
 hyperplane indices.  `_word_table` turns a word into its product of loop
 operators on W, each word once, and `_tensor_map` assembles any such
 matrix as the sum of coordinates tensor word; the group actions of
-`equivariant` are assembled by it too.
+`equivariant` are assembled by it too.  The skeletons are memoized on
+their graph (`arrangement.per_graph`); the word table keeps only the
+last quiver asked for.
+
+Every sum of vertex spaces here (the ambient sum at a new vertex, the
+hom coordinates) lists its vertices in the graph's sorted order, each
+block at its running offset (`linalg.block_offsets`).
 """
 
 from __future__ import annotations
@@ -25,16 +31,18 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .arrangement import (ArrangementGraph, TruncatedGraph,
+from .arrangement import (ArrangementGraph, TruncatedGraph, per_graph,
                           specialization_graph)
 from .errors import (InternalInconsistencyError, InvalidQuiverError,
                      ShapeError, UnsupportedError)
-from .linalg import (Matrix, Q0, Q1, _int_product, block_diag, image_basis,
-                     kernel_basis, product_is_zero, rref, solve_matrix,
+from .linalg import (Matrix, Q0, _int_product, block_diag, block_offsets,
+                     char_poly, image_basis, integer_roots, kernel_basis,
+                     kernel_rows, poly_format, product_is_zero, solve_matrix,
                      sort_with_sign)
 from .oscomplex import flag_space, os_space
-from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _level_map,
-                     check_quiver, hom_space, morphism_from_coords)
+from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _format_key,
+                     _level_map, _matrix_json, check_quiver, hom_offsets,
+                     hom_space, morphism_from_coords)
 
 
 class SubquotientWitness:
@@ -53,7 +61,6 @@ class SubquotientWitness:
         return self.entries[vertex]
 
     def to_json(self):
-        from .quiver import _format_key, _matrix_json
         return [{"vertex": _format_key(v), "kind": e["kind"],
                  "ambient": [_format_key(a) for a in e["ambient"]],
                  "matrix": _matrix_json(e["matrix"])}
@@ -102,10 +109,10 @@ def as_level_quiver(v) -> LevelQuiver:
 
 class _Boundary(NamedTuple):
     """The sum over the vertices one level up from a new vertex beta, in
-    sorted order with their offsets, and the maps between them and the
-    vertices two levels up (deltas): `up` (deltas x ambient) carries the
-    * constraints, the columns of `down` (ambient x deltas) the !
-    relations."""
+    the graph's (sorted) order of `up`, with their offsets, and the maps
+    between them and the vertices two levels up (deltas): `up` (deltas x
+    ambient) carries the * constraints, the columns of `down` (ambient x
+    deltas) the ! relations."""
     ups: list
     offsets: dict
     ambient: int
@@ -119,14 +126,11 @@ class _Boundary(NamedTuple):
 
 
 def _boundary(v: LevelQuiver, beta) -> _Boundary:
-    ups = sorted(v.tgraph.full.up(beta))
-    offsets = {}
-    pos = 0
-    for g in ups:
-        offsets[g] = pos
-        pos += v.dim(g)
+    ups = v.tgraph.full.up(beta)
+    offsets, ambient = block_offsets(ups, v.dim)
     deltas = sorted({d for g in ups for d in v.tgraph.full.up(g)})
-    return _Boundary(ups, offsets, pos, _level_map(v, deltas, ups), _level_map(v, ups, deltas))
+    return _Boundary(ups, offsets, ambient, _level_map(v, deltas, ups),
+                     _level_map(v, ups, deltas))
 
 
 def _boundary_op(v: LevelQuiver, beta, bd: _Boundary) -> Matrix:
@@ -201,24 +205,6 @@ def push_star_step(v: LevelQuiver):
     return LevelQuiver(t, spaces, maps, loops), witness
 
 
-def _quotient_matrices(rel: Matrix):
-    """The ambient space modulo the span of the rows of rel, in
-    coordinates on the non-pivot columns of the RREF: the projection, and
-    those columns (the lift is the inclusion of their unit vectors)."""
-    ambient = rel.cols
-    r, pivots = rref(rel)
-    pivset = set(pivots)
-    free = [c for c in range(ambient) if c not in pivset]
-    proj_rows = []
-    for cq in free:
-        row = [Q0] * ambient
-        row[cq] = Q1
-        for i, p in enumerate(pivots):
-            row[p] = -r[i, cq]
-        proj_rows.append(row)
-    return Matrix.from_rows(proj_rows, cols=ambient), free
-
-
 def push_shriek_step(v: LevelQuiver):
     """One-step direct image of the ! kind: at each new vertex the space is
     the quotient of the sum one level up by the images of the downward
@@ -235,7 +221,9 @@ def push_shriek_step(v: LevelQuiver):
     quo = {}
     for beta in full.levels(n):
         bd = _boundary(v, beta)
-        proj, free = _quotient_matrices(bd.down.transpose())
+        # the quotient in coordinates on the free columns (`kernel_rows`);
+        # the lift is the inclusion of their unit vectors
+        proj, free = kernel_rows(bd.down.transpose())
         quo[beta] = (bd, proj, free)
         spaces[beta] = proj.rows
         witness.record(beta, "projection", bd.ups, proj)
@@ -327,10 +315,9 @@ def _word_table(graph: ArrangementGraph, w: LevelQuiver):
     their loop operators on W, built once per tuple from its prefix's;
     word(()) is the identity.  The graph keeps the table of the last
     quiver asked for, so `s0` and the two images it builds share one
-    table and one check."""
-    from .oscomplex import _graph_cache
-    cache = _graph_cache(graph)
-    kept = cache.get("word_table")
+    table and one check.  Keeping one quiver, not one per quiver as
+    `per_graph` would, bounds the memo of a long-lived graph."""
+    kept = graph.memo.get("word_table")
     if kept is not None and kept[0] is w:
         return kept[1]
     ops = _hyperplane_ops(graph, w)
@@ -343,7 +330,7 @@ def _word_table(graph: ArrangementGraph, w: LevelQuiver):
             words[t] = ops[t[-1]] * word(t[:-1])
         return words[t]
 
-    cache["word_table"] = (w, (word, dw))
+    graph.memo["word_table"] = (w, (word, dw))
     return word, dw
 
 
@@ -368,6 +355,7 @@ def _direct_image(graph, edges, dims, word, dw) -> Quiver:
                    for e, entries in edges.items()})
 
 
+@per_graph
 def _shriek_structure(graph):
     """Per-graph skeleton of the flag-coordinate direct image: (terms,
     dims).  terms[(target, source)] lists, per basis flag of the source,
@@ -375,10 +363,6 @@ def _shriek_structure(graph):
     dimensions.  A downward edge has the one term ((), coords of the
     extended flag, signed); an upward edge has one term ((j,), coords of
     the cutoff flag, signed) per hyperplane j of the single live cutoff."""
-    from .oscomplex import _graph_cache
-    cache = _graph_cache(graph)
-    if "shriek_structure" in cache:
-        return cache["shriek_structure"]
     down = {}
     up = {}
     words = [(j,) for j in range(1, graph.arrangement.size + 1)]
@@ -386,10 +370,10 @@ def _shriek_structure(graph):
         m = graph.level[b]
         fb = flag_space(graph, b)
         for b2 in graph.down(b):
-            coords = flag_space(graph, b2).space.coords
+            coords = flag_space(graph, b2).coords
             down[(b2, b)] = [[((), _signed((-1) ** m, coords(f + (b2,))))] for f in fb.basis]
         for a in graph.up(b):
-            coords = flag_space(graph, a).space.coords
+            coords = flag_space(graph, a).coords
             entries = []
             for f in fb.basis:
                 # at most one candidate cutoff carries a nonempty
@@ -411,9 +395,7 @@ def _shriek_structure(graph):
                     live = [(jw, vec) for jw in hits]
                 entries.append(live)
             up[(a, b)] = entries
-    cache["shriek_structure"] = ({**down, **up},
-                                 {a: flag_space(graph, a).dim for a in graph.vertices})
-    return cache["shriek_structure"]
+    return {**down, **up}, {a: flag_space(graph, a).dim for a in graph.vertices}
 
 
 def j0_shriek(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
@@ -469,6 +451,7 @@ def _cutoff_sum_condition(graph, flag, cut, k, jk):
     return True
 
 
+@per_graph
 def _star_structure(graph):
     """Per-graph skeleton of the Orlik-Solomon direct image: (terms,
     dims).  terms[(target, source)] lists, per basis generator t of the
@@ -476,10 +459,6 @@ def _star_structure(graph):
     space dimensions.  A downward edge has one term ((j,), coords of
     (j,) + t) per hyperplane j whose insertion lands there; an upward edge
     has the one term ((), coords of the signed deletion sum)."""
-    from .oscomplex import _graph_cache
-    cache = _graph_cache(graph)
-    if "star_structure" in cache:
-        return cache["star_structure"]
     os_by_level = {p: os_space(graph, p) for p in range(graph.max_level + 1)}
     words = [(j,) for j in range(1, graph.arrangement.size + 1)]
     down = {}
@@ -507,10 +486,8 @@ def _star_structure(graph):
         for a, entries in above.items():
             up[(a, b)] = [[((), tuple(sorted((i, c) for i, c in acc.items() if c)))]
                           for acc in entries]
-    cache["star_structure"] = ({**down, **up},
-                               {a: os_by_level[graph.level[a]].spaces[a].dim
-                                for a in graph.vertices})
-    return cache["star_structure"]
+    return {**down, **up}, {a: os_by_level[graph.level[a]].spaces[a].dim
+                            for a in graph.vertices}
 
 
 def j0_star(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
@@ -520,15 +497,12 @@ def j0_star(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
     return _direct_image(graph, *_star_structure(graph), *_word_table(graph, w))
 
 
+@per_graph
 def _s0_structure(graph):
     """Per-graph skeleton of the Shapovalov morphism: per vertex and basis
     flag, its (word, sparse coordinates) terms, one per hyperplane tuple
     tracing the flag whose OS class at that vertex is nonzero, the word
     being the tuple itself."""
-    from .oscomplex import _graph_cache
-    cache = _graph_cache(graph)
-    if "s0_structure" in cache:
-        return cache["s0_structure"]
     out = {}
     for a in graph.vertices:
         m = graph.level[a]
@@ -543,7 +517,6 @@ def _s0_structure(graph):
                     terms.append((tup, _signed(sign, coords)))
             entries.append(terms)
         out[a] = entries
-    cache["s0_structure"] = out
     return out
 
 
@@ -638,11 +611,7 @@ def unique_morphism_restricting_to_identity(p, q, k) -> QuiverMorphism:
     identity; raises when it does not exist or is not unique."""
     basis = hom_space(p, q)
     g = p.graph
-    offsets = {}
-    total = 0
-    for vtx in g.vertices:
-        offsets[vtx] = total
-        total += q.dim(vtx) * p.dim(vtx)
+    offsets, total = hom_offsets(p, q)
     low = [vtx for vtx in g.vertices if g.level[vtx] <= k]
     rows = []
     rhs = []
@@ -726,7 +695,6 @@ def spec_nonres_ops(v: Quiver, alpha):
 def spec_nonres_report(v: Quiver, alpha):
     """Characteristic polynomials of the specialization operators, with
     the integer-eigenvalue exclusion the specialization theorem needs."""
-    from .linalg import char_poly, integer_roots, poly_format
     ops = spec_nonres_ops(v, alpha)
     out = []
     for b, m in sorted(ops.items()):

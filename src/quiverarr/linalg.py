@@ -308,6 +308,17 @@ def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
     return True
 
 
+def block_offsets(keys, size):
+    """Blocks laid end to end in the order of `keys`, block k being
+    size(k) long: ({key: offset of its block}, total length)."""
+    offsets = {}
+    total = 0
+    for k in keys:
+        offsets[k] = total
+        total += size(k)
+    return offsets, total
+
+
 def block_diag(blocks):
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
@@ -434,9 +445,6 @@ class Subspace:
     def dim(self):
         return self.basis.rows
 
-    def contains(self, vec) -> bool:
-        return in_row_space(self.basis, vec)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
                 and self.basis == other.basis)
@@ -448,13 +456,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def in_row_space(m: Matrix, vec) -> bool:
-    stacked = m.vstack(Matrix(1, m.cols, vec))
-    return rank(stacked) == rank(m)
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    """Basis of {x : m x = 0}, one row per free column of the RREF."""
+def kernel_rows(m: Matrix):
+    """{x : m x = 0} as (rows, free columns): one row per free column fc
+    of the RREF, 1 at fc and minus the RREF's column fc at the pivots.
+    As a matrix the rows also project Q^cols onto the free coordinates
+    with kernel the row space of m: the quotient by that row space."""
     r, pivots = rref(m)
     pivset = set(pivots)
     free = [c for c in range(m.cols) if c not in pivset]
@@ -465,7 +471,12 @@ def kernel_basis(m: Matrix) -> Subspace:
         for i, pc in enumerate(pivots):
             v[pc] = -r[i, fc]
         rows.append(v)
-    return Subspace(m.cols, Matrix.from_rows(rows, cols=m.cols))
+    return Matrix.from_rows(rows, cols=m.cols), free
+
+
+def kernel_basis(m: Matrix) -> Subspace:
+    """Basis of {x : m x = 0}, one row per free column of the RREF."""
+    return Subspace(m.cols, kernel_rows(m)[0])
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -874,11 +885,6 @@ class ChainComplex:
         src = self.dims[k] if 0 <= k < len(self.dims) else 0
         tgt = self.dims[k + 1] if 0 <= k + 1 < len(self.dims) else 0
         return Matrix.zero(tgt, src)
-
-    def shift(self, s):
-        """Same data with degrees shifted down by s (degree k of the result
-        holds old degree k+s)."""
-        return ChainComplex(self.min_degree - s, self.dims, self.differentials)
 
     def euler_characteristic(self):
         return sum((-1) ** d * self.dims[d - self.min_degree] for d in self.degrees)

@@ -9,7 +9,12 @@ generator subsets, so coordinates are deterministic across runs.
 one elimination of the relations, each pivoted at its last generator.
 Coordinates are per vertex and sparse: `OSBasis.expand` and
 `FlagDegree.expand` take a hyperplane tuple or a flag to its one vertex,
-a sign, and (basis position, value) pairs in that vertex's space.
+a sign, and (basis position, value) pairs in that vertex's space.  A
+flag space (`FlagBasis`) is itself a presented space; the OS vertex
+spaces are plain ones.  A whole degree lists its vertices in sorted key
+order (`graph.levels(p)`), each space at its running offset
+(`linalg.block_offsets`).  The spaces and degrees are memoized on their
+graph (`arrangement.per_graph`) and dropped with it.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .arrangement import ArrangementGraph
+from .arrangement import ArrangementGraph, per_graph
 from .errors import ParseError, ShapeError
-from .linalg import (ChainComplex, ChainMap, Matrix, Q0, Q1, frac,
-                     image_complex, parse_rational, sort_with_sign)
+from .linalg import (ChainComplex, ChainMap, Matrix, Q0, Q1, block_offsets,
+                     frac, image_complex, parse_rational, sort_with_sign)
 
 
 class _PresentedSpace:
@@ -131,12 +136,8 @@ class OSBasis:
         self.spaces = {vk: _PresentedSpace(per_vertex_gens[vk], rel_rows[vk])
                        for vk in self.vertex_keys}
         self._vertex_of = {t: vk for vk, gens in per_vertex_gens.items() for t in gens}
-        self.offsets = {}
-        total = 0
-        for vk in self.vertex_keys:
-            self.offsets[vk] = total
-            total += self.spaces[vk].dim
-        self.dim = total
+        self.offsets, self.dim = block_offsets(self.vertex_keys,
+                                               lambda vk: self.spaces[vk].dim)
 
     @property
     def generators(self):
@@ -160,43 +161,34 @@ class OSBasis:
         return vk, sign, self.spaces[vk].coords(srt)
 
 
+@per_graph
 def _combination_vertices(graph: ArrangementGraph, size):
     """{sorted hyperplane index tuple of this size: key of its intersection
     vertex}, in lexicographic order, for the tuples that meet.  Each tuple's
-    vertex is the wedge of its prefix's vertex with its last hyperplane;
-    kept per graph."""
-    cache = _graph_cache(graph)
-    if ("combinations", size) not in cache:
-        if size == 0:
-            out = {(): graph.top()}
-        else:
-            n = graph.arrangement.size
-            out = {}
-            for comb, vk in _combination_vertices(graph, size - 1).items():
-                for j in range(comb[-1] + 1 if comb else 1, n + 1):
-                    wk = graph.wedge_key(vk, (j,))
-                    if wk is not None:
-                        out[comb + (j,)] = wk
-        cache[("combinations", size)] = out
-    return cache[("combinations", size)]
+    vertex is the wedge of its prefix's vertex with its last hyperplane."""
+    if size == 0:
+        return {(): graph.top()}
+    n = graph.arrangement.size
+    out = {}
+    for comb, vk in _combination_vertices(graph, size - 1).items():
+        for j in range(comb[-1] + 1 if comb else 1, n + 1):
+            wk = graph.wedge_key(vk, (j,))
+            if wk is not None:
+                out[comb + (j,)] = wk
+    return out
 
 
+@per_graph
 def os_space(graph: ArrangementGraph, p) -> OSBasis:
-    cache = _graph_cache(graph)
-    if ("os", p) not in cache:
-        cache[("os", p)] = OSBasis(graph, p)
-    return cache[("os", p)]
+    return OSBasis(graph, p)
 
 
-class FlagBasis:
+class FlagBasis(_PresentedSpace):
     """The flag space of one vertex: complete flags from the open stratum
     down to the vertex, modulo the incomplete-flag relations."""
 
     def __init__(self, graph, vertex_key):
-        self.graph = graph
-        self.vertex_key = vertex_key
         p = graph.level[vertex_key]
-        self.degree = p
         flags = []
         top = graph.top()
 
@@ -224,27 +216,12 @@ class FlagBasis:
                 if idx is not None:
                     row[idx] = row.get(idx, Q0) + Q1
             rel_rows.append(row)
-        self.space = _PresentedSpace(flags, rel_rows)
-
-    @property
-    def generators(self):
-        return self.space.generators
-
-    @property
-    def basis(self):
-        return self.space.basis
-
-    @property
-    def dim(self):
-        return self.space.dim
+        super().__init__(flags, rel_rows)
 
 
-def flag_space(graph, vertex) -> FlagBasis:
-    vk = graph.key(vertex)
-    cache = _graph_cache(graph)
-    if ("flag", vk) not in cache:
-        cache[("flag", vk)] = FlagBasis(graph, vk)
-    return cache[("flag", vk)]
+@per_graph
+def flag_space(graph, vertex_key) -> FlagBasis:
+    return FlagBasis(graph, vertex_key)
 
 
 class FlagDegree:
@@ -258,31 +235,17 @@ class FlagDegree:
         self.degree = p
         self.vertex_keys = graph.levels(p)
         self.spaces = {vk: flag_space(graph, vk) for vk in self.vertex_keys}
-        self.offsets = {}
-        total = 0
-        for vk in self.vertex_keys:
-            self.offsets[vk] = total
-            total += self.spaces[vk].dim
-        self.dim = total
+        self.offsets, self.dim = block_offsets(self.vertex_keys,
+                                               lambda vk: self.spaces[vk].dim)
 
     def expand(self, flag):
         vk = flag[-1]
-        return vk, 1, self.spaces[vk].space.coords(flag)
+        return vk, 1, self.spaces[vk].coords(flag)
 
 
+@per_graph
 def flag_degree(graph, p) -> FlagDegree:
-    cache = _graph_cache(graph)
-    if ("flagdeg", p) not in cache:
-        cache[("flagdeg", p)] = FlagDegree(graph, p)
-    return cache[("flagdeg", p)]
-
-
-def _graph_cache(graph):
-    cache = getattr(graph, "_quiverarr_cache", None)
-    if cache is None:
-        cache = {}
-        graph._quiverarr_cache = cache
-    return cache
+    return FlagDegree(graph, p)
 
 
 def flag_complex(graph) -> ChainComplex:

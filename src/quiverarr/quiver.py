@@ -18,12 +18,12 @@ from functools import cached_property
 
 from .arrangement import (AdmissibleGraph, ArrangementGraph, TruncatedGraph,
                           format_vertex_key, parse_vertex_key, truncated_graph)
-from .errors import (InvalidQuiverError, MissingLoopError, ParseError,
-                     ShapeError)
+from .errors import (InvalidComplexError, InvalidQuiverError,
+                     MissingLoopError, ParseError, ShapeError)
 from .linalg import (ChainComplex, Matrix, Q0, Subspace, _int_product,
-                     block_diag, char_poly_of_product, frac, kernel_basis,
-                     parse_rational, poly_format, products_equal,
-                     rational_roots)
+                     block_diag, block_offsets, char_poly_of_product, frac,
+                     kernel_basis, parse_rational, poly_format,
+                     products_equal, rational_roots)
 
 
 class Quiver:
@@ -65,15 +65,6 @@ class Quiver:
         if m is None:
             return Matrix.zero(self.spaces[a], self.spaces[b])
         return m
-
-    def vertices(self):
-        return self.graph.vertices
-
-    def down(self, v):
-        return self.graph.down(v)
-
-    def up(self, v):
-        return self.graph.up(v)
 
     def total_dim(self):
         return sum(self.spaces.values())
@@ -213,8 +204,8 @@ def check_quiver(v: Quiver):
     top = len(by_level) - 1
     offset = {}
     level_dim = []
-    for p in range(top + 1):
-        offs, total = vertex_offsets(v, p)
+    for keys in by_level:
+        offs, total = block_offsets(keys, v.dim)
         offset.update(offs)
         level_dim.append(total)
     down = [_level_map(v, by_level[p + 1], by_level[p]) for p in range(top)]
@@ -348,11 +339,10 @@ def sign_conjugate(v):
 # -- complexes --------------------------------------------------------------------
 
 def _level_blocks(v: Quiver):
+    """The vertex keys of each level, in the graph's (sorted) order: the
+    block order of C(V) in every degree."""
     g = v.graph
-    lv = g.level
-    top = max(lv[k] for k in g.vertices)
-    by_level = [sorted([k for k in g.vertices if lv[k] == p]) for p in range(top + 1)]
-    return by_level
+    return [g.levels(p) for p in range(max(g.level.values()) + 1)]
 
 
 def c_plus(v: Quiver) -> ChainComplex:
@@ -367,7 +357,6 @@ def c_minus(v: Quiver) -> ChainComplex:
 
 
 def _complex_from(v, downward):
-    from .errors import InvalidComplexError
     by_level = _level_blocks(v)
     dims = [sum(v.dim(k) for k in level) for level in by_level]
     diffs = []
@@ -399,17 +388,6 @@ def _level_map(v, tgt, src):
     return Matrix._raw(sum(v.spaces[t] for t in tgt), sum(widths), tuple(out))
 
 
-def vertex_offsets(v: Quiver, level):
-    """Offset of each level-`level` vertex inside its C(V) degree block."""
-    keys = sorted([k for k in v.graph.vertices if v.graph.level[k] == level])
-    out = {}
-    pos = 0
-    for k in keys:
-        out[k] = pos
-        pos += v.dim(k)
-    return out, pos
-
-
 # -- local and monodromy operators ---------------------------------------------------
 
 class LocalOps:
@@ -418,12 +396,11 @@ class LocalOps:
     (X, Y)) and formed only when read, since their char polys come from
     the smaller product Y X (`linalg.char_poly_of_product`)."""
 
-    def __init__(self, S, T_factors, Tbar_factors, stilde, up_keys):
+    def __init__(self, S, T_factors, Tbar_factors, stilde):
         self.S = S
         self.T_factors = T_factors
         self.Tbar_factors = Tbar_factors
         self._stilde = stilde
-        self.up_keys = up_keys
 
     @cached_property
     def T(self):
@@ -442,7 +419,7 @@ class LocalOps:
 
 def local_ops(v: Quiver, beta) -> LocalOps:
     """S, T, Tbar, Stilde at a vertex; T and Tbar act on the sum of the
-    spaces one level up, in sorted vertex order.
+    spaces one level up, in the graph's (sorted) order of `up`.
 
     Each operator is one product of two level-to-level map matrices (see
     `_level_map`): with R the maps from the spaces above back to beta and
@@ -450,11 +427,11 @@ def local_ops(v: Quiver, beta) -> LocalOps:
     through the spaces two levels up."""
     g = v.graph
     b = g.key(beta)
-    ups = sorted(g.up(b))
+    ups = g.up(b)
     tops = sorted({d for a in ups for d in g.up(a)})
     r, c = _level_map(v, [b], ups), _level_map(v, ups, [b])
     tbar = (_level_map(v, ups, tops), _level_map(v, tops, ups))
-    return LocalOps(r * c, (c, r), tbar, lambda: _stilde(v, b), tuple(ups))
+    return LocalOps(r * c, (c, r), tbar, lambda: _stilde(v, b))
 
 
 def _through(v: Quiver, b, keys):
@@ -546,10 +523,15 @@ def check_nonresonance_class(v: Quiver):
 
 # -- Hom spaces ------------------------------------------------------------------
 
+def hom_offsets(v: Quiver, w: Quiver):
+    """The layout of hom coordinates: per vertex in canonical order, the
+    w.dim x v.dim entries of its component row-major, at its offset."""
+    return block_offsets(v.graph.vertices, lambda k: w.dim(k) * v.dim(k))
+
+
 def hom_space(v: Quiver, w: Quiver) -> Subspace:
     """The solution space of all intertwining equations for morphisms
-    v -> w, in coordinates running over vertices in canonical order and
-    the entries of each component row-major."""
+    v -> w, in the coordinates of `hom_offsets`."""
     g = v.graph
     if w.graph is not g and w.graph.vertices != g.vertices:
         raise ShapeError("hom between quivers on different graphs")
@@ -557,11 +539,7 @@ def hom_space(v: Quiver, w: Quiver) -> Subspace:
         raise ShapeError("hom between quivers of different kinds")
     if isinstance(v, LevelQuiver) and v.level != w.level:
         raise ShapeError("hom between quivers of different levels")
-    offsets = {}
-    total = 0
-    for k in g.vertices:
-        offsets[k] = total
-        total += w.dim(k) * v.dim(k)
+    offsets, total = hom_offsets(v, w)
     rows = []
 
     def add_equations(A, Ap, a, b):
@@ -586,14 +564,9 @@ def hom_space(v: Quiver, w: Quiver) -> Subspace:
 
 def morphism_from_coords(v: Quiver, w: Quiver, coords, check=True) -> QuiverMorphism:
     """Materialize a morphism from a hom_space coordinate vector."""
-    g = v.graph
-    components = {}
-    pos = 0
-    for k in g.vertices:
-        n = w.dim(k) * v.dim(k)
-        block = coords[pos:pos + n]
-        components[k] = Matrix(w.dim(k), v.dim(k), block)
-        pos += n
+    offsets, _ = hom_offsets(v, w)
+    components = {k: Matrix(w.dim(k), v.dim(k), coords[o:o + w.dim(k) * v.dim(k)])
+                  for k, o in offsets.items()}
     return QuiverMorphism(v, w, components, check=check)
 
 

@@ -15,7 +15,7 @@ from .equivariant import (AffineMap, EquivariantLevelZero, build_action,
                           generator_kernels)
 from .functors import (fourier_dual, j0_shriek, j0_star, macpherson,
                        push_shriek, push_star, restrict)
-from .linalg import Matrix, Q0, Q1, char_poly, image_basis, rank
+from .linalg import Matrix, Q0, Q1, char_poly, image_basis, poly_mul, rank
 from .liecheck import KZInstance, kz_check, kz_exponents
 from .oscomplex import (ExponentAssignment, aomoto_complex, duality_pairing,
                         flag_complex, flag_degree, os_space)
@@ -119,7 +119,6 @@ def check_spectrum_laws(seed):
             lam_inf = sum((s.of(j) for j in range(1, g.arrangement.size + 1)), Q0)
             total = v.total_dim()
             expect = (Fraction(1),)
-            from .linalg import poly_mul
             for _ in range(total):
                 expect = poly_mul(expect, (-lam_inf, Fraction(1)))
             assert p == expect, name

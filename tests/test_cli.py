@@ -183,6 +183,31 @@ def test_specialize_command(files, capsys, tmp_path):
     assert code == 2
 
 
+def test_perverse_takes_a_full_quiver(files, capsys, tmp_path):
+    """A level quiver, the scalar one of an exponent assignment or a
+    stored level-1 one, is a usage error, not a non-central arrangement;
+    the same quiver pushed to the top and stored as a full one runs."""
+    message = "the perverse model takes a full quiver, not a level quiver"
+    code, err = run_failing(capsys, "cohomology", files["three.arr"], "--model", "perverse",
+                            "--exp", files["sl2.exp"])
+    assert code == 2 and message in err
+    qvr = tmp_path / "v.qvr"
+    code, level1 = run(capsys, "push-star", files["three.arr"], "--exp", files["sl2.exp"],
+                       "--level", "1")
+    qvr.write_text(json.dumps(level1))
+    code, err = run_failing(capsys, "cohomology", files["three.arr"], "--model", "perverse",
+                            "--qvr", str(qvr))
+    assert code == 2 and message in err
+    code, full = run(capsys, "push-star", files["three.arr"], "--exp", files["sl2.exp"])
+    full.pop("witness")
+    full.pop("loops")
+    full["level"] = None
+    qvr.write_text(json.dumps(full))
+    code, out = run(capsys, "cohomology", files["three.arr"], "--model", "perverse",
+                    "--qvr", str(qvr))
+    assert code == 0 and out["model"] == "perverse"
+
+
 def test_fourier_command(files, capsys):
     code, out = run(capsys, "fourier", files["single.arr"], "--exp", files["zero.exp"])
     assert code == 2  # fourier needs a full quiver, the exp gives level 0

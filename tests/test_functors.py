@@ -13,12 +13,12 @@ from quiverarr.functors import (
     restrict, s0, s_general, shapovalov_form, spec_nonres_ops, specialize,
     unique_morphism_restricting_to_identity,
 )
-from quiverarr.linalg import Matrix, rank
+from quiverarr.linalg import Matrix, block_offsets, rank
 from quiverarr.oscomplex import (ExponentAssignment, aomoto_complex, flag_complex,
-                                 flag_space, shapovalov_scalar)
+                                 flag_degree, flag_space, os_space, shapovalov_scalar)
 from quiverarr.quiver import (
-    LevelQuiver, Quiver, QuiverMorphism, c_plus, check_quiver, dual,
-    dual_level, hom_space, level_zero_quiver, local_ops,
+    LevelQuiver, Quiver, QuiverMorphism, _level_blocks, c_plus, check_quiver,
+    dual, dual_level, hom_space, level_zero_quiver, local_ops,
     morphism_from_coords,
 )
 
@@ -399,10 +399,10 @@ def test_shapovalov_form_symmetric_for_commuting_ops():
 
     # form(F, F') = sum over the OS basis b of coords(s0 F)[b] <b, F'>
     def form_via_pairing(fa, fbp):
-        ca = fb.space.coords_of_generator(fa)
+        ca = fb.coords_of_generator(fa)
         out = Matrix.zero(dw, dw)
         for osi in range(fb.dim):
-            coeff = sum((pair[osi, j] * fb.space.coords_of_generator(fbp)[j]
+            coeff = sum((pair[osi, j] * fb.coords_of_generator(fbp)[j]
                          for j in range(fb.dim)),
                         Fraction(0))
             if coeff == 0:
@@ -663,6 +663,51 @@ def test_cutoff_candidates_walk_is_the_scan_on_the_corpus(name):
 @given(random_arrangements())
 def test_cutoff_candidates_walk_is_the_scan_on_random_arrangements(arr):
     assert_cutoff_walk_is_the_scan(build_graph(arr))
+
+
+# -- one vertex-space layout ------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_os_flag_and_c_plus_share_one_layout(name):
+    """Per degree p, the OS degree, the flag degree and C+ of the *
+    direct image list the same vertices in the same order; C+ puts each
+    vertex's block at its OS offset times dim W, and its differential
+    holds every map A_{b2,b} at those offsets."""
+    g = graph(name)
+    values = {j: Fraction(j, 7) for j in range(1, g.arrangement.size + 1)}
+    for dim, seed in ((1, None), (2, 5)):
+        q = j0_star(g, scalar_family_level0(g, values, dim=dim, seed=seed))
+        c = c_plus(q)
+        blocks = _level_blocks(q)
+        layout = [block_offsets(keys, q.dim) for keys in blocks]
+        for p, (offsets, total) in enumerate(layout):
+            osd = os_space(g, p)
+            assert osd.vertex_keys == flag_degree(g, p).vertex_keys == blocks[p]
+            assert offsets == {k: o * dim for k, o in osd.offsets.items()}
+            assert total == osd.dim * dim == c.dims[p]
+        for p, d in enumerate(c.differentials):
+            src, tgt = layout[p][0], layout[p + 1][0]
+            for b in blocks[p]:
+                for b2 in g.down(b):
+                    rows = range(tgt[b2], tgt[b2] + q.dim(b2))
+                    assert d.submatrix(rows, range(src[b], src[b] + q.dim(b))) == q.map(b2, b)
+
+
+def test_only_per_graph_and_the_word_table_use_the_graph_memo():
+    """The graph's memo is made by the graph and written only by the
+    `per_graph` decorator and by `_word_table`'s last-quiver policy."""
+    import ast
+    from pathlib import Path
+
+    import quiverarr
+    users = set()
+    for path in Path(quiverarr.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "memo" for n in ast.walk(fn)):
+                users.add((path.name, fn.name))
+    assert users == {("arrangement.py", "__init__"), ("arrangement.py", "per_graph"),
+                     ("arrangement.py", "memoized"), ("functors.py", "_word_table")}
 
 
 # -- one column assembler ---------------------------------------------------------

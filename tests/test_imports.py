@@ -34,6 +34,35 @@ def test_unused_import_is_caught():
     assert unused_imports("import os\nfrom a import b as c, d\nd()\n") == [(1, "os"), (2, "c")]
 
 
+# -- no function re-imports a sibling module imported at top level -------------------
+
+def local_reimports(source):
+    """(line, module) of every relative import inside a function from a
+    module that the file already imports from at top level."""
+    tree = ast.parse(source)
+    top = {(n.level, n.module) for n in tree.body
+           if isinstance(n, ast.ImportFrom) and n.level}
+    funcs = [n for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = {(n.lineno, n.module) for f in funcs for n in ast.walk(f)
+             if isinstance(n, ast.ImportFrom) and (n.level, n.module) in top}
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_local_reimport_of_a_top_level_import(path):
+    assert local_reimports(path.read_text(encoding="utf-8")) == []
+
+
+def test_local_reimport_is_caught():
+    source = ("from .a import x\nfrom . import c\n\n"
+              "def f():\n    from .a import y\n    return x, y\n\n"
+              "class C:\n    def g(self):\n        def h():\n"
+              "            from . import c\n        from .b import z\n"
+              "        return h, z\n")
+    assert local_reimports(source) == [(5, "a"), (11, None)]
+
+
 # -- every function and method is referenced -----------------------------------------
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from quiverarr.errors import InvalidComplexError, ShapeError
 from quiverarr.linalg import (
-    ChainComplex, ChainMap, Matrix, betti, char_poly, det, image_basis,
-    image_complex, integer_roots, kernel_basis, poly_eval, poly_format,
-    poly_mod, poly_monic, poly_mul, poly_sub, rank, rational_roots, rref,
-    solve, solve_matrix,
+    ChainComplex, ChainMap, Matrix, betti, block_offsets, char_poly, det,
+    image_basis, image_complex, integer_roots, kernel_basis, kernel_rows,
+    poly_eval, poly_format, poly_mod, poly_monic, poly_mul, poly_sub, rank,
+    rational_roots, rref, solve, solve_matrix,
 )
 
 
@@ -62,6 +62,24 @@ def test_kernel_of_sum_functional():
     assert k.dim == 1
     v = k.basis.row(0)
     assert v[0] + v[1] == 0 and v != (0, 0)
+
+
+def test_kernel_rows_at_the_free_columns():
+    m = M([[1, 2, 3], [2, 4, 7]])
+    rows, free = kernel_rows(m)
+    assert free == [1]
+    assert rows == M([[-2, 1, 0]])
+    assert (m * rows.transpose()).is_zero()
+    rows, free = kernel_rows(Matrix.zero(0, 2))
+    assert (rows, free) == (Matrix.identity(2), [0, 1])
+
+
+def test_block_offsets_in_key_order():
+    sizes = {"a": 2, "b": 0, "c": 3, "d": 0}
+    assert block_offsets([], sizes.get) == ({}, 0)
+    assert block_offsets(["b", "d"], sizes.get) == ({"b": 0, "d": 0}, 0)
+    assert block_offsets("abcd", sizes.get) == ({"a": 0, "b": 2, "c": 2, "d": 5}, 5)
+    assert block_offsets("dcba", sizes.get) == ({"d": 0, "c": 0, "b": 3, "a": 3}, 5)
 
 
 def test_solve_underdetermined():

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -64,11 +66,11 @@ def test_three_lines_flag_space():
     g = graph("three_lines")
     fb = flag_space(g, (1, 2, 3))
     assert len(fb.generators) == 3
-    assert fb.space.relation_space.rows == 1
+    assert fb.relation_space.rows == 1
     assert fb.dim == 2
     # the dropped flag is minus the sum of the two basis flags
     last = fb.generators[-1]
-    assert fb.space.coords_of_generator(last) == (Fraction(-1), Fraction(-1))
+    assert fb.coords_of_generator(last) == (Fraction(-1), Fraction(-1))
     assert flag_degree(g, 2).expand(last) == (
         (1, 2, 3), 1, ((0, Fraction(-1)), (1, Fraction(-1))))
 
@@ -83,6 +85,24 @@ def test_boolean2_deep_flag_space():
     fb = flag_space(g, (1, 2))
     assert len(fb.generators) == 2
     assert fb.dim == 1
+
+
+def test_spaces_live_and_die_with_their_graph():
+    """The OS and flag spaces are kept on the graph that built them: the
+    same objects while it lives, new ones for a new graph, and gone once
+    it is dropped (no module-level or lru_cache memo keeps them)."""
+    g = graph("c13")
+    deep = g.levels(g.max_level)[0]
+    os1, fl = os_space(g, 1), flag_space(g, deep)
+    assert os_space(g, 1) is os1 and flag_space(g, deep) is fl
+    assert flag_degree(g, 1) is flag_degree(g, 1)
+    g2 = graph("c13")
+    assert os_space(g2, 1) is not os1 and flag_space(g2, deep) is not fl
+    assert os_space(g2, 1).basis == os1.basis and flag_space(g2, deep).basis == fl.basis
+    refs = [weakref.ref(os1), weakref.ref(fl)]
+    del g, os1, fl
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_flag_complex_three_lines():

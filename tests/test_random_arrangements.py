@@ -128,7 +128,7 @@ def test_sparse_expansion_is_the_dense_whole_degree_vector(arr):
         for vk in fd.vertex_keys:
             for f in fd.spaces[vk].generators:
                 dense = [Q0] * fd.dim
-                coords = fd.spaces[vk].space.coords_of_generator(f)
+                coords = fd.spaces[vk].coords_of_generator(f)
                 dense[fd.offsets[vk]:fd.offsets[vk] + len(coords)] = coords
                 assert densify(fd, *fd.expand(f)) == dense
 

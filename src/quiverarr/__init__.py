@@ -52,7 +52,7 @@ from .oscomplex import (ExponentAssignment, FlagBasis, OSBasis,
                         parse_exponents, shapovalov_scalar)
 from .quiver import (LevelQuiver, Quiver, QuiverMorphism, Spectrum, c_minus,
                      c_plus, check_nonresonance_class, check_quiver, dual,
-                     dual_level, global_S, hom_space, is_nonresonant_spectrum,
+                     global_S, hom_space, is_nonresonant_spectrum,
                      level_zero_quiver, local_ops, parse_quiver,
                      quiver_to_json, spectrum_lambda)
 

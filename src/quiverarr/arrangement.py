@@ -3,9 +3,11 @@
 An arrangement in C^N determines a labeled graph: vertices are the
 nonempty intersections of hyperplanes (closed strata), labeled by their
 codimension, with edges between strata adjacent in codimension one.  This
-module builds that graph, its truncations (which carry loops), the
-specialization graph at a stratum of a central arrangement, and the
-discriminantal family.
+module builds that graph, its truncations, the specialization graph at a
+stratum of a central arrangement, and the discriminantal family.  The
+level-n truncation is a graph of the same kind (`TruncatedGraph`, an
+`AdmissibleGraph` on the strata of level <= n and the edges among them)
+that also lists its loops, one per edge from level n to level n+1.
 
 A vertex is identified by its *maximal* set of hyperplane indices: every
 hyperplane containing the stratum is listed.  Hyperplane indices are
@@ -363,9 +365,11 @@ def epsilon(g: AdmissibleGraph, a, b):
     return g.epsilon(a, b)
 
 
-class TruncatedGraph:
-    """The level-n truncation: vertices of level <= n, inherited edges,
-    plus one loop (a, a)^b per pair a > b with level(a) = n.
+class TruncatedGraph(AdmissibleGraph):
+    """The level-n truncation: the vertices of level <= n of a full graph
+    and the edges among them, plus one loop (a, a)^b per pair a > b with
+    level(a) = n.  `loops` lists them in the order of the full graph's
+    levels and `down`, as the keys of a dict.
 
     Keeps the full graph around: the defining relations of level-n quivers
     read the adjacency of levels n+1 and n+2."""
@@ -373,29 +377,9 @@ class TruncatedGraph:
     def __init__(self, full: AdmissibleGraph, n):
         self.full = full
         self.n = n
-        self.level = {v: l for v, l in full.level.items() if l <= n}
-        self.vertices = tuple(v for v in full.vertices if full.level[v] <= n)
-        self.edges = {e for e in full.edges
-                      if all(full.level[v] <= n for v in e)}
-        self.loops = tuple((a, b) for a in full.levels(n) for b in full.down(a))
-
-    def key(self, v):
-        return self.full.key(v)
-
-    def adjacent(self, a, b):
-        return frozenset((self.key(a), self.key(b))) in self.edges
-
-    def epsilon(self, a, b):
-        return self.full.epsilon(a, b)
-
-    def down(self, v):
-        return [w for w in self.full.down(v) if self.full.level[w] <= self.n]
-
-    def up(self, v):
-        return self.full.up(v)
-
-    def levels(self, k):
-        return [v for v in self.vertices if self.level[v] == k]
+        super().__init__({v: l for v, l in full.level.items() if l <= n},
+                         [e for e in full.edges if all(full.level[v] <= n for v in e)])
+        self.loops = dict.fromkeys((a, b) for a in full.levels(n) for b in full.down(a))
 
     def __repr__(self):
         return (f"TruncatedGraph(level {self.n}: {len(self.vertices)} vertices, "

@@ -160,9 +160,18 @@ def cmd_push(args, star):
                    else "none (the input is at the top level)")
         raise ParseError(f"--level {target} is out of range for a level-{v.level} "
                          f"input: allowed {allowed}")
-    witness = None
-    while v.level < target:
-        v, witness = (push_star_step if star else push_shriek_step)(v)
+    step = push_star_step if star else push_shriek_step
+    source, witness = v, None
+    try:
+        while v.level < target:
+            v, witness = step(v)
+    except InternalInconsistencyError:
+        # a step that cannot be carried out on an input breaking its
+        # relations is the input's fault, not an internal one
+        bad = check_quiver(source)
+        if bad:
+            raise InvalidQuiverError(f"input quiver relations fail: {bad[:5]}")
+        raise
     return quiver_to_json(v, witness=witness.to_json() if witness else None)
 
 

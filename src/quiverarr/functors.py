@@ -41,8 +41,8 @@ from .linalg import (Matrix, Q0, _int_product, block_diag, block_offsets,
                      sort_with_sign)
 from .oscomplex import flag_space, os_space
 from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _format_key,
-                     _level_map, _matrix_json, check_quiver, hom_offsets,
-                     hom_space, morphism_from_coords)
+                     _level_map, _loop_sum, _matrix_json, _through, check_quiver,
+                     hom_offsets, hom_space, morphism_from_coords)
 
 
 class SubquotientWitness:
@@ -82,18 +82,16 @@ def restrict(v, k) -> LevelQuiver:
     for (a, b), m in v.maps.items():
         if full.level[a] <= k and full.level[b] <= k:
             maps[(a, b)] = m
-    loops = {}
-    for (at, via) in t.loops:
-        loops[(at, via)] = v.map(at, via) * v.map(via, at)
+    loops = {(at, via): _through(v, at, [via]) for (at, via) in t.loops}
     return LevelQuiver(t, spaces, maps, loops)
 
 
 def _full_graph(v):
-    return v.tgraph.full if isinstance(v, LevelQuiver) else v.graph
+    return v.graph.full if isinstance(v, LevelQuiver) else v.graph
 
 
 def _level_of(v, full):
-    return v.level if isinstance(v, LevelQuiver) else max(full.level.values())
+    return v.level if isinstance(v, LevelQuiver) else full.max_level
 
 
 def as_level_quiver(v) -> LevelQuiver:
@@ -101,7 +99,7 @@ def as_level_quiver(v) -> LevelQuiver:
     if isinstance(v, LevelQuiver):
         return v
     full = v.graph
-    t = TruncatedGraph(full, max(full.level.values()))
+    t = TruncatedGraph(full, full.max_level)
     return LevelQuiver(t, dict(v.spaces), dict(v.maps), {})
 
 
@@ -126,9 +124,10 @@ class _Boundary(NamedTuple):
 
 
 def _boundary(v: LevelQuiver, beta) -> _Boundary:
-    ups = v.tgraph.full.up(beta)
+    full = v.graph.full
+    ups = full.up(beta)
     offsets, ambient = block_offsets(ups, v.dim)
-    deltas = sorted({d for g in ups for d in v.tgraph.full.up(g)})
+    deltas = sorted({d for g in ups for d in full.up(g)})
     return _Boundary(ups, offsets, ambient, _level_map(v, deltas, ups),
                      _level_map(v, ups, deltas))
 
@@ -151,15 +150,10 @@ def _boundary_op(v: LevelQuiver, beta, bd: _Boundary) -> Matrix:
 def _loop_sum_ambient(v, bd: _Boundary, beta, c):
     """The block-diagonal operator sum of the input loops A_g^d over
     d != beta with g > d > c, acting on the ambient sum of bd."""
-    full = v.tgraph.full
-    blocks = []
-    for g in bd.ups:
-        acc = Matrix.zero(v.dim(g), v.dim(g))
-        for d in full.down(g):
-            if d != beta and full.adjacent(d, c):
-                acc = acc + v.loop(g, d)
-        blocks.append(acc)
-    return block_diag(blocks)
+    full = v.graph.full
+    return block_diag([_loop_sum(v, g, [d for d in full.down(g)
+                                        if d != beta and full.adjacent(d, c)])
+                       for g in bd.ups])
 
 
 def push_star_step(v: LevelQuiver):
@@ -167,12 +161,12 @@ def push_star_step(v: LevelQuiver):
     the subspace of the sum one level up cut out by the downward relations.
     The downward maps into a new vertex come from one solve against its
     inclusion.  Returns (level quiver, witness)."""
-    full = v.tgraph.full
+    full = v.graph.full
     n = v.level + 1
-    if n > max(full.level.values()):
+    if n > full.max_level:
         raise ShapeError("no deeper level to push to")
     t = TruncatedGraph(full, n)
-    spaces = {a: v.dim(a) for a in v.tgraph.vertices}
+    spaces = {a: v.dim(a) for a in v.graph.vertices}
     maps = {k: m for k, m in v.maps.items()}
     witness = SubquotientWitness()
     incl = {}
@@ -210,12 +204,12 @@ def push_shriek_step(v: LevelQuiver):
     the quotient of the sum one level up by the images of the downward
     maps (the columns of `_Boundary.down`).  Returns (level quiver,
     witness)."""
-    full = v.tgraph.full
+    full = v.graph.full
     n = v.level + 1
-    if n > max(full.level.values()):
+    if n > full.max_level:
         raise ShapeError("no deeper level to push to")
     t = TruncatedGraph(full, n)
-    spaces = {a: v.dim(a) for a in v.tgraph.vertices}
+    spaces = {a: v.dim(a) for a in v.graph.vertices}
     maps = {k: m for k, m in v.maps.items()}
     witness = SubquotientWitness()
     quo = {}
@@ -256,8 +250,8 @@ def push_shriek_step(v: LevelQuiver):
 
 def push_star(v: LevelQuiver, l) -> LevelQuiver:
     """Iterated one-step * direct image up to level l."""
-    v = as_level_quiver(v) if not isinstance(v, LevelQuiver) else v
-    if not v.level < l <= max(v.tgraph.full.level.values()):
+    v = as_level_quiver(v)
+    if not v.level < l <= v.graph.full.max_level:
         raise ShapeError(f"bad target level {l}")
     while v.level < l:
         v, _ = push_star_step(v)
@@ -266,8 +260,8 @@ def push_star(v: LevelQuiver, l) -> LevelQuiver:
 
 def push_shriek(v: LevelQuiver, l) -> LevelQuiver:
     """Iterated one-step ! direct image up to level l."""
-    v = as_level_quiver(v) if not isinstance(v, LevelQuiver) else v
-    if not v.level < l <= max(v.tgraph.full.level.values()):
+    v = as_level_quiver(v)
+    if not v.level < l <= v.graph.full.max_level:
         raise ShapeError(f"bad target level {l}")
     while v.level < l:
         v, _ = push_shriek_step(v)
@@ -283,8 +277,8 @@ def adjoint_transport(u: LevelQuiver, phi: QuiverMorphism) -> QuiverMorphism:
     if v.level != n - 1:
         raise ShapeError("adjoint_transport needs a morphism at one level down")
     w, _ = push_star_step(v)
-    full = u.tgraph.full
-    comps = {a: phi.component(a) for a in v.tgraph.vertices}
+    full = u.graph.full
+    comps = {a: phi.component(a) for a in v.graph.vertices}
     for beta in full.levels(n):
         bd = _boundary(v, beta)
         blocks = [phi.component(a) * u.map(a, beta) for a in bd.ups]
@@ -509,9 +503,8 @@ def _s0_structure(graph):
         osd = os_space(graph, m)
         entries = []
         for f in flag_space(graph, a).basis:
-            id_sets = [graph.vertex(f[k]).id for k in range(1, m + 1)]
             terms = []
-            for tup in product(*id_sets):
+            for tup in product(*f[1:]):
                 vk, sign, coords = osd.expand(tup)
                 if vk == a and coords:
                     terms.append((tup, _signed(sign, coords)))
@@ -682,14 +675,9 @@ def spec_nonres_ops(v: Quiver, alpha):
     if not g.is_central():
         raise UnsupportedError("specialization requires a central arrangement")
     a = g.vertex(g.key(alpha)).id
-    out = {}
-    for b in g.vertices:
-        acc = Matrix.zero(v.dim(b), v.dim(b))
-        for c in list(g.up(b)) + list(g.down(b)):
-            if g.wedge_key(a, c) == g.wedge_key(b, c):
-                acc = acc + v.map(b, c) * v.map(c, b)
-        out[b] = acc
-    return out
+    return {b: _through(v, b, [c for c in list(g.up(b)) + list(g.down(b))
+                               if g.wedge_key(a, c) == g.wedge_key(b, c)])
+            for b in g.vertices}
 
 
 def spec_nonres_report(v: Quiver, alpha):

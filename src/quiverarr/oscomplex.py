@@ -113,7 +113,6 @@ class OSBasis:
     vertex spaces in `vertex_keys` order, at `offsets`."""
 
     def __init__(self, graph: ArrangementGraph, p):
-        self.graph = graph
         self.degree = p
         self.vertex_keys = graph.levels(p)
         per_vertex_gens = {vk: [] for vk in self.vertex_keys}
@@ -231,7 +230,6 @@ class FlagDegree:
     in that vertex's flag space)."""
 
     def __init__(self, graph, p):
-        self.graph = graph
         self.degree = p
         self.vertex_keys = graph.levels(p)
         self.spaces = {vk: flag_space(graph, vk) for vk in self.vertex_keys}
@@ -332,18 +330,19 @@ def duality_pairing(os: OSBasis, fl: FlagDegree) -> Matrix:
     rows = []
     flag_basis = [f for vk in fl.vertex_keys for f in fl.spaces[vk].basis]
     for t in os.basis:
-        rows.append([_pair_generators(os.graph, t, f) for f in flag_basis])
+        rows.append([_pair_generators(t, f) for f in flag_basis])
     return Matrix.from_rows(rows, cols=fl.dim)
 
 
-def _pair_generators(graph, tup, flag):
+def _pair_generators(tup, flag):
     """<(H_{j_1},..,H_{j_p}), F_{a_0,..,a_p}> = sign of the unique ordering
-    of the tuple tracing the flag, else 0."""
+    of the tuple tracing the flag, else 0.  A flag member is a vertex key,
+    which is its maximal id tuple."""
     p = len(tup)
     remaining = set(tup)
     perm = []
     for k in range(1, p + 1):
-        ids = set(graph.vertex(flag[k]).id)
+        ids = set(flag[k])
         stage = [j for j in tup if j in ids]
         if len(stage) != k:
             return Q0
@@ -370,8 +369,7 @@ def shapovalov_scalar(graph: ArrangementGraph, a: ExponentAssignment) -> ChainMa
         for vk in fd.vertex_keys:
             for flag in fd.spaces[vk].basis:
                 vec = [Q0] * osd.dim
-                id_sets = [graph.vertex(flag[k]).id for k in range(1, p + 1)]
-                for tup in product(*id_sets):
+                for tup in product(*flag[1:]):
                     coef = Q1
                     for j in tup:
                         coef *= a.of(j)

@@ -3,9 +3,14 @@
 A quiver attaches a finite-dimensional Q-vector space to every vertex and
 a matrix to every oriented edge, subject to quadratic relations; a level-n
 quiver lives on the truncated graph and carries an extra loop operator per
-forgotten adjacency.  This module owns the relation checker, the duality
-tau, the complexes C+ and C-, the local and monodromy operators with their
-spectra, non-resonance reports, and Hom spaces.
+forgotten adjacency.  The truncated graph is a graph like the full one, so
+both kinds share one code path: a full quiver carries an empty
+`loop_ops`, the duality tau and the sign conjugation rebuild a quiver of
+the input's kind, every sum of round trips A_{b,a} A_{a,b} at a vertex is
+one product (`_through`) and every sum of loops at a vertex is
+`_loop_sum`.  This module owns the relation checker, the duality tau, the
+complexes C+ and C-, the local and monodromy operators with their spectra,
+non-resonance reports, and Hom spaces.
 
 Maps (and loop operators) absent from the data tables are implicitly zero.
 """
@@ -50,6 +55,7 @@ class Quiver:
                                  f"expected {self.spaces[a]}x{self.spaces[b]}")
             if not m.is_zero():
                 self.maps[(a, b)] = m
+        self.loop_ops = {}
 
     @property
     def level(self):
@@ -76,7 +82,7 @@ class Quiver:
         return (isinstance(other, Quiver) and self.level == other.level
                 and self.graph.vertices == other.graph.vertices
                 and self.spaces == other.spaces and self.maps == other.maps
-                and getattr(self, "loop_ops", {}) == getattr(other, "loop_ops", {}))
+                and self.loop_ops == other.loop_ops)
 
     def __repr__(self):
         return f"Quiver(dims {[self.spaces[v] for v in self.graph.vertices]})"
@@ -86,17 +92,14 @@ class LevelQuiver(Quiver):
     """A quiver of a truncated graph, with loop operators at the boundary
     level."""
 
-    def __init__(self, tgraph: TruncatedGraph, spaces, maps, loop_ops=None):
-        self.tgraph = tgraph
+    def __init__(self, graph: TruncatedGraph, spaces, maps, loop_ops=None):
         # the Quiver checks, against the truncated adjacency
-        super().__init__(tgraph, spaces, maps)
-        loops = set(tgraph.loops)
-        self.loop_ops = {}
+        super().__init__(graph, spaces, maps)
         for (at, via), m in (loop_ops or {}).items():
-            at, via = tgraph.full.key(at), tgraph.full.key(via)
-            if (at, via) not in loops:
+            at, via = graph.key(at), graph.key(via)
+            if (at, via) not in graph.loops:
                 raise MissingLoopError(f"no loop ({at},{at})^{via} in the level-"
-                                       f"{tgraph.n} graph")
+                                       f"{graph.n} graph")
             if (m.rows, m.cols) != (self.spaces[at], self.spaces[at]):
                 raise ShapeError(f"loop {at}^{via} shape mismatch")
             if not m.is_zero():
@@ -104,12 +107,11 @@ class LevelQuiver(Quiver):
 
     @property
     def level(self):
-        return self.tgraph.n
+        return self.graph.n
 
     def loop(self, at, via) -> Matrix:
-        at = self.tgraph.full.key(at)
-        via = self.tgraph.full.key(via)
-        if (at, via) not in set(self.tgraph.loops):
+        at, via = self.graph.key(at), self.graph.key(via)
+        if (at, via) not in self.graph.loops:
             raise MissingLoopError(f"no loop ({at},{at})^{via}")
         m = self.loop_ops.get((at, via))
         if m is None:
@@ -168,7 +170,7 @@ class QuiverMorphism:
                                       self.target.map(a, b), f[b]):
                     out.append((a, b))
         if isinstance(self.source, LevelQuiver):
-            for (at, via) in self.source.tgraph.loops:
+            for (at, via) in g.loops:
                 if not products_equal(f[at], self.source.loop(at, via),
                                       self.target.loop(at, via), f[at]):
                     out.append((at, at, via))
@@ -262,29 +264,25 @@ def _sum_of_products(pairs, rows, cols):
 
 
 def _check_loops(v: LevelQuiver):
+    """Relations (iv) and (v) of the loops.  A loop's via and the c of (v)
+    lie one and two levels past the truncation, so their adjacency is
+    read off the full graph."""
     out = []
-    g = v.tgraph
+    g = v.graph
     full = g.full
-    n = g.n
     for (at, via) in g.loops:
-        for d in full.up(at):
-            mids = [c for c in full.down(d)
-                    if c != at and full.level[c] == n and full.adjacent(c, via)]
-            s = Matrix.zero(v.dim(d), v.dim(d))
-            for c in mids:
-                s = s + v.map(d, c) * v.map(c, d)
+        for d in g.up(at):
+            s = _through(v, d, [c for c in g.down(d) if c != at and full.adjacent(c, via)])
             loop, ad, da = v.loop(at, via), v.map(at, d), v.map(d, at)
             if not products_equal(loop, ad, ad, s):
                 out.append(("(iv)", (at, via, d)))
             if not products_equal(da, loop, s, da):
                 out.append(("(iv)*", (at, via, d)))
-    for at in [k for k in g.vertices if g.level[k] == n]:
+    for at in g.levels(g.n):
         deep = {c for b in full.down(at) for c in full.down(b)}
         for c in deep:
             betas = [b for b in full.down(at) if full.adjacent(b, c)]
-            s = Matrix.zero(v.dim(at), v.dim(at))
-            for b in betas:
-                s = s + v.loop(at, b)
+            s = _loop_sum(v, at, betas)
             for b in betas:
                 lb = v.loop(at, b)
                 if not products_equal(lb, s, s, lb):
@@ -295,45 +293,26 @@ def _check_loops(v: LevelQuiver):
 # -- duality -----------------------------------------------------------------------
 
 def dual(v: Quiver) -> Quiver:
-    """tau: V_alpha -> V_alpha^*, A_{a,b} -> eps(b,a) A_{b,a}^t."""
-    if isinstance(v, LevelQuiver):
-        return dual_level(v)
-    g = v.graph
-    maps = {}
-    for a in g.vertices:
-        for b in _neighbors(g, a):
-            m = v.map(b, a)
-            if not m.is_zero():
-                maps[(a, b)] = m.transpose().scale(g.epsilon(b, a))
-    return Quiver(g, dict(v.spaces), maps)
-
-
-def dual_level(v: LevelQuiver) -> LevelQuiver:
-    g = v.tgraph
-    maps = {}
-    for a in g.vertices:
-        for b in _neighbors(g, a):
-            m = v.map(b, a)
-            if not m.is_zero():
-                maps[(a, b)] = m.transpose().scale(g.full.epsilon(b, a))
-    loops = {}
-    for (at, via) in g.loops:
-        m = v.loop(at, via)
-        if not m.is_zero():
-            loops[(at, via)] = -m.transpose()
-    return LevelQuiver(g, dict(v.spaces), maps, loops)
+    """tau: V_alpha -> V_alpha^*, A_{a,b} -> eps(b,a) A_{b,a}^t, and at
+    level each loop A -> -A^t."""
+    eps = v.graph.epsilon
+    maps = {(b, a): m.transpose().scale(eps(a, b)) for (a, b), m in v.maps.items()}
+    return _same_kind(v, maps, {k: -m.transpose() for k, m in v.loop_ops.items()})
 
 
 def sign_conjugate(v):
     """Conjugation by diag((-1)^level): recovers v from tau(tau(v))."""
-    g = v.graph
-    lv = g.level
-    maps = {}
-    for (a, b), m in v.maps.items():
-        maps[(a, b)] = m.scale(Fraction((-1) ** (lv[a] + lv[b])))
+    lv = v.graph.level
+    maps = {(a, b): m.scale(Fraction((-1) ** (lv[a] + lv[b]))) for (a, b), m in v.maps.items()}
+    return _same_kind(v, maps, dict(v.loop_ops))
+
+
+def _same_kind(v, maps, loop_ops):
+    """A quiver of v's kind on v's graph and spaces, with these maps (and
+    loop operators, at level)."""
     if isinstance(v, LevelQuiver):
-        return LevelQuiver(v.tgraph, dict(v.spaces), maps, dict(v.loop_ops))
-    return Quiver(g, dict(v.spaces), maps)
+        return LevelQuiver(v.graph, dict(v.spaces), maps, loop_ops)
+    return Quiver(v.graph, dict(v.spaces), maps)
 
 
 # -- complexes --------------------------------------------------------------------
@@ -342,7 +321,7 @@ def _level_blocks(v: Quiver):
     """The vertex keys of each level, in the graph's (sorted) order: the
     block order of C(V) in every degree."""
     g = v.graph
-    return [g.levels(p) for p in range(max(g.level.values()) + 1)]
+    return [g.levels(p) for p in range(g.max_level + 1)]
 
 
 def c_plus(v: Quiver) -> ChainComplex:
@@ -439,14 +418,18 @@ def _through(v: Quiver, b, keys):
     return _level_map(v, [b], keys) * _level_map(v, keys, [b])
 
 
+def _loop_sum(v: LevelQuiver, at, vias):
+    """Sum over via in `vias` of the loop A_at^via."""
+    out = Matrix.zero(v.dim(at), v.dim(at))
+    for via in vias:
+        out = out + v.loop(at, via)
+    return out
+
+
 def _stilde(v: Quiver, b):
     g = v.graph
     if isinstance(v, LevelQuiver) and g.level[b] == v.level:
-        out = Matrix.zero(v.dim(b), v.dim(b))
-        for (at, via) in v.tgraph.loops:
-            if at == b:
-                out = out + v.loop(at, via)
-        return out
+        return _loop_sum(v, b, g.full.down(b))
     return _through(v, b, g.down(b))
 
 
@@ -557,7 +540,7 @@ def hom_space(v: Quiver, w: Quiver) -> Subspace:
         for b in _neighbors(g, a):
             add_equations(v.map(a, b), w.map(a, b), a, b)
     if isinstance(v, LevelQuiver):
-        for (at, via) in v.tgraph.loops:
+        for (at, via) in g.loops:
             add_equations(v.loop(at, via), w.loop(at, via), at, at)
     return kernel_basis(Matrix.from_rows(rows, cols=total))
 

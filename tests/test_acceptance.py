@@ -24,7 +24,7 @@ from quiverarr.linalg import Matrix, char_poly, poly_mul, rational_roots
 from quiverarr.oscomplex import (ExponentAssignment, aomoto_complex,
                                  flag_complex, os_space, shapovalov_scalar)
 from quiverarr.quiver import (LevelQuiver, QuiverMorphism, Spectrum, c_plus,
-                              check_quiver, dual, dual_level, global_S,
+                              check_quiver, dual, global_S,
                               hom_space, level_zero_quiver, local_ops,
                               sign_conjugate, spectrum_lambda)
 
@@ -145,7 +145,7 @@ def test_criterion_02_golden_intro_examples():
     assert back.loop((), (1,)) == b
 
     # duality at level zero is the transpose on the loop
-    assert dual_level(w).loop((), (1,)) == -b.transpose()
+    assert dual(w).loop((), (1,)) == -b.transpose()
     plain = Matrix.identity(2)
 
     # level-one ! image
@@ -379,7 +379,7 @@ def test_criterion_08_round_trips():
             assert macpherson(g, w).quiver.spaces == {(): w.dim(())}
         star = j0_star(g, w)
         assert sign_conjugate(dual(dual(star))) == star
-        assert sign_conjugate(dual_level(dual_level(w))) == w
+        assert sign_conjugate(dual(dual(w))) == w
         if g.is_central():
             assert fourier_dual(fourier_dual(star)) == star
     report(8, "restriction, duality, Fourier, and MacPherson round trips "

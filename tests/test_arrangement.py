@@ -7,7 +7,7 @@ from quiverarr import arrangement, corpus, linalg
 from quiverarr.arrangement import (
     Arrangement, Hyperplane, Vertex, build_graph, discriminantal, epsilon,
     format_arrangement, format_vertex_key, leq, parse_arrangement,
-    parse_vertex_key, specialization_graph, truncated_graph,
+    TruncatedGraph, parse_vertex_key, specialization_graph, truncated_graph,
     verify_graph_properties, wedge, _canonicalize,
 )
 from quiverarr.errors import ParseError, ShapeError, UnsupportedError
@@ -178,6 +178,42 @@ def test_truncation_of_any_graph_at_zero_has_loops_per_hyperplane():
         t = truncated_graph(g, 0)
         assert len(t.vertices) == 1
         assert len(t.loops) == arr.size
+
+
+def assert_truncation_is_the_filtered_graph(g):
+    """For every n, TruncatedGraph(g, n) is g filtered to the levels <= n,
+    and its loops are listed as the tuple they were first kept as."""
+    for n in range(g.max_level + 1):
+        t = TruncatedGraph(g, n)
+        keep = [v for v in g.vertices if g.level[v] <= n]
+        assert t.full is g and t.n == n == t.max_level
+        assert t.vertices == tuple(keep)
+        assert t.level == {v: g.level[v] for v in keep}
+        assert t.edges == {e for e in g.edges if all(g.level[v] <= n for v in e)}
+        for k in range(n + 1):
+            assert t.levels(k) == g.levels(k)
+        for a in keep:
+            assert t.up(a) == g.up(a)
+            assert t.down(a) == [b for b in g.down(a) if g.level[b] <= n]
+            for b in keep:
+                assert t.adjacent(a, b) == g.adjacent(a, b)
+                assert t.epsilon(a, b) == g.epsilon(a, b)
+                assert t.geq(a, b) == g.geq(a, b)
+        loops = tuple((a, b) for a in g.levels(n) for b in g.down(a))
+        assert tuple(t.loops) == loops
+        assert all(loop in t.loops for loop in loops)
+        assert not any((b, a) in t.loops for a, b in loops)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_truncation_is_the_filtered_graph_on_the_corpus(name):
+    assert_truncation_is_the_filtered_graph(build_graph(corpus.CORPUS[name]()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_arrangements())
+def test_truncation_is_the_filtered_graph_on_random_arrangements(arr):
+    assert_truncation_is_the_filtered_graph(build_graph(arr))
 
 
 def test_specialization_single_hyperplane_identity():

@@ -150,6 +150,24 @@ def test_push_level_range(files, capsys, tmp_path, command):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["push-star", "push-shriek"])
+def test_push_of_a_quiver_breaking_its_relations_exits_3(files, capsys, tmp_path, command):
+    # a level-1 quiver whose loop (1)^(1,2,3) breaks relation (iv): the
+    # push cannot be formed, and the input, not the program, is at fault
+    qvr = tmp_path / "bad.qvr"
+    qvr.write_text(json.dumps({
+        "level": 1, "spaces": {"()": 1, "(1)": 1, "(2)": 1, "(3)": 1},
+        "maps": [{"from": "()", "to": "(1)", "matrix": [["1"]]},
+                 {"from": "(1)", "to": "()", "matrix": [["1"]]}],
+        "loops": [{"at": "(1)", "via": "(1,2,3)", "matrix": [["5"]]}]}))
+    code, err = run_failing(capsys, command, files["three.arr"], "--qvr", str(qvr))
+    assert code == 3
+    assert err == ("hypothesis violation: input quiver relations fail: "
+                   "[('(iv)', ((1,), (1, 2, 3), ())), ('(iv)*', ((1,), (1, 2, 3), ()))]\n")
+    code, verdict = run(capsys, "check-quiver", files["three.arr"], "--qvr", str(qvr))
+    assert (code, verdict["valid"]) == (0, False)
+
+
 def test_ic_quiver(files, capsys):
     code, out = run(capsys, "ic-quiver", files["three.arr"], "--exp", files["sl2.exp"])
     assert code == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverarr import corpus
 from quiverarr.arrangement import build_graph
@@ -18,8 +19,8 @@ from quiverarr.oscomplex import (ExponentAssignment, aomoto_complex, flag_comple
                                  flag_degree, flag_space, os_space, shapovalov_scalar)
 from quiverarr.quiver import (
     LevelQuiver, Quiver, QuiverMorphism, _level_blocks, c_plus, check_quiver,
-    dual, dual_level, hom_space, level_zero_quiver, local_ops,
-    morphism_from_coords,
+    dual, hom_space, level_zero_quiver, local_ops,
+    morphism_from_coords, quiver_to_json,
 )
 
 from test_random_arrangements import random_arrangements
@@ -89,10 +90,70 @@ def test_restrict_level_errors():
         restrict(restrict(v, 1), 1)
 
 
+def dual_level(v):
+    """The duality of a level quiver as its own function computed it
+    before `dual` took both kinds: the reference for `dual` at level."""
+    g = v.graph
+    maps = {}
+    for a in g.vertices:
+        for b in list(g.up(a)) + list(g.down(a)):
+            m = v.map(b, a)
+            if not m.is_zero():
+                maps[(a, b)] = m.transpose().scale(g.full.epsilon(b, a))
+    loops = {}
+    for (at, via) in g.loops:
+        m = v.loop(at, via)
+        if not m.is_zero():
+            loops[(at, via)] = -m.transpose()
+    return LevelQuiver(g, dict(v.spaces), maps, loops)
+
+
+def assert_dual_is_the_level_reference(v):
+    assert isinstance(v, LevelQuiver)
+    d = dual(v)
+    assert isinstance(d, LevelQuiver) and d.graph is v.graph
+    assert d == dual_level(v)
+    assert quiver_to_json(d) == quiver_to_json(dual_level(v))
+
+
+@pytest.mark.parametrize("name", ["three_lines", "boolean3", "c13", "parallel", "generic3"])
+def test_dual_of_level_quivers_is_the_reference(name):
+    """On every one-step push of rank-1 and rank-2 level-zero quivers, and
+    on every restriction of their full direct images and of the pushes."""
+    g = graph(name)
+    values = {j: Fraction(j, 7) - 1 for j in range(1, g.arrangement.size + 1)}
+    for dim, seed in ((1, None), (2, 9)):
+        w = scalar_family_level0(g, values, dim=dim, seed=seed)
+        assert_dual_is_the_level_reference(w)
+        for step in (push_star_step, push_shriek_step):
+            v = w
+            while v.level < g.max_level:
+                v, _ = step(v)
+                assert_dual_is_the_level_reference(v)
+                for k in range(v.level):
+                    assert_dual_is_the_level_reference(restrict(v, k))
+        for full in (j0_star(g, w), j0_shriek(g, w)):
+            for k in range(g.max_level):
+                assert_dual_is_the_level_reference(restrict(full, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_arrangements(), st.data())
+def test_dual_of_random_level_zero_quivers_is_the_reference(arr, data):
+    """Loop operators drawn freely, relations not imposed."""
+    g = build_graph(arr)
+    dim = data.draw(st.integers(1, 2))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    ops = {j: Matrix(dim, dim, data.draw(st.lists(entry, min_size=dim * dim,
+                                                  max_size=dim * dim)))
+           for j in range(1, arr.size + 1)}
+    assert_dual_is_the_level_reference(level_zero_quiver(g, dim, ops))
+
+
 def test_restrict_commutes_with_duality():
     g = graph("three_lines")
     v = j0_shriek(g, three_lines_w(dim=2, seed=11))
-    assert restrict(dual(v), 1) == dual_level(restrict(v, 1))
+    assert restrict(dual(v), 1) == dual(restrict(v, 1))
 
 
 # -- one-step direct images -----------------------------------------------------------
@@ -210,7 +271,7 @@ def test_push_shriek_agrees_with_dual_route():
     g = graph("three_lines")
     w = three_lines_w(dim=2, seed=10)
     lhs = push_shriek(w, 2)
-    rhs = dual_level(push_star(dual_level(w), 2))
+    rhs = dual(push_star(dual(w), 2))
     basis = hom_space(lhs, rhs)
     assert basis.dim >= 1
     rng = random.Random(0)
@@ -596,6 +657,38 @@ def test_fourier_requires_central():
         fourier_dual(v)
 
 
+def random_full_quiver(g, rng):
+    """Spaces of dimension 0 to 2 and a random map on every oriented edge,
+    relations not imposed."""
+    spaces = {k: rng.randint(0, 2) for k in g.vertices}
+    maps = {}
+    for e in g.edges:
+        a, b = tuple(e)
+        for x, y in ((a, b), (b, a)):
+            entries = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                       for _ in range(spaces[x] * spaces[y])]
+            maps[(x, y)] = Matrix(spaces[x], spaces[y], entries)
+    return Quiver(g, spaces, maps)
+
+
+@pytest.mark.parametrize("name", corpus.CENTRAL)
+def test_spec_nonres_ops_is_the_sum_of_its_round_trips(name):
+    """At every base vertex, each operator is the sum, term by term, of
+    A_{b,c} A_{c,b} over the neighbors c with a ^ c = b ^ c."""
+    g = graph(name)
+    rng = random.Random(name)
+    for v in (random_full_quiver(g, rng), random_full_quiver(g, rng)):
+        for a in g.vertices:
+            ops = spec_nonres_ops(v, a)
+            assert list(ops) == list(g.vertices)
+            for b in g.vertices:
+                expect = Matrix.zero(v.dim(b), v.dim(b))
+                for c in list(g.up(b)) + list(g.down(b)):
+                    if g.wedge_key(a, c) == g.wedge_key(b, c):
+                        expect = expect + v.map(b, c) * v.map(c, b)
+                assert ops[b] == expect
+
+
 def test_spec_nonres_report_flags_integer_eigenvalues():
     from quiverarr.functors import spec_nonres_report
     g = graph("single")
@@ -626,7 +719,7 @@ def test_push_steps_reject_a_boundary_that_breaks_relations():
     m = v.map((), (1,))
     maps = dict(v.maps)
     maps[((), (1,))] = m + Matrix.identity(1)
-    u = LevelQuiver(v.tgraph, dict(v.spaces), maps, dict(v.loop_ops))
+    u = LevelQuiver(v.graph, dict(v.spaces), maps, dict(v.loop_ops))
     with pytest.raises(InternalInconsistencyError,
                        match=r"^downward image misses the subspace at \(1, 2, 3\)$"):
         push_star_step(u)

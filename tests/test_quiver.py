@@ -12,7 +12,7 @@ from quiverarr.errors import (InvalidQuiverError, MissingLoopError, ShapeError)
 from quiverarr.linalg import Matrix, betti, char_poly
 from quiverarr.quiver import (
     LevelQuiver, Quiver, QuiverMorphism, Spectrum, c_minus, c_plus,
-    check_nonresonance_class, check_quiver, dual, dual_level, global_S,
+    check_nonresonance_class, check_quiver, dual, global_S,
     hom_space, is_nonresonant_spectrum, level_zero_quiver, local_ops,
     morphism_from_coords, parse_quiver, quiver_to_json, sign_conjugate,
     spectrum_lambda,
@@ -105,10 +105,10 @@ def test_dual_level_zero_is_transpose():
     g = graph("single")
     m = M([[1, 2], [3, 4]])
     v = level_zero_quiver(g, 2, {1: m})
-    w = dual_level(v)
+    w = dual(v)
     assert w.loop((), (1,)) == -m.transpose()
     # tau^2 then sign conjugation recovers the original
-    assert sign_conjugate(dual_level(dual_level(v))) == v
+    assert sign_conjugate(dual(dual(v))) == v
 
 
 def test_dual_one_hyperplane_epsilon_table():
@@ -346,8 +346,8 @@ def reference_violations(v):
                 out.append((name, (a, c)))
     if not isinstance(v, LevelQuiver):
         return out
-    full, n = v.tgraph.full, v.level
-    for (at, via) in v.tgraph.loops:
+    full, n = v.graph.full, v.level
+    for (at, via) in v.graph.loops:
         lp = v.loop(at, via)
         for d in full.up(at):
             mids = [c for c in full.down(d)
@@ -391,8 +391,8 @@ def inject(v, draw):
     """A copy of v with one entry of a map or loop operator changed; the
     map may be one absent from v.  `draw` picks one item of a list."""
     g = v.graph
-    maps, loop_ops = dict(v.maps), dict(getattr(v, "loop_ops", {}))
-    loops = [k for k in v.tgraph.loops if v.dim(k[0])] if isinstance(v, LevelQuiver) else []
+    maps, loop_ops = dict(v.maps), dict(v.loop_ops)
+    loops = [k for k in v.graph.loops if v.dim(k[0])] if isinstance(v, LevelQuiver) else []
     if loops and draw([False, True]):
         table, key = loop_ops, draw(loops)
         shape = (v.dim(key[0]), v.dim(key[0]))
@@ -407,7 +407,7 @@ def inject(v, draw):
         Fraction(draw([-2, -1, 1, 3]), draw([1, 2]))
     table[key] = Matrix(m.rows, m.cols, e)
     if isinstance(v, LevelQuiver):
-        return LevelQuiver(v.tgraph, dict(v.spaces), maps, loop_ops)
+        return LevelQuiver(v.graph, dict(v.spaces), maps, loop_ops)
     return Quiver(g, dict(v.spaces), maps)
 
 

@@ -6,7 +6,9 @@ writes a deterministic JSON report (sorted keys, exact rationals as
 strings) to stdout or --output.
 
 Exit codes: 0 success, 2 malformed input, 3 violated hypothesis or
-unsupported input, 4 internal inconsistency.
+unsupported input, 4 internal inconsistency.  A .qvr quiver breaking its
+relations exits 3 when read, naming up to five violations (check-quiver
+reports them instead); an --exp quiver has scalar loops, so it is valid.
 """
 
 from __future__ import annotations
@@ -53,18 +55,27 @@ def _graph(args):
 
 def _exponents(args):
     a = parse_exponents(_read(args.exp), args.exp)
-    kappa = getattr(args, "kappa", None)
-    if kappa is not None:
-        a = ExponentAssignment(a.values, parse_rational(kappa, "--kappa"))
+    if args.kappa is not None:
+        a = ExponentAssignment(a.values, parse_rational(args.kappa, "--kappa"))
     return a
 
 
-def _quiver(args, graph):
-    if getattr(args, "qvr", None):
+def _read_quiver(args, graph):
+    """The quiver of --qvr or --exp, its relations unchecked."""
+    if args.qvr:
         return parse_quiver(_read(args.qvr), graph, args.qvr)
-    if getattr(args, "exp", None):
+    if args.exp:
         return scalar_from_exponents(graph, _exponents(args), dim=args.dim)
     raise ParseError("need --qvr or --exp")
+
+
+def _quiver(args, graph):
+    """The input quiver; a --qvr one must satisfy its relations."""
+    v = _read_quiver(args, graph)
+    bad = check_quiver(v) if args.qvr else []
+    if bad:
+        raise InvalidQuiverError(f"input quiver relations fail: {bad[:5]}")
+    return v
 
 
 def _level_zero(args, graph):
@@ -127,7 +138,7 @@ def cmd_aomoto(args):
 
 def cmd_check_quiver(args):
     g = _graph(args)
-    v = _quiver(args, g)
+    v = _read_quiver(args, g)
     violations = check_quiver(v)
     return {
         "level": v.level,
@@ -161,17 +172,9 @@ def cmd_push(args, star):
         raise ParseError(f"--level {target} is out of range for a level-{v.level} "
                          f"input: allowed {allowed}")
     step = push_star_step if star else push_shriek_step
-    source, witness = v, None
-    try:
-        while v.level < target:
-            v, witness = step(v)
-    except InternalInconsistencyError:
-        # a step that cannot be carried out on an input breaking its
-        # relations is the input's fault, not an internal one
-        bad = check_quiver(source)
-        if bad:
-            raise InvalidQuiverError(f"input quiver relations fail: {bad[:5]}")
-        raise
+    witness = None
+    while v.level < target:
+        v, witness = step(v)
     return quiver_to_json(v, witness=witness.to_json() if witness else None)
 
 

@@ -25,7 +25,7 @@ class CohomologyReport:
     def __init__(self, model, betti_map, hypotheses, grading_note):
         self.model = model
         self.betti = {int(k): int(v) for k, v in betti_map.items()}
-        self.euler = sum((-1) ** k * v for k, v in self.betti.items())
+        self.euler = sum(-v if k % 2 else v for k, v in self.betti.items())
         self.hypotheses = list(hypotheses)
         self.grading_note = grading_note
 

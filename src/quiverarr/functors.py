@@ -28,6 +28,7 @@ block at its running offset (`linalg.block_offsets`).
 
 from __future__ import annotations
 
+import weakref
 from itertools import permutations, product
 from typing import NamedTuple
 
@@ -309,10 +310,10 @@ def _word_table(graph: ArrangementGraph, w: LevelQuiver):
     their loop operators on W, built once per tuple from its prefix's;
     word(()) is the identity.  The graph keeps the table of the last
     quiver asked for, so `s0` and the two images it builds share one
-    table and one check.  Keeping one quiver, not one per quiver as
-    `per_graph` would, bounds the memo of a long-lived graph."""
+    table and one check; one quiver, held weakly, bounds the memo of a
+    long-lived graph and leaves it out of a reference cycle."""
     kept = graph.memo.get("word_table")
-    if kept is not None and kept[0] is w:
+    if kept is not None and kept[0]() is w:
         return kept[1]
     ops = _hyperplane_ops(graph, w)
     dw = w.dim(graph.top())
@@ -324,7 +325,7 @@ def _word_table(graph: ArrangementGraph, w: LevelQuiver):
             words[t] = ops[t[-1]] * word(t[:-1])
         return words[t]
 
-    graph.memo["word_table"] = (w, (word, dw))
+    graph.memo["word_table"] = (weakref.ref(w), (word, dw))
     return word, dw
 
 

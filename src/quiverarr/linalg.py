@@ -867,7 +867,7 @@ class ChainComplex:
                 raise ShapeError(f"differential {k} has shape {d.rows}x{d.cols}, "
                                  f"expected {dims[k+1]}x{dims[k]}")
         for k in range(len(differentials) - 1):
-            if not (differentials[k + 1] * differentials[k]).is_zero():
+            if not product_is_zero(differentials[k + 1], differentials[k]):
                 raise InvalidComplexError(f"d_{k+1} d_{k} != 0")
         self.min_degree = min_degree
         self.dims = dims
@@ -887,7 +887,7 @@ class ChainComplex:
         return Matrix.zero(tgt, src)
 
     def euler_characteristic(self):
-        return sum((-1) ** d * self.dims[d - self.min_degree] for d in self.degrees)
+        return sum(-n if d % 2 else n for d, n in zip(self.degrees, self.dims))
 
     def __eq__(self, other):
         return (isinstance(other, ChainComplex) and self.min_degree == other.min_degree
@@ -919,9 +919,8 @@ class ChainMap:
             if (f.rows, f.cols) != (target.dims[k], source.dims[k]):
                 raise ShapeError(f"component {k} shape mismatch")
         for k in range(len(components) - 1):
-            lhs = components[k + 1] * source.differentials[k]
-            rhs = target.differentials[k] * components[k]
-            if lhs != rhs:
+            if not products_equal(components[k + 1], source.differentials[k],
+                                  target.differentials[k], components[k]):
                 raise InvalidComplexError(f"does not commute with d in degree {k}")
         self.source = source
         self.target = target

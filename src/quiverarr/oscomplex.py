@@ -189,18 +189,15 @@ class FlagBasis(_PresentedSpace):
     def __init__(self, graph, vertex_key):
         p = graph.level[vertex_key]
         flags = []
-        top = graph.top()
-
-        def grow(chain):
-            last = chain[-1]
-            if graph.level[last] == p:
-                flags.append(tuple(chain))
-                return
-            for w in graph.down(last):
-                if graph.geq(w, vertex_key):
-                    grow(chain + [w])
-
-        grow([top])
+        # depth first in graph.down order, which fixes the basis
+        stack = [(graph.top(),)]
+        while stack:
+            chain = stack.pop()
+            if graph.level[chain[-1]] == p:
+                flags.append(chain)
+            else:
+                stack.extend(chain + (w,) for w in reversed(graph.down(chain[-1]))
+                             if graph.geq(w, vertex_key))
         gen_index = {f: i for i, f in enumerate(flags)}
         incomplete = set()
         for f in flags:

@@ -139,7 +139,7 @@ class QuiverMorphism:
     """A vertex-indexed family f_alpha: V_alpha -> W_alpha intertwining
     two quivers over the same graph (and their loops, at level)."""
 
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
         if source.graph is not target.graph and source.graph.vertices != target.graph.vertices:
             raise ShapeError("morphism between quivers on different graphs")
         self.source = source
@@ -152,10 +152,9 @@ class QuiverMorphism:
             if (f.rows, f.cols) != (target.dim(v), source.dim(v)):
                 raise ShapeError(f"component {v} shape mismatch")
             self.components[v] = f
-        if check:
-            bad = self.violations()
-            if bad:
-                raise InvalidQuiverError(f"not a morphism: fails at {bad[:3]}")
+        bad = self.violations()
+        if bad:
+            raise InvalidQuiverError(f"not a morphism: fails at {bad[:3]}")
 
     def violations(self):
         """The edges (a, b) where f_a A_ab != B_ab f_b, and at level the
@@ -545,12 +544,12 @@ def hom_space(v: Quiver, w: Quiver) -> Subspace:
     return kernel_basis(Matrix.from_rows(rows, cols=total))
 
 
-def morphism_from_coords(v: Quiver, w: Quiver, coords, check=True) -> QuiverMorphism:
+def morphism_from_coords(v: Quiver, w: Quiver, coords) -> QuiverMorphism:
     """Materialize a morphism from a hom_space coordinate vector."""
     offsets, _ = hom_offsets(v, w)
     components = {k: Matrix(w.dim(k), v.dim(k), coords[o:o + w.dim(k) * v.dim(k)])
                   for k, o in offsets.items()}
-    return QuiverMorphism(v, w, components, check=check)
+    return QuiverMorphism(v, w, components)
 
 
 # -- serialization (.qvr) ----------------------------------------------------------

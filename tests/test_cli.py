@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -7,6 +8,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from quiverarr.cli import main
 
@@ -60,6 +63,14 @@ def run_failing(capsys, *argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     return code, captured.err
+
+
+def capture(*argv):
+    """Exit code, standard output and standard error of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_lattice_three_lines(files, capsys):
@@ -166,6 +177,96 @@ def test_push_of_a_quiver_breaking_its_relations_exits_3(files, capsys, tmp_path
                    "[('(iv)', ((1,), (1, 2, 3), ())), ('(iv)*', ((1,), (1, 2, 3), ()))]\n")
     code, verdict = run(capsys, "check-quiver", files["three.arr"], "--qvr", str(qvr))
     assert (code, verdict["valid"]) == (0, False)
+
+
+# every subcommand that reads a quiver, besides check-quiver
+QUIVER_COMMANDS = (
+    ("dual",), ("restrict", "--level", "0"), ("push-star",), ("push-shriek",),
+    ("ic-quiver",), ("shapovalov",), ("specialize", "--vertex", "(1)"), ("fourier",),
+    ("cohomology", "--model", "perverse"), ("cohomology", "--model", "local"),
+    ("cohomology", "--model", "ih"),
+    ("equivariant", "--grp", "GRP", "--functor", "star"),
+)
+
+
+def test_quiver_commands_cover_every_qvr_subcommand():
+    from quiverarr.cli import build_parser
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert {name for name, sp in subparsers.items() if "--qvr" in sp._option_string_actions} \
+        == {c[0] for c in QUIVER_COMMANDS} | {"check-quiver"}
+
+
+@pytest.fixture(scope="module")
+def valid_quivers(tmp_path_factory):
+    """Three lines, the swap group, and two valid rank-2 .qvr documents
+    on them: the level-zero quiver with loops a_j [[1, 1], [0, 1]] and its
+    j0_star image."""
+    from quiverarr.arrangement import build_graph, parse_arrangement
+    from quiverarr.functors import j0_star
+    from quiverarr.linalg import Matrix
+    from quiverarr.quiver import level_zero_quiver, quiver_to_json
+    d = tmp_path_factory.mktemp("valid_quivers")
+    (d / "three.arr").write_text(THREE_LINES_ARR)
+    (d / "swap.grp").write_text(SWAP_GRP)
+    g = build_graph(parse_arrangement(THREE_LINES_ARR))
+    w = level_zero_quiver(g, 2, {j: Matrix.from_rows([[1, 1], [0, 1]]).scale(Fraction(x))
+                                 for j, x in ((1, "1/3"), (2, "-1/2"), (3, "2/7"))})
+    return d, g, {"level-zero": quiver_to_json(w), "j0_star": quiver_to_json(j0_star(g, w))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_qvr_breaking_its_relations_is_refused_when_read(valid_quivers, data):
+    """Change one map or loop entry of a valid .qvr: every subcommand
+    that reads it exits 3 with no report, unless the changed quiver still
+    satisfies its relations; check-quiver reports either way."""
+    from quiverarr.quiver import check_quiver, parse_quiver
+    d, g, docs = valid_quivers
+    doc = copy.deepcopy(docs[data.draw(st.sampled_from(sorted(docs)))])
+    entries = [(kind, i, r, c) for kind in ("maps", "loops")
+               for i, e in enumerate(doc.get(kind) or ())
+               for r, row in enumerate(e["matrix"]) for c in range(len(row))]
+    kind, i, r, c = data.draw(st.sampled_from(entries))
+    old = Fraction(doc[kind][i]["matrix"][r][c])
+    new = data.draw(st.sampled_from([Fraction(k) for k in range(-3, 4)]
+                                    + [Fraction(1, 2), Fraction(-5, 3), Fraction(7, 11)])
+                    .filter(lambda x: x != old))
+    doc[kind][i]["matrix"][r][c] = str(new)
+    qvr = d / "changed.qvr"
+    qvr.write_text(json.dumps(doc))
+    valid = not check_quiver(parse_quiver(qvr.read_text(), g))
+    event("still valid" if valid else "broken")
+    arr = str(d / "three.arr")
+    code, out, _ = capture("check-quiver", arr, "--qvr", str(qvr))
+    assert (code, json.loads(out)["valid"]) == (0, valid)
+    for command in QUIVER_COMMANDS:
+        argv = [command[0], arr, "--qvr", str(qvr)] + [
+            str(d / "swap.grp") if x == "GRP" else x for x in command[1:]]
+        code, out, err = capture(*argv)
+        assert valid or (code, out) == (3, ""), (argv, code, err)
+        assert valid or err.startswith("hypothesis violation: input quiver relations fail: ")
+
+
+def test_quivers_are_checked_only_where_they_are_read():
+    """In the CLI, check_quiver runs only in the reader path (`_quiver`)
+    and in check-quiver, and only `main` catches an internal error."""
+    import ast
+    import inspect
+
+    from quiverarr import cli
+    broad = {"InternalInconsistencyError", "QuiverArrError", "Exception", "BaseException"}
+    checkers, catchers = set(), set()
+    for fn in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(fn, ast.FunctionDef):
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "check_quiver":
+                    checkers.add(fn.name)
+                if isinstance(n, ast.ExceptHandler) and (
+                        n.type is None or broad & {getattr(x, "id", None)
+                                                   for x in ast.walk(n.type)}):
+                    catchers.add(fn.name)
+    assert checkers == {"_quiver", "cmd_check_quiver"}
+    assert catchers == {"main"}
 
 
 def test_ic_quiver(files, capsys):
@@ -447,22 +548,18 @@ GOLDEN_EXPONENTS = {
 def golden_reports(tmp_path):
     """The push-star and push-shriek reports to the top level, and the
     check-quiver reports on them, on each golden arrangement, from a
-    rank-1 .exp input and two rank-2 .qvr inputs: loops a_j [[1, 1],
-    [0, 1]], and the non-commuting loops a_j [[0, 1], [j, 0]], whose
-    pushes break relations (also pushed to level 1 only, where the loop
-    relations apply).  Name -> exit code and stdout."""
+    rank-1 .exp input and a rank-2 .qvr input with loops a_j [[1, 1],
+    [0, 1]]; and the check-quiver report on a rank-2 .qvr input with the
+    non-commuting loops a_j [[0, 1], [j, 0]], which break relation (v).
+    Name -> exit code and stdout.  Also the pushes of the non-commuting
+    input, to the top and to level 1: name -> (exit code, stdout,
+    stderr)."""
     from quiverarr import corpus
     from quiverarr.arrangement import build_graph
     from quiverarr.linalg import Matrix
     from quiverarr.quiver import level_zero_quiver, quiver_to_json
 
-    def cli(*argv):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(list(argv))
-        return f"{code}\n{out.getvalue()}"
-
-    reports = {}
+    reports, refused = {}, {}
     for name, exps in GOLDEN_EXPONENTS.items():
         a = corpus.CORPUS[name]()
         arr = tmp_path / f"{name}.arr"
@@ -471,28 +568,36 @@ def golden_reports(tmp_path):
             for h in a.hyperplanes))
         exp = tmp_path / f"{name}.exp"
         exp.write_text("".join(f"a {j} {x}\n" for j, x in enumerate(exps, 1)))
-        sources = [("exp", ("--exp", str(exp)))]
+        sources = {"exp": ("--exp", str(exp))}
         for source, loop in (("rank2", lambda j: [[1, 1], [0, 1]]),
                              ("noncommuting", lambda j: [[0, 1], [j, 0]])):
             w = level_zero_quiver(build_graph(a), 2, {
                 j: Matrix.from_rows(loop(j)).scale(Fraction(x)) for j, x in enumerate(exps, 1)})
             qvr = tmp_path / f"{name}-{source}.qvr"
             qvr.write_text(json.dumps(quiver_to_json(w)))
-            sources.append((source, ("--qvr", str(qvr))))
-        sources.append(("noncommuting-level1", sources[-1][1] + ("--level", "1")))
-        for source, flags in sources:
+            sources[source] = ("--qvr", str(qvr))
+        for source in ("exp", "rank2"):
             for cmd in ("push-star", "push-shriek"):
                 key = f"{name}/{source}/{cmd}"
-                reports[key] = cli(cmd, str(arr), *flags)
+                code, out, _ = capture(cmd, str(arr), *sources[source])
+                reports[key] = f"{code}\n{out}"
                 pushed = tmp_path / f"{name}-{source}-{cmd}.qvr"
-                pushed.write_text(reports[key].split("\n", 1)[1])
-                reports[key + "/check-quiver"] = cli("check-quiver", str(arr),
-                                                     "--qvr", str(pushed))
-    return reports
+                pushed.write_text(out)
+                code, out, _ = capture("check-quiver", str(arr), "--qvr", str(pushed))
+                reports[key + "/check-quiver"] = f"{code}\n{out}"
+        code, out, _ = capture("check-quiver", str(arr), *sources["noncommuting"])
+        reports[f"{name}/noncommuting/check-quiver"] = f"{code}\n{out}"
+        for source, flags in (("noncommuting", ()), ("noncommuting-level1", ("--level", "1"))):
+            for cmd in ("push-star", "push-shriek"):
+                refused[f"{name}/{source}/{cmd}"] = capture(
+                    cmd, str(arr), *sources["noncommuting"], *flags)
+    return reports, refused
 
 
 # sha256 of each report, recorded before the integer char poly, the
-# one-solve push steps and the integer relation checks
+# one-solve push steps and the integer relation checks (the three
+# non-commuting check-quiver reports later, equal before and after the
+# relation check at read time)
 GOLDEN_DIGESTS = {
     "three_lines/exp/push-star":
         "dc7bc937c5797f71efa23f601a453cd976a3d3a59d3c91723ce7f1e454be1a5e",
@@ -510,22 +615,8 @@ GOLDEN_DIGESTS = {
         "3816f763faf0314810db859f049955c7071fbe82d6d33623d1f6b1dccb8a28d4",
     "three_lines/rank2/push-shriek/check-quiver":
         "0f173a7688f97805c51b2eb2dfca5d8c93c2ea075ffeff815ad912bd092450b6",
-    "three_lines/noncommuting/push-star":
-        "b64bfdda171a8169056537c8b77be9c8aab5f2b24fa611fce50c7bc0f20a83b4",
-    "three_lines/noncommuting/push-star/check-quiver":
-        "79b01a7cb34b344a1176fd8c1e42a067ddc37203279c45764edeaf2e587df0f1",
-    "three_lines/noncommuting/push-shriek":
-        "8fb4e949dbcf165f7a9aca17db38c589e5f9c31f0b90a020510dd1dd111f9040",
-    "three_lines/noncommuting/push-shriek/check-quiver":
-        "66abf0ee6be2653f92c0cc51d47ebf16f8fad60c5c20a067810543e253dd7335",
-    "three_lines/noncommuting-level1/push-star":
-        "a2db2cf6452ef236d1157b398d3233292428b3b13962f72885b28ef6a96593bf",
-    "three_lines/noncommuting-level1/push-star/check-quiver":
-        "d0ce888ca3abe9693eb0d82fd7dc48d14df4d94dc333f112639a237f8e90c69e",
-    "three_lines/noncommuting-level1/push-shriek":
-        "ed8ad4a3d46ea96cb013f785ed8d4b14f0b7e7f9659fb47afce580b380e82b01",
-    "three_lines/noncommuting-level1/push-shriek/check-quiver":
-        "e73ff7db08d70a487d352a7bd71d321142326e02edfbd49068cba0e200799211",
+    "three_lines/noncommuting/check-quiver":
+        "b8aad05f80e1ec22e30a795080d9401eef5e2aeb4bd7583d9483311b7c522b00",
     "boolean3/exp/push-star":
         "c900cf93f0e6fede2fc9a40f734947ef85df6b2ff3b9a357fd4b2b37600d3b9b",
     "boolean3/exp/push-star/check-quiver":
@@ -542,22 +633,8 @@ GOLDEN_DIGESTS = {
         "246c4b5d4df93de8f2634fef40633d135b0ac9168faf45d185025384f8acbd4a",
     "boolean3/rank2/push-shriek/check-quiver":
         "10f3429440930303dc674ce9867c42622a7979b7b7ebeb87525f842c343c361d",
-    "boolean3/noncommuting/push-star":
-        "94c76ac4be9513a6da24baef97554d0af59b2964768090b66f4f259bec486a35",
-    "boolean3/noncommuting/push-star/check-quiver":
-        "5e7cfae753923233e6505562e50e6ae0d728c515f6e212ec8886c22905e1c455",
-    "boolean3/noncommuting/push-shriek":
-        "e070aa0ff949456e4b4043c03e5db6034e8df6304667251d1267d6be2b8f387b",
-    "boolean3/noncommuting/push-shriek/check-quiver":
-        "293e426c9b2a64664c3e97066ab49da3a6938863a3b918852261a85c112565fd",
-    "boolean3/noncommuting-level1/push-star":
-        "0c20853c8e844e78d3311ecb963e37f64b9b9988ec1b86e92959d6feba9db09e",
-    "boolean3/noncommuting-level1/push-star/check-quiver":
-        "2fd6950f811123bef34ba900e52ccaa5918c220b725da1d261298b31c157bbc6",
-    "boolean3/noncommuting-level1/push-shriek":
-        "9d75990a110206ec1e9446716c526dcfa1d7144168058907a836111b8f879dda",
-    "boolean3/noncommuting-level1/push-shriek/check-quiver":
-        "c95dc61b3e9a689f42b48ae509542144e14a476fa0e78033f81600aa3e130647",
+    "boolean3/noncommuting/check-quiver":
+        "e1128277d6681b9fbb7135904f7336cf7befbd05fc9d6a81a26c9061e2e0e448",
     "c13/exp/push-star":
         "984a9f6a087d69900b9c7576ce0fbb972788f5b7b3ebb574896805286a6709ae",
     "c13/exp/push-star/check-quiver":
@@ -574,29 +651,21 @@ GOLDEN_DIGESTS = {
         "5840c90e7c6d39f3fbff3f12a238696b49de7a85b00146ff8b85a8095be241e2",
     "c13/rank2/push-shriek/check-quiver":
         "10f3429440930303dc674ce9867c42622a7979b7b7ebeb87525f842c343c361d",
-    "c13/noncommuting/push-star":
-        "c3c22fdbcf431036a2fe052ddad09ba1d1e5a09d30cfcbeb1eb15f3919428ddf",
-    "c13/noncommuting/push-star/check-quiver":
-        "9990594542a8c81b860428fe355d503cd4294234fe83858634000eea42ee281a",
-    "c13/noncommuting/push-shriek":
-        "6e75ae7131b294b0dd15c6d752d098ebc29103f94d5208364e843d59345339ea",
-    "c13/noncommuting/push-shriek/check-quiver":
-        "97614b089c6b2f24f7b019835daef615c287acb97c328b183ec54ca89342b1bb",
-    "c13/noncommuting-level1/push-star":
-        "ea10c6342b877cff85bc8f0a373ababbea76c561521868d50d9c989e267a1916",
-    "c13/noncommuting-level1/push-star/check-quiver":
-        "7b021f8dc8fd9047e990e785719c20263cad7c14a309c37dacea980b644dde3d",
-    "c13/noncommuting-level1/push-shriek":
-        "b5cf2713f7379946163a2888ec619d77503cf60808e71882f0a94e69f42eacb1",
-    "c13/noncommuting-level1/push-shriek/check-quiver":
-        "6038bad1cf07bd11bb9eac4b3c52bdce9caf5579426b683063d1de8677800599",
+    "c13/noncommuting/check-quiver":
+        "240d03b2736863dd56d8ec1ebf6084c9ffa654c36279807ea22334c0585eb6bd",
 }
 
 
 def test_golden_push_and_check_reports(tmp_path):
-    reports = golden_reports(tmp_path)
+    reports, refused = golden_reports(tmp_path)
     digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in reports.items()}
     assert digests == GOLDEN_DIGESTS
+    # the non-commuting input is refused when read, before any push step
+    assert len(refused) == 12
+    for key, (code, out, err) in refused.items():
+        assert (code, out) == (3, ""), key
+        assert err.startswith("hypothesis violation: input quiver relations fail: "
+                              "[('(v)', ((), ("), key
 
 
 # -- golden reports of the presented spaces ------------------------------------------

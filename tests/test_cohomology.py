@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,9 @@ from quiverarr.cohomology import (
 from quiverarr.errors import UnsupportedError
 from quiverarr.functors import j0_star
 from quiverarr.linalg import Matrix, betti
-from quiverarr.oscomplex import ExponentAssignment, aomoto_complex, os_space
-from quiverarr.quiver import Quiver, c_plus, level_zero_quiver
+from quiverarr.oscomplex import (ExponentAssignment, aomoto_complex, flag_degree,
+                                 os_space)
+from quiverarr.quiver import Quiver, c_minus, c_plus, level_zero_quiver
 
 
 def graph(name):
@@ -63,6 +66,17 @@ def test_perverse_single_hyperplane_zero_map():
     rep = perverse_cohomology(v)
     assert rep.betti == {-1: 1, 0: 1}
     assert rep.euler == 0
+
+
+def test_euler_characteristics_are_ints():
+    # the degrees of a perverse report and of C- are negative, where
+    # (-1) ** k is a float
+    g = graph("three_lines")
+    w = scalar_from_exponents(g, exponents(g, [Fraction(1, 3), Fraction(-1, 2),
+                                               Fraction(2, 7)]))
+    v = j0_star(g, w)
+    assert type(perverse_cohomology(v).euler) is int
+    assert type(c_minus(v).euler_characteristic()) is int
 
 
 def test_perverse_degrees_follow_ambient_shift():
@@ -173,3 +187,26 @@ def test_aomoto_and_flag_reports():
     fr = flag_report(g)
     assert fr.model == "flag"
     assert sum(fr.betti.values()) >= 0
+
+
+@pytest.mark.parametrize("name", ["three_lines", "c13"])
+@pytest.mark.parametrize("work", ["spaces", "j0_star", "ih"])
+def test_dropped_graph_is_freed_without_the_cycle_collector(name, work):
+    """No reference cycle runs through a graph, its memoized spaces or the
+    word table of a level-zero quiver: all are freed on the last `del`,
+    with the cyclic garbage collector off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = graph(name)
+        refs = [weakref.ref(x) for x in (g, os_space(g, 1), flag_degree(g, 1))]
+        if work != "spaces":
+            w = scalar_from_exponents(g, exponents(
+                g, [Fraction(1, 7 * j + 3) for j in range(g.arrangement.size)]))
+            (j0_star if work == "j0_star" else intersection_cohomology)(g, w)
+            del w
+        del g
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()

@@ -307,11 +307,13 @@ def _word_table(graph: ArrangementGraph, w: LevelQuiver):
     """(word, dim W) for a level-zero quiver w, whose relations are
     checked when the table is built: word(t), for a tuple t = (t_1, ...,
     t_m) of hyperplane indices, is the product ops[t_m] ... ops[t_1] of
-    their loop operators on W, built once per tuple from its prefix's;
-    word(()) is the identity.  The graph keeps the table of the last
-    quiver asked for, so `s0` and the two images it builds share one
-    table and one check; one quiver, held weakly, bounds the memo of a
-    long-lived graph and leaves it out of a reference cycle."""
+    their loop operators on W, built once per tuple from its prefix's,
+    the missing prefixes in a loop (a recursive closure would hold itself
+    in a reference cycle); word(()) is the identity.  The graph keeps the
+    table of the last quiver asked for, so `s0` and the two images it
+    builds share one table and one check; one quiver, held weakly, bounds
+    the memo of a long-lived graph and leaves it out of a reference
+    cycle."""
     kept = graph.memo.get("word_table")
     if kept is not None and kept[0]() is w:
         return kept[1]
@@ -321,8 +323,11 @@ def _word_table(graph: ArrangementGraph, w: LevelQuiver):
     words.update(((j,), m) for j, m in ops.items())
 
     def word(t):
-        if t not in words:
-            words[t] = ops[t[-1]] * word(t[:-1])
+        known = len(t)
+        while t[:known] not in words:
+            known -= 1
+        for k in range(known, len(t)):
+            words[t[:k + 1]] = ops[t[k]] * words[t[:k]]
         return words[t]
 
     graph.memo["word_table"] = (weakref.ref(w), (word, dw))
@@ -357,7 +362,14 @@ def _shriek_structure(graph):
     its (word, sparse target coordinates) terms; dims are the flag space
     dimensions.  A downward edge has the one term ((), coords of the
     extended flag, signed); an upward edge has one term ((j,), coords of
-    the cutoff flag, signed) per hyperplane j of the single live cutoff."""
+    the cutoff flag, signed) per live hyperplane j of the single live
+    cutoff.  For a basis flag f of level m and a cutoff flag cut that
+    agrees with it up to member k, j is live when j ^ f[k] = f[k+1] and
+    j ^ cut[t] = f[t+1] for t = k+1 .. m-1.  Flag members are vertex keys,
+    the sets of hyperplanes through their strata, and each of these pairs
+    lies one level apart, so j ^ x = y exactly when j is in y but not in
+    x: the live set is (f[k+1] - f[k]) intersected with every
+    (f[t+1] - cut[t]), found by set arithmetic on the keys."""
     down = {}
     up = {}
     words = [(j,) for j in range(1, graph.arrangement.size + 1)]
@@ -380,14 +392,17 @@ def _shriek_structure(graph):
                     while agree < m and f[agree] == cut[agree]:
                         agree += 1
                     k = agree - 1
-                    hits = [jw for jw in words if _cutoff_sum_condition(graph, f, cut, k, jw)]
+                    hits = set(f[k + 1]).difference(f[k])
+                    for t in range(k + 1, m):
+                        hits.intersection_update(f[t + 1])
+                        hits.difference_update(cut[t])
                     if not hits:
                         continue
                     if live:
                         raise InternalInconsistencyError(
                             "two cutoff flags carry nonempty sums")
                     vec = _signed((-1) ** k, coords(cut))
-                    live = [(jw, vec) for jw in hits]
+                    live = [(words[j - 1], vec) for j in sorted(hits)]
                 entries.append(live)
             up[(a, b)] = entries
     return {**down, **up}, {a: flag_space(graph, a).dim for a in graph.vertices}
@@ -432,18 +447,6 @@ def _cutoff_candidates(graph, flag, a):
         above = set(graph.up(flag[k + 1]))
         cands = [(u,) + c for c in cands for u in graph.up(c[0]) if u in above]
     return cands
-
-
-def _cutoff_sum_condition(graph, flag, cut, k, jk):
-    """Hyperplane j, given as its vertex key jk = (j,), contributes when
-    j ^ flag[k] = flag[k+1] and j ^ cut[t] = flag[t+1] for t = k+1 .. m-1."""
-    m = len(flag) - 1
-    if graph.wedge_key(jk, flag[k]) != flag[k + 1]:
-        return False
-    for t in range(k + 1, m):
-        if graph.wedge_key(jk, cut[t]) != flag[t + 1]:
-            return False
-    return True
 
 
 @per_graph
@@ -497,7 +500,11 @@ def _s0_structure(graph):
     """Per-graph skeleton of the Shapovalov morphism: per vertex and basis
     flag, its (word, sparse coordinates) terms, one per hyperplane tuple
     tracing the flag whose OS class at that vertex is nonzero, the word
-    being the tuple itself."""
+    being the tuple itself.  Only the live members are enumerated: j_i in
+    f[i] - f[i-1] for each i.  A tuple with some j_i in f[i-1] has i
+    hyperplanes through a stratum of codimension i-1, so its class is
+    zero.  The terms come in the order of the product over all of
+    f[1:]."""
     out = {}
     for a in graph.vertices:
         m = graph.level[a]
@@ -505,7 +512,8 @@ def _s0_structure(graph):
         entries = []
         for f in flag_space(graph, a).basis:
             terms = []
-            for tup in product(*f[1:]):
+            live = [[j for j in f[i] if j not in f[i - 1]] for i in range(1, m + 1)]
+            for tup in product(*live):
                 vk, sign, coords = osd.expand(tup)
                 if vk == a and coords:
                     terms.append((tup, _signed(sign, coords)))

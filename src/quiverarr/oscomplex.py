@@ -6,15 +6,17 @@ Both algebras are presented by generators and relations read off the
 arrangement graph.  Bases are the lexicographically least independent
 generator subsets, so coordinates are deterministic across runs.
 `_PresentedSpace` reads the basis and every generator's coordinates off
-one elimination of the relations, each pivoted at its last generator.
-Coordinates are per vertex and sparse: `OSBasis.expand` and
-`FlagDegree.expand` take a hyperplane tuple or a flag to its one vertex,
-a sign, and (basis position, value) pairs in that vertex's space.  A
-flag space (`FlagBasis`) is itself a presented space; the OS vertex
-spaces are plain ones.  A whole degree lists its vertices in sorted key
-order (`graph.levels(p)`), each space at its running offset
-(`linalg.block_offsets`).  The spaces and degrees are memoized on their
-graph (`arrangement.per_graph`) and dropped with it.
+the reduced echelon form of the relations, each pivoted at its last
+generator: one forward reduction and one back substitution, on Python
+ints (the relations have entries 0 and +-1), with a `Fraction` only
+where a pivot is not +-1.  Coordinates are per vertex and sparse:
+`OSBasis.expand` and `FlagDegree.expand` take a hyperplane tuple or a
+flag to its one vertex, a sign, and (basis position, value) pairs in
+that vertex's space.  A flag space (`FlagBasis`) is itself a presented
+space; the OS vertex spaces are plain ones.  A whole degree lists its
+vertices in sorted key order (`graph.levels(p)`), each space at its
+running offset (`linalg.block_offsets`).  The spaces and degrees are
+memoized on their graph (`arrangement.per_graph`) and dropped with it.
 """
 
 from __future__ import annotations
@@ -33,29 +35,44 @@ class _PresentedSpace:
     rows, with the lexicographically least generator subset as basis and
     a precomputed sparse expansion of every generator in that basis.
 
-    One Gauss-Jordan pass pivots each relation at its last generator and
-    keeps every row fully reduced.  Generator i is left out of the basis
-    exactly when some relation ends at i, that is, when a row pivots at
-    i; the row then reads e_i = -(the rest of the row), all of it on
-    basis generators."""
+    The relations are brought to reduced echelon form, each row pivoted
+    at its last generator.  A forward pass reduces each new relation
+    against the kept rows, always at its current largest column, until
+    that column is no kept pivot; the column becomes the row's pivot,
+    scaled to 1.  One back substitution, in ascending pivot order, then
+    clears from each row the pivot columns below its own; the echelon
+    form is unique, so the order of the work does not change it.
+    Generator i is left out of the basis exactly when a row pivots at i;
+    the row then reads e_i = -(the rest of the row), all of it on basis
+    generators.
+
+    The arithmetic is on Python ints (the OS and flag relations have
+    entries 0 and +-1), and stays there while every pivot is +-1; a row
+    with any other pivot is scaled by a `Fraction`.  Coordinates and the
+    relation matrix are given as Fractions."""
 
     def __init__(self, generators, relation_rows):
         self.generators = list(generators)
         self._relation_rows = [dict(r) for r in relation_rows]
         rows = {}  # pivot generator -> {generator: value}, 1 at the pivot
         for rel in self._relation_rows:
-            vec = {c: v for c, v in rel.items() if v}
-            for p in [c for c in vec if c in rows]:
-                _subtract(vec, vec[p], rows[p])
-            if not vec:
+            vec = {c: v.numerator if v.denominator == 1 else v
+                   for c, v in rel.items() if v}
+            pivot = max(vec, default=None)
+            while pivot in rows:
+                _subtract(vec, vec[pivot], rows[pivot])
+                pivot = max(vec, default=None)
+            if pivot is None:
                 continue
-            pivot = max(vec)
-            inv = Q1 / vec[pivot]
-            vec = {c: v * inv for c, v in vec.items()}
-            for row in rows.values():
-                if pivot in row:
-                    _subtract(row, row[pivot], vec)
+            lead = vec[pivot]
+            if lead != 1:
+                inv = -1 if lead == -1 else 1 / Fraction(lead)
+                vec = {c: v * inv for c, v in vec.items()}
             rows[pivot] = vec
+        for pivot in sorted(rows):
+            row = rows[pivot]
+            for c in [c for c in row if c != pivot and c in rows]:
+                _subtract(row, row[c], rows[c])
         basis = [i for i in range(len(self.generators)) if i not in rows]
         self.basis = [self.generators[i] for i in basis]
         self.dim = len(basis)
@@ -63,7 +80,7 @@ class _PresentedSpace:
         self._coords = {}
         for i, gen in enumerate(self.generators):
             if i in rows:
-                self._coords[gen] = tuple(sorted((position[c], -v)
+                self._coords[gen] = tuple(sorted((position[c], Fraction(-v))
                                                  for c, v in rows[i].items() if c != i))
             else:
                 self._coords[gen] = ((position[i], Q1),)
@@ -94,7 +111,7 @@ class _PresentedSpace:
 def _subtract(target, f, row):
     """target -= f * row on sparse rows (dicts without zero values)."""
     for c, v in row.items():
-        nv = target.get(c, Q0) - f * v
+        nv = target.get(c, 0) - f * v
         if nv:
             target[c] = nv
         else:
@@ -129,7 +146,7 @@ class OSBasis:
             for k in range(p + 1):
                 idx = gen_index[vk].get(comb[:k] + comb[k + 1:])
                 if idx is not None:
-                    row[idx] = row.get(idx, Q0) + (Q1 if k % 2 else -Q1)
+                    row[idx] = row.get(idx, 0) + (1 if k % 2 else -1)
             if any(v != 0 for v in row.values()):
                 rel_rows[vk].append(row)
         self.spaces = {vk: _PresentedSpace(per_vertex_gens[vk], rel_rows[vk])
@@ -210,7 +227,7 @@ class FlagBasis(_PresentedSpace):
                 f = prefix + (b,) + suffix
                 idx = gen_index.get(f)
                 if idx is not None:
-                    row[idx] = row.get(idx, Q0) + Q1
+                    row[idx] = row.get(idx, 0) + 1
             rel_rows.append(row)
         super().__init__(flags, rel_rows)
 

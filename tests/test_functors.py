@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from quiverarr import corpus
 from quiverarr.arrangement import build_graph
 from quiverarr.errors import InternalInconsistencyError, ShapeError, UnsupportedError
 from quiverarr.functors import (
-    _cutoff_candidates, adjoint_transport, as_level_quiver, fourier_dual, j0_shriek, j0_star,
+    _cutoff_candidates, _s0_structure, _shriek_structure, adjoint_transport, as_level_quiver, fourier_dual, j0_shriek, j0_star,
     macpherson, push_shriek, push_shriek_step, push_star, push_star_step,
     restrict, s0, s_general, shapovalov_form, spec_nonres_ops, specialize,
     unique_morphism_restricting_to_identity,
@@ -758,6 +759,86 @@ def test_cutoff_candidates_walk_is_the_scan_on_random_arrangements(arr):
     assert_cutoff_walk_is_the_scan(build_graph(arr))
 
 
+# -- skeletons against the scans over every hyperplane ------------------------------
+
+def signed(sign, coords):
+    return coords if sign > 0 else tuple((i, -c) for i, c in coords)
+
+
+def scanned_s0_terms(g):
+    """Reference for `_s0_structure`: every tuple of product(*f[1:])
+    expanded, the zero classes dropped."""
+    out = {}
+    for a in g.vertices:
+        osd = os_space(g, g.level[a])
+        entries = []
+        for f in flag_space(g, a).basis:
+            terms = []
+            for tup in product(*f[1:]):
+                vk, sign, coords = osd.expand(tup)
+                if vk == a and coords:
+                    terms.append((tup, signed(sign, coords)))
+            entries.append(terms)
+        out[a] = entries
+    return out
+
+
+def cutoff_sum_condition(g, flag, cut, k, jk):
+    """Reference: hyperplane j, given as its vertex key jk = (j,),
+    contributes when j ^ flag[k] = flag[k+1] and j ^ cut[t] = flag[t+1]
+    for t = k+1 .. m-1."""
+    m = len(flag) - 1
+    if g.wedge_key(jk, flag[k]) != flag[k + 1]:
+        return False
+    for t in range(k + 1, m):
+        if g.wedge_key(jk, cut[t]) != flag[t + 1]:
+            return False
+    return True
+
+
+def scanned_upward_shriek_terms(g):
+    """Reference for the upward terms of `_shriek_structure`: every
+    hyperplane tested against every candidate cutoff, the terms of all
+    candidates concatenated."""
+    words = [(j,) for j in range(1, g.arrangement.size + 1)]
+    up = {}
+    for b in g.vertices:
+        m = g.level[b]
+        for a in g.up(b):
+            coords = flag_space(g, a).coords
+            entries = []
+            for f in flag_space(g, b).basis:
+                terms = []
+                for cut in _cutoff_candidates(g, f, a):
+                    agree = 0
+                    while agree < m and f[agree] == cut[agree]:
+                        agree += 1
+                    k = agree - 1
+                    terms += [(jw, signed((-1) ** k, coords(cut))) for jw in words
+                              if cutoff_sum_condition(g, f, cut, k, jw)]
+                entries.append(terms)
+            up[(a, b)] = entries
+    return up
+
+
+def assert_skeletons_are_the_scans(g):
+    assert _s0_structure(g) == scanned_s0_terms(g)
+    terms = _shriek_structure(g)[0]
+    up = scanned_upward_shriek_terms(g)
+    assert {e: terms[e] for e in up} == up
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_skeletons_are_the_scans_on_the_corpus(name):
+    assert_skeletons_are_the_scans(graph(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_arrangements())
+def test_skeletons_are_the_scans_on_random_arrangements(arr):
+    assert_skeletons_are_the_scans(build_graph(arr))
+
+
 # -- one vertex-space layout ------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(corpus.CORPUS))
@@ -857,7 +938,7 @@ def test_only_tensor_map_assembles_columns():
 def per_term_shapovalov_form(g, w, flag1, flag2):
     """Reference: the form summed term by term, each word multiplied out
     on its own."""
-    from itertools import permutations, product
+    from itertools import permutations
 
     from quiverarr.linalg import sort_with_sign
     top = g.top()

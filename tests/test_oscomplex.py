@@ -311,7 +311,7 @@ def reference_presentation(ngen, relation_rows):
     the inverse of the basis block on the free columns."""
     span = _ReferenceRREF()
     for r in relation_rows:
-        span.add(dict(r))
+        span.add({c: Fraction(v) for c, v in r.items()})
     reduced = [span.reduce({i: Q1}) for i in range(ngen)]
     chooser = _ReferenceRREF()
     basis = [i for i in range(ngen) if chooser.add(dict(reduced[i])) is not None]
@@ -329,9 +329,10 @@ def reference_presentation(ngen, relation_rows):
 @st.composite
 def presentations(draw):
     """A generator count and sparse relation rows over it, with zero
-    entries, repeated rows and rows dependent on earlier ones."""
+    entries, repeated rows and rows dependent on earlier ones; entries are
+    ints or Fractions."""
     ngen = draw(st.integers(0, 8))
-    entry = st.integers(-3, 3).map(Fraction)
+    entry = st.integers(-3, 3) | st.integers(-3, 3).map(Fraction)
     if not ngen:
         return 0, draw(st.lists(st.just({}), max_size=2))
     rows = draw(st.lists(st.dictionaries(st.integers(0, ngen - 1), entry, max_size=4),
@@ -358,6 +359,8 @@ def test_presented_space_matches_two_pass_reference(data):
     assert space.dim == len(basis)
     for i, g in enumerate(gens):
         assert space.coords_of_generator(g) == tuple(coords[i])
+        assert all(type(c) is Fraction for _, c in space.coords(g))
+    assert all(type(x) is Fraction for x in space.relation_space.entries)
     # every relation vanishes in the quotient
     for r in rows:
         assert all(sum((v * space.coords_of_generator(gens[c])[k] for c, v in r.items()), Q0) == 0
@@ -372,6 +375,10 @@ def test_presented_space_without_relations_or_generators():
     empty = _PresentedSpace([], [])
     assert (empty.basis, empty.dim, empty.relation_space.rows) == ([], 0, 0)
     # a relation ending at b removes b, not a
-    quotient = _PresentedSpace(["a", "b"], [{0: Fraction(2), 1: Fraction(-4)}])
-    assert quotient.basis == ["a"]
-    assert quotient.coords_of_generator("b") == (Fraction(1, 2),)
+    for row in ({0: Fraction(2), 1: Fraction(-4)}, {0: 2, 1: -4}):
+        quotient = _PresentedSpace(["a", "b"], [row])
+        assert quotient.basis == ["a"]
+        # the pivot -4 is not a unit: the row is scaled by a Fraction
+        assert quotient.coords("b") == ((0, Fraction(1, 2)),)
+        assert type(quotient.coords("b")[0][1]) is Fraction
+        assert quotient.relation_space.entries == (Fraction(2), Fraction(-4))

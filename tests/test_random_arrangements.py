@@ -11,9 +11,11 @@ vertex of every hyperplane tuple."""
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverarr import corpus
 from quiverarr.arrangement import Arrangement, Hyperplane, build_graph
 from quiverarr.functors import j0_shriek, j0_star, s0
 from quiverarr.linalg import Matrix, Q0, betti, block_diag, rank, sort_with_sign
@@ -102,6 +104,43 @@ def test_os_poincare_polynomial_is_the_mobius_characteristic_polynomial(arr):
     for p in range(arr.ambient_dim + 1):
         want = (-1) ** p * sum(mu[f] for f in lat.flats if lat.rank(f) == p)
         assert os_space(g, p).dim == want
+
+
+def nbc_sets(lat, p):
+    """The p-subsets of hyperplane indices that contain no broken circuit:
+    a circuit is a minimal dependent subset, and a broken circuit is a
+    circuit minus its least hyperplane."""
+    indices = range(1, lat.size + 1)
+    broken = [set(c[1:]) for q in range(2, lat.size + 1)
+              for c in combinations(indices, q)
+              if lat.rank(c) == q - 1
+              and all(lat.rank(c[:i] + c[i + 1:]) == q - 1 for i in range(q))]
+    return [s for s in combinations(indices, p) if not any(b <= set(s) for b in broken)]
+
+
+def assert_os_basis_is_nbc(arr):
+    # Bjorner 1982, Orlik-Terao 1992 Thm 3.55: the nbc sets of each flat
+    # are a basis of the OS algebra there, free over Z; they are the
+    # lexicographically least independent generators
+    g = build_graph(arr)
+    lat = Lattice(arr)
+    for p in range(g.max_level + 1):
+        osd = os_space(g, p)
+        nbc = nbc_sets(lat, p)
+        assert osd.basis == [s for vk in osd.vertex_keys for s in nbc
+                             if lat.closure(s) == vk]
+        assert sorted(osd.basis) == nbc
+
+
+@pytest.mark.parametrize("name", corpus.CENTRAL)
+def test_os_basis_is_the_nbc_sets_on_the_corpus(name):
+    assert_os_basis_is_nbc(corpus.CORPUS[name]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(central_arrangements())
+def test_os_basis_is_the_nbc_sets_on_random_arrangements(arr):
+    assert_os_basis_is_nbc(arr)
 
 
 @settings(max_examples=60, deadline=None)

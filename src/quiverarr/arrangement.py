@@ -16,9 +16,10 @@ the empty tuple ().
 
 `build_graph` works on each stratum once, over the integers: it reduces
 every hyperplane outside the stratum's id set against the stratum's
-echelon rows, and each class of proportional residues is one child
-stratum with its maximal id set.  Strata are deduplicated by their ids,
-and the edges are the (parent, child) pairs of that closure.
+echelon rows (the echelon kernel of `linalg`), and each class of
+proportional residues is one child stratum with its maximal id set.
+Strata are deduplicated by their ids, and the edges are the (parent,
+child) pairs of that closure.
 `verify_graph_properties` re-checks maximal containment independently,
 by one elimination per (stratum, hyperplane) pair.
 """
@@ -26,14 +27,11 @@ by one elimination per (stratum, hyperplane) pair.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
-from fractions import Fraction
 from functools import wraps
-from math import gcd
 
 from .errors import ParseError, ShapeError, UnsupportedError
-from .linalg import (Matrix, Q0, Q1, _eliminate, _int_rows, frac, parse_rational,
-                     rref)
+from .linalg import (Matrix, Q0, Q1, _clear, _primitive, _reduce, _rref_entries, frac,
+                     parse_rational, rref)
 
 
 class Hyperplane:
@@ -265,85 +263,59 @@ class ArrangementGraph(AdmissibleGraph):
         return f"ArrangementGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def _primitive(row):
-    """The integer row divided by the gcd of its entries, signed so that
-    its first nonzero entry is positive: proportional rows map to one."""
-    g = gcd(*row)
-    if next(x for x in row if x) < 0:
-        g = -g
-    return tuple(x // g for x in row)
-
-
-def _residue(row, rows, pivots):
-    """`row` reduced against the echelon rows of a stratum: zero in every
-    pivot column, primitive, in the same line modulo their span."""
-    for r, c in zip(rows, pivots):
-        if row[c]:
-            row = _eliminate(row, r[c:], c)
-    return row
-
-
-def _meet(rows, pivots, res):
-    """The echelon rows and pivots of the stratum cut out by `rows` and the
-    primitive residue `res`: the rows are back-eliminated by `res`, which
-    is inserted at its pivot."""
-    q = next(c for c, x in enumerate(res) if x)
-    out = [_eliminate(r, res[q:], q) if r[q] else r for r in rows]
-    at = bisect_left(pivots, q)
-    return out[:at] + [list(res)] + out[at:], pivots[:at] + (q,) + pivots[at:]
-
-
-def _equations(rows, pivots, cols):
-    """The RREF of echelon integer rows: each row over its pivot entry."""
-    out = []
-    for r, c in zip(rows, pivots):
-        p = r[c]
-        out.extend(Fraction(x, p) if x else Q0 for x in r)
-    return Matrix._raw(len(rows), cols, tuple(out))
-
-
 def build_graph(arrangement: Arrangement) -> ArrangementGraph:
     """Enumerate all nonempty intersections of hyperplanes by breadth-first
     closure, working on each stratum once.
 
-    A stratum X keeps its defining rows in integer echelon form.  Every
-    hyperplane row outside its id set is reduced against them once; the
-    residue of H_j is zero in every pivot column.  A residue nonzero only
-    in the constant column means X and H_j do not meet.  Otherwise
-    H_k contains X ^ H_j exactly when residue_k is proportional to
-    residue_j, so each class of proportional residues is one child stratum
-    X ^ H_j, whose maximal id set is the ids of X plus the class.  A
-    stratum is its maximal id set, so ids are the dedup key.  Each child
-    has codim one more than its parent, and every codim-one containment
-    a > b is a ^ H_j for any j in ids(b) - ids(a), so the edges are the
-    (parent, child) pairs of the closure."""
+    A stratum X keeps its defining rows as a reduced echelon form of the
+    `linalg` kernel.  Every hyperplane row outside its id set is reduced
+    at each of their pivot columns once, and made primitive: its residue.
+    A residue nonzero only in the constant column means X and H_j do not
+    meet.  Otherwise H_k contains X ^ H_j exactly when residue_k is
+    proportional to residue_j, that is equal to it, so each class of equal
+    residues is one child stratum X ^ H_j, whose maximal id set is the ids
+    of X plus the class.  The child's rows are X's rows reduced by the
+    residue, with the residue inserted.  A stratum is its maximal id set,
+    so ids are the dedup key.  Each child has codim one more than its
+    parent, and every codim-one containment a > b is a ^ H_j for any j in
+    ids(b) - ids(a), so the edges are the (parent, child) pairs of the
+    closure."""
     n = arrangement.ambient_dim
-    hyps = _int_rows(Matrix.from_rows([h.equation_row() for h in arrangement.hyperplanes],
-                                      cols=n + 1))
-    echelon = {(): ([], ())}
+    hyps = Matrix.from_rows([h.equation_row() for h in arrangement.hyperplanes],
+                            cols=n + 1)._row_ints()
+    echelon = {(): {}}
     vertices = [Vertex((), 0, Matrix._raw(0, n + 1, ()))]
     edges = []
     frontier = [()]
     while frontier:
         nxt = []
         for ids in frontier:
-            rows, pivots = echelon[ids]
+            rows = echelon[ids]
             inside = set(ids)
             children = {}
-            for j, h in enumerate(hyps, start=1):
+            for j, (_, h) in enumerate(hyps, start=1):
                 if j in inside:
                     continue
-                res = _residue(h, rows, pivots)
-                if not any(res[:n]):
+                res = dict(h)
+                _reduce(res, rows)
+                if min(res, default=n) == n:
                     continue
-                children.setdefault(_primitive(res), []).append(j)
-            for res, js in children.items():
+                _primitive(res)
+                children.setdefault(frozenset(res.items()), (res, []))[1].append(j)
+            for res, js in children.values():
                 child = tuple(sorted(ids + tuple(js)))
                 edges.append((ids, child))
                 if child not in echelon:
-                    echelon[child] = _meet(rows, pivots, res)
-                    vertices.append(Vertex(child, len(pivots) + 1,
-                                           _equations(*echelon[child], n + 1)))
+                    q = min(res)
+                    meet = {q: res}
+                    for c, r in rows.items():
+                        if q in r:
+                            r = dict(r)
+                            _clear(r, q, res)
+                        meet[c] = r
+                    echelon[child] = meet
+                    vertices.append(Vertex(child, len(meet), Matrix._raw(
+                        len(meet), n + 1, tuple(_rref_entries(meet, n + 1)))))
                     nxt.append(child)
         frontier = nxt
     return ArrangementGraph(arrangement, vertices, edges)

@@ -1,7 +1,7 @@
 """Exact rational linear algebra.
 
 Everything in the package reduces to the operations here: dense matrices
-over `fractions.Fraction`, Gaussian elimination, kernels and images,
+over `fractions.Fraction`, row reduction, kernels and images,
 characteristic polynomials, and Betti numbers of finite complexes.  No
 floating point anywhere.
 
@@ -9,18 +9,25 @@ Matrices are immutable values; operations return new matrices.  A vector
 is a tuple of Fractions.  A polynomial is a tuple of Fractions, lowest
 degree first.
 
-The hot kernels, elimination (`rref`, `rank`), the matrix product and the
-characteristic polynomial, keep Fractions only at their edges: each
-clears the denominators of its input rows, works over Python ints, and
-builds one Fraction per output entry.  Elimination is fraction-free in
-the manner of Bareiss (1968): every row combination is integral and each
-new row is divided by its content, so the integers stay small.  The
+Every row reduction in the package, `rref`, `rank`, the presented
+spaces of `oscomplex` and the strata of `arrangement.build_graph`, runs on
+one private echelon kernel (`_forward`, `_back_substitute`, `_reduce`).  It
+works on sparse integer rows, {column: int} without zeros, each cleared of
+denominators once.  The forward pass pivots every row at its least column;
+the back substitution clears each row at the pivots it contains, in
+descending pivot order.  A step divides exactly when the pivot divides the
+row's entry; otherwise it is fraction-free in the manner of Bareiss
+(1968), and the new row is divided by its content, so the integers stay
+small.  Fractions appear only at the edges: one per output entry.
+
+The other hot kernels, the matrix product and the characteristic
+polynomial, also work on the integer forms of their inputs.  The
 product's integer core (`_int_product`) also serves zero and equality
 tests that never form the Fractions (`product_is_zero`, `products_equal`),
-and each matrix keeps its integer form once computed.  Characteristic
-polynomials run Berkowitz's division-free algorithm (1984) on the matrix
-cleared of denominators, and a product x y is taken from its smaller
-side through det(tI_n - x y) = t^(n-k) det(tI_k - y x)
+and each matrix keeps its integer form once computed (`_row_ints`).
+Characteristic polynomials run Berkowitz's division-free algorithm (1984)
+on the matrix cleared of denominators, and a product x y is taken from
+its smaller side through det(tI_n - x y) = t^(n-k) det(tI_k - y x)
 (`char_poly_of_product`).  Results are exactly those of the plain
 Fraction algorithms.
 """
@@ -73,9 +80,18 @@ def sort_with_sign(seq):
     return tuple(items), sign
 
 
+def _cleared(items):
+    """(d, [(key, numerator)]): the nonzero values of the (key, value)
+    pairs, ints or Fractions, as integers over d, the lcm of their
+    denominators (1 when there are none)."""
+    nz = [(j, x) for j, x in items if x]
+    d = lcm(*{x.denominator for _, x in nz})
+    return d, [(j, x.numerator * (d // x.denominator)) for j, x in nz]
+
+
 class Matrix:
     """Dense row-major matrix over Q.  Its integer forms, read by the
-    product kernels, are computed on first use and kept (see
+    product and echelon kernels, are computed on first use and kept (see
     `_row_ints`, `_common_ints`)."""
 
     __slots__ = ("rows", "cols", "entries", "_rows_form", "_common_form")
@@ -105,12 +121,8 @@ class Matrix:
         row)."""
         if self._rows_form is None:
             n, e = self.cols, self.entries
-            form = []
-            for i in range(self.rows):
-                nz = [(j, x) for j, x in enumerate(e[i * n:(i + 1) * n]) if x]
-                d = lcm(*{x.denominator for _, x in nz})
-                form.append((d, [(j, x.numerator * (d // x.denominator)) for j, x in nz]))
-            self._rows_form = form
+            self._rows_form = [_cleared(enumerate(e[i * n:(i + 1) * n]))
+                               for i in range(self.rows)]
         return self._rows_form
 
     def _common_ints(self):
@@ -340,93 +352,115 @@ def _integer_multiple(p):
     return [c.numerator * (d // c.denominator) for c in p]
 
 
-def _int_rows(m: Matrix):
-    """The rows of m as primitive integer lists: each row is scaled by the
-    lcm of its denominators and divided by the gcd of its entries, so it
-    spans the same line."""
+# -- the echelon kernel -------------------------------------------------------
+#
+# A row is a dict {column: int} without zeros.  An echelon form is a dict
+# {pivot column: row}, each row pivoting at its least column.
+
+def _primitive(x):
+    """Divide the nonzero row x, in place, by the gcd of its entries, signed
+    so that the entry at its least column turns positive: proportional
+    rows become equal."""
+    g = gcd(*x.values())
+    if x[min(x)] < 0:
+        g = -g
+    if g != 1:
+        for k in x:
+            x[k] //= g
+
+
+def _clear(x, c, r):
+    """Make row x zero at column c, in place, with the row r that pivots
+    there: x - (x[c] / r[c]) r when r[c] divides x[c], and otherwise the
+    fraction-free a x - b r, a : b being r[c] : x[c] in lowest terms,
+    made primitive."""
+    a, f = r[c], x[c]
+    q, m = divmod(f, a)
+    if m:
+        g = gcd(a, f)
+        a, q = a // g, f // g
+        for k in x:
+            x[k] *= a
+    for k, v in r.items():
+        nv = x.get(k, 0) - q * v
+        if nv:
+            x[k] = nv
+        else:
+            del x[k]
+    if m and x:
+        _primitive(x)
+
+
+def _forward(rows):
+    """The forward pass: the echelon form of the rows, which it consumes.
+    Each row is cleared at its least column while a kept row pivots there;
+    a row left nonzero is kept at that column, a zero row dropped."""
+    echelon = {}
+    for x in rows:
+        while x:
+            c = min(x)
+            r = echelon.get(c)
+            if r is None:
+                echelon[c] = x
+                break
+            _clear(x, c, r)
+    return echelon
+
+
+def _reduce(x, echelon):
+    """Clear x, in place, at every pivot column of `echelon` it contains;
+    each row of `echelon` must be zero at the other rows' pivots."""
+    for c in [c for c in x if c in echelon]:
+        _clear(x, c, echelon[c])
+
+
+def _back_substitute(echelon):
+    """The reduced echelon form of a forward echelon form, whose rows it
+    reuses: in descending pivot order, each row is cleared at the pivots
+    above its own, whose rows are reduced already."""
+    reduced = {}
+    for c in sorted(echelon, reverse=True):
+        _reduce(echelon[c], reduced)
+        reduced[c] = echelon[c]
+    return reduced
+
+
+def _rref_entries(echelon, cols):
+    """The rows of a reduced echelon form in ascending pivot order, each
+    over its pivot entry: the nonzero rows of the RREF, as one flat list
+    of Fractions."""
     out = []
-    for i in range(m.rows):
-        ints = _integer_multiple(m.row(i))
-        g = gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
+    for c in sorted(echelon):
+        x = echelon[c]
+        p = x[c]
+        row = [Q0] * cols
+        for k, v in x.items():
+            row[k] = Fraction(v, p)
+        out.extend(row)
     return out
 
 
-def _eliminate(row, ptail, c):
-    """row - (row[c] / ptail[0]) pivot_row, scaled to a primitive integer
-    row, where ptail is the pivot row from column c on (it is zero left
-    of c)."""
-    p, f = ptail[0], row[c]
-    g = gcd(p, f)
-    a, b = p // g, f // g
-    head = row[:c]
-    if a != 1 and any(head):
-        head = [a * x for x in head]
-    new = head + [a * x - b * y for x, y in zip(row[c:], ptail)]
-    g = gcd(*new)
-    if g > 1:
-        new = [x // g for x in new]
-    return new
+def _int_echelon(m: Matrix):
+    """The forward echelon form of the rows of m, read from its kept
+    integer form, which stays as it is."""
+    return _forward(dict(nz) for _, nz in m._row_ints())
 
 
 def rref(m: Matrix):
     """Reduced row-echelon form.  Returns (rref_matrix, pivot_columns).
 
-    Gauss-Jordan elimination over the integers: the rows are cleared of
-    denominators, each row operation is the integral combination
-    a*row - b*pivot_row, with a : b the pivot and the row's entry in
-    lowest terms, and every new row is divided by its content.  Each pivot
-    row is divided by its pivot only at the end, which gives the unique
-    RREF.  Rows below the working row are zero left of the working column,
-    as is the pivot row itself, so rows below combine only their tails and
-    rows above also rescale their heads."""
-    rows = _int_rows(m)
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        ptail = rows[r][c:]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                rows[i] = _eliminate(rows[i], ptail, c)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    out = []
-    for i, c in enumerate(pivots):
-        p = rows[i][c]
-        out.extend(Fraction(x, p) if x else Q0 for x in rows[i])
-    out.extend((Q0,) * ((nrows - r) * ncols))
-    return Matrix._raw(nrows, ncols, tuple(out)), tuple(pivots)
+    The echelon kernel's forward pass and back substitution on the rows
+    of m, then one Fraction per entry: each row over its pivot entry."""
+    echelon = _back_substitute(_int_echelon(m))
+    out = _rref_entries(echelon, m.cols)
+    out.extend((Q0,) * ((m.rows - len(echelon)) * m.cols))
+    return Matrix._raw(m.rows, m.cols, tuple(out)), tuple(sorted(echelon))
 
 
 def rank(m: Matrix) -> int:
-    """Rank by forward integer elimination (see `rref`); rows that reduce
-    to zero are dropped as they appear."""
-    rows = [row for row in _int_rows(m) if any(row)]
-    r = 0
-    for c in range(m.cols):
-        if not rows:
-            break
-        k = next((i for i, row in enumerate(rows) if row[c]), None)
-        if k is None:
-            continue
-        ptail = rows.pop(k)[c:]
-        r += 1
-        rows = [_eliminate(row, ptail, c) if row[c] else row for row in rows]
-        rows = [row for row in rows if any(row)]
-    return r
+    """The number of pivots of the echelon kernel's forward pass on the
+    rows of m."""
+    return len(_int_echelon(m))
 
 
 class Subspace:

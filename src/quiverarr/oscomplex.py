@@ -7,9 +7,8 @@ arrangement graph.  Bases are the lexicographically least independent
 generator subsets, so coordinates are deterministic across runs.
 `_PresentedSpace` reads the basis and every generator's coordinates off
 the reduced echelon form of the relations, each pivoted at its last
-generator: one forward reduction and one back substitution, on Python
-ints (the relations have entries 0 and +-1), with a `Fraction` only
-where a pivot is not +-1.  Coordinates are per vertex and sparse:
+generator: the echelon kernel of `linalg`, on Python ints, with a
+`Fraction` only per coordinate.  Coordinates are per vertex and sparse:
 `OSBasis.expand` and `FlagDegree.expand` take a hyperplane tuple or a
 flag to its one vertex, a sign, and (basis position, value) pairs in
 that vertex's space.  A flag space (`FlagBasis`) is itself a presented
@@ -26,8 +25,9 @@ from itertools import product
 
 from .arrangement import ArrangementGraph, per_graph
 from .errors import ParseError, ShapeError
-from .linalg import (ChainComplex, ChainMap, Matrix, Q0, Q1, block_offsets,
-                     frac, image_complex, parse_rational, sort_with_sign)
+from .linalg import (ChainComplex, ChainMap, Matrix, Q0, Q1, _back_substitute,
+                     _cleared, _forward, block_offsets, frac, image_complex,
+                     parse_rational, sort_with_sign)
 
 
 class _PresentedSpace:
@@ -35,65 +35,31 @@ class _PresentedSpace:
     rows, with the lexicographically least generator subset as basis and
     a precomputed sparse expansion of every generator in that basis.
 
-    The relations are brought to reduced echelon form, each row pivoted
-    at its last generator.  A forward pass reduces each new relation
-    against the kept rows, always at its current largest column, until
-    that column is no kept pivot; the column becomes the row's pivot,
-    scaled to 1.  One back substitution, in ascending pivot order, then
-    clears from each row the pivot columns below its own; the echelon
-    form is unique, so the order of the work does not change it.
-    Generator i is left out of the basis exactly when a row pivots at i;
-    the row then reads e_i = -(the rest of the row), all of it on basis
-    generators.
-
-    The arithmetic is on Python ints (the OS and flag relations have
-    entries 0 and +-1), and stays there while every pivot is +-1; a row
-    with any other pivot is scaled by a `Fraction`.  Coordinates and the
-    relation matrix are given as Fractions."""
+    The relations, cleared of denominators, go through the echelon
+    kernel of `linalg` with generator i as column ngen-1-i, so each row
+    pivots at its last generator.  Generator i is left out of the basis
+    exactly when a row of the reduced echelon form pivots at it; the row
+    then reads e_i = -(the rest of the row) / (its pivot entry), all of it
+    on basis generators.  Coordinates are given as Fractions."""
 
     def __init__(self, generators, relation_rows):
         self.generators = list(generators)
-        self._relation_rows = [dict(r) for r in relation_rows]
-        rows = {}  # pivot generator -> {generator: value}, 1 at the pivot
-        for rel in self._relation_rows:
-            vec = {c: v.numerator if v.denominator == 1 else v
-                   for c, v in rel.items() if v}
-            pivot = max(vec, default=None)
-            while pivot in rows:
-                _subtract(vec, vec[pivot], rows[pivot])
-                pivot = max(vec, default=None)
-            if pivot is None:
-                continue
-            lead = vec[pivot]
-            if lead != 1:
-                inv = -1 if lead == -1 else 1 / Fraction(lead)
-                vec = {c: v * inv for c, v in vec.items()}
-            rows[pivot] = vec
-        for pivot in sorted(rows):
-            row = rows[pivot]
-            for c in [c for c in row if c != pivot and c in rows]:
-                _subtract(row, row[c], rows[c])
-        basis = [i for i in range(len(self.generators)) if i not in rows]
+        last = len(self.generators) - 1
+        echelon = _back_substitute(_forward(
+            {last - i: v for i, v in _cleared(rel.items())[1]} for rel in relation_rows))
+        basis = [i for i in range(len(self.generators)) if last - i not in echelon]
         self.basis = [self.generators[i] for i in basis]
         self.dim = len(basis)
-        position = {i: k for k, i in enumerate(basis)}
+        position = {last - i: k for k, i in enumerate(basis)}
         self._coords = {}
         for i, gen in enumerate(self.generators):
-            if i in rows:
-                self._coords[gen] = tuple(sorted((position[c], Fraction(-v))
-                                                 for c, v in rows[i].items() if c != i))
+            row = echelon.get(last - i)
+            if row is None:
+                self._coords[gen] = ((position[last - i], Q1),)
             else:
-                self._coords[gen] = ((position[i], Q1),)
-
-    @property
-    def relation_space(self):
-        rows = []
-        for r in self._relation_rows:
-            dense = [Q0] * len(self.generators)
-            for c, v in r.items():
-                dense[c] = v
-            rows.append(dense)
-        return Matrix.from_rows(rows, cols=len(self.generators))
+                p = row.pop(last - i)
+                self._coords[gen] = tuple(sorted((position[c], Fraction(-v, p))
+                                                 for c, v in row.items()))
 
     def coords(self, gen):
         """The coordinates of a generator in the basis, sparse: (basis
@@ -106,16 +72,6 @@ class _PresentedSpace:
         for i, c in self._coords[gen]:
             out[i] = c
         return tuple(out)
-
-
-def _subtract(target, f, row):
-    """target -= f * row on sparse rows (dicts without zero values)."""
-    for c, v in row.items():
-        nv = target.get(c, 0) - f * v
-        if nv:
-            target[c] = nv
-        else:
-            del target[c]
 
 
 class OSBasis:

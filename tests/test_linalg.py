@@ -244,12 +244,33 @@ def matrices(draw, rows=None, max_dim=6, cols=None):
     return Matrix.from_rows(entrywise_product(left, right), cols=m)
 
 
-@settings(max_examples=300, deadline=None)
-@given(matrices())
+@st.composite
+def sparse_matrices(draw):
+    """Mostly zero matrices up to 12x12, with duplicate rows, rows with a
+    common factor and sums of rows."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                        st.sampled_from(DENOMINATORS))
+    rows = []
+    for _ in range(n):
+        row = [Fraction(0)] * m
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            row[j] = draw(nonzero)
+        rows.append(row)
+    picks = st.integers(0, n - 1)
+    factors = st.sampled_from((1, -1, 2, 6, -12, Fraction(3, 4)))
+    for i, j, k, f in draw(st.lists(st.tuples(picks, picks, picks, factors), max_size=6)):
+        rows[k] = [f * x + y for x, y in zip(rows[i], rows[j] if i != j else [0] * m)]
+    return Matrix.from_rows(rows, cols=m)
+
+
+@settings(max_examples=500, deadline=None)
+@given(matrices() | sparse_matrices())
 @example(Matrix.zero(0, 3))
 @example(Matrix.zero(3, 0))
 @example(Matrix.zero(0, 0))
 def test_rref_matches_fraction_elimination(m):
+    kept = [(d, list(nz)) for d, nz in m._row_ints()]
     r, piv = rref(m)
     ref_rows, ref_piv = fraction_rref(m)
     assert (r.rows, r.cols) == (m.rows, m.cols)
@@ -257,6 +278,8 @@ def test_rref_matches_fraction_elimination(m):
     assert r.row_list() == ref_rows
     assert all(type(x) is Fraction for x in r.entries)
     assert rank(m) == len(ref_piv)
+    # the elimination reads the matrix's kept integer form and leaves it
+    assert m._row_ints() == kept
 
 
 @settings(max_examples=100, deadline=None)

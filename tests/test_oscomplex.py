@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverarr import corpus
+from quiverarr import corpus, linalg
 from quiverarr.arrangement import build_graph
 from quiverarr.errors import ShapeError
 from quiverarr.linalg import Matrix, Q0, Q1, betti, rank, solve_matrix
@@ -66,13 +66,33 @@ def test_three_lines_flag_space():
     g = graph("three_lines")
     fb = flag_space(g, (1, 2, 3))
     assert len(fb.generators) == 3
-    assert fb.relation_space.rows == 1
     assert fb.dim == 2
+    # the one relation, the sum of the three flags, vanishes
+    assert [sum(c) for c in zip(*map(fb.coords_of_generator, fb.generators))] == [0, 0]
     # the dropped flag is minus the sum of the two basis flags
     last = fb.generators[-1]
     assert fb.coords_of_generator(last) == (Fraction(-1), Fraction(-1))
     assert flag_degree(g, 2).expand(last) == (
         (1, 2, 3), 1, ((0, Fraction(-1)), (1, Fraction(-1))))
+
+
+def test_presented_spaces_do_no_rref_or_rank(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    for name in ("rref", "rank"):
+        monkeypatch.setattr(linalg, name, counting(getattr(linalg, name)))
+    graphs = [graph(name) for name in sorted(corpus.CORPUS)]
+    for g in graphs:
+        for p in range(g.max_level + 1):
+            os_space(g, p)
+            flag_degree(g, p)
+    assert calls == []
+    g = graphs[-1]
+    betti(aomoto_complex(g, exponents(g, [1] * g.arrangement.size)))
+    assert calls
 
 
 def test_flag_space_of_top_vertex():
@@ -330,9 +350,10 @@ def reference_presentation(ngen, relation_rows):
 def presentations(draw):
     """A generator count and sparse relation rows over it, with zero
     entries, repeated rows and rows dependent on earlier ones; entries are
-    ints or Fractions."""
+    ints, integral Fractions or non-integral Fractions."""
     ngen = draw(st.integers(0, 8))
-    entry = st.integers(-3, 3) | st.integers(-3, 3).map(Fraction)
+    entry = (st.integers(-3, 3) | st.integers(-3, 3).map(Fraction)
+             | st.builds(Fraction, st.integers(-4, 4), st.sampled_from((2, 3, 4))))
     if not ngen:
         return 0, draw(st.lists(st.just({}), max_size=2))
     rows = draw(st.lists(st.dictionaries(st.integers(0, ngen - 1), entry, max_size=4),
@@ -353,19 +374,22 @@ def presentations(draw):
 def test_presented_space_matches_two_pass_reference(data):
     ngen, rows = data
     gens = [f"g{i}" for i in range(ngen)]
+    given_rows = [dict(r) for r in rows]
     space = _PresentedSpace(gens, rows)
+    assert rows == given_rows
     basis, coords = reference_presentation(ngen, rows)
     assert space.basis == [gens[i] for i in basis]
     assert space.dim == len(basis)
     for i, g in enumerate(gens):
         assert space.coords_of_generator(g) == tuple(coords[i])
         assert all(type(c) is Fraction for _, c in space.coords(g))
-    assert all(type(x) is Fraction for x in space.relation_space.entries)
     # every relation vanishes in the quotient
     for r in rows:
         assert all(sum((v * space.coords_of_generator(gens[c])[k] for c, v in r.items()), Q0) == 0
                    for k in range(space.dim))
-    assert space.relation_space.rows == len(rows)
+    relations = Matrix.from_rows([[r.get(c, Q0) for c in range(ngen)] for r in rows],
+                                 cols=ngen)
+    assert space.dim == ngen - rank(relations)
 
 
 def test_presented_space_without_relations_or_generators():
@@ -373,12 +397,15 @@ def test_presented_space_without_relations_or_generators():
     assert space.basis == ["a", "b"]
     assert space.coords_of_generator("b") == (Q0, Q1)
     empty = _PresentedSpace([], [])
-    assert (empty.basis, empty.dim, empty.relation_space.rows) == ([], 0, 0)
-    # a relation ending at b removes b, not a
-    for row in ({0: Fraction(2), 1: Fraction(-4)}, {0: 2, 1: -4}):
+    assert (empty.generators, empty.basis, empty.dim) == ([], [], 0)
+    # a relation ending at b removes b, not a; the pivot is no unit, and
+    # the entries of the last row are not integral
+    for row, b in (({0: Fraction(2), 1: Fraction(-4)}, Fraction(1, 2)),
+                   ({0: 2, 1: -4}, Fraction(1, 2)),
+                   ({0: Fraction(1, 2), 1: Fraction(-3, 4)}, Fraction(2, 3))):
+        given = dict(row)
         quotient = _PresentedSpace(["a", "b"], [row])
         assert quotient.basis == ["a"]
-        # the pivot -4 is not a unit: the row is scaled by a Fraction
-        assert quotient.coords("b") == ((0, Fraction(1, 2)),)
+        assert quotient.coords("b") == ((0, b),)
         assert type(quotient.coords("b")[0][1]) is Fraction
-        assert quotient.relation_space.entries == (Fraction(2), Fraction(-4))
+        assert row == given

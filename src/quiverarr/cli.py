@@ -54,6 +54,8 @@ def _graph(args):
 
 
 def _exponents(args):
+    if args.exp is None:
+        raise ParseError("need --exp")
     a = parse_exponents(_read(args.exp), args.exp)
     if args.kappa is not None:
         a = ExponentAssignment(a.values, parse_rational(args.kappa, "--kappa"))

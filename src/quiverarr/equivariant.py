@@ -23,7 +23,8 @@ from .errors import (InternalInconsistencyError, NotFiniteError, ParseError,
                      ShapeError, SymmetryError, UnsupportedError)
 from .functors import _tensor_map, j0_shriek, j0_star, macpherson
 from .linalg import (Matrix, Q0, Q1, block_diag, det, kernel_basis,
-                     parse_rational, rank, solve_matrix, subcomplex)
+                     parse_rational, products_equal, rank, solve_matrix,
+                     subcomplex)
 from .oscomplex import flag_degree, os_space
 from .quiver import LevelQuiver, c_plus
 
@@ -301,7 +302,7 @@ def equivariant_c_plus(act: GroupAction, eq: EquivariantLevelZero, functor):
     autos = {gi: chain_automorphism(eq, functor, gi, mac) for gi in act.generators}
     for per_degree in autos.values():
         for p, d in enumerate(comp.differentials):
-            if per_degree[p + 1] * d != d * per_degree[p]:
+            if not products_equal(per_degree[p + 1], d, d, per_degree[p]):
                 raise SymmetryError("action does not commute with the differential")
     return comp, autos
 

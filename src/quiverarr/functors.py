@@ -16,10 +16,12 @@ share one form.  A per-graph skeleton (`_star_structure`,
 a list of (word, sparse coordinates) terms, a word being a tuple of
 hyperplane indices.  `_word_table` turns a word into its product of loop
 operators on W, each word once, and `_tensor_map` assembles any such
-matrix as the sum of coordinates tensor word; the group actions of
+matrix as the sum of coordinates tensor word, on integer numerators over
+one denominator, one Fraction per nonzero entry; the group actions of
 `equivariant` are assembled by it too.  The skeletons are memoized on
 their graph (`arrangement.per_graph`); the word table keeps only the
-last quiver asked for.
+last quiver asked for.  The MacPherson extension solves, at each vertex,
+for all its induced maps and its projection in one elimination.
 
 Every sum of vertex spaces here (the ambient sum at a new vertex, the
 hom coordinates) lists its vertices in the graph's sorted order, each
@@ -29,7 +31,9 @@ block at its running offset (`linalg.block_offsets`).
 from __future__ import annotations
 
 import weakref
+from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 from typing import NamedTuple
 
 from .arrangement import (ArrangementGraph, TruncatedGraph, per_graph,
@@ -339,12 +343,28 @@ def _tensor_map(entries, rows, dw, word):
     basis element s are the sum, over its terms (key, coords) in
     entries[s], of the sparse coordinates tensored with word(key): rows*dw
     rows, len(entries)*dw columns.  Every direct-image matrix is
-    assembled here."""
-    cols = [[Q0] * (rows * dw) for _ in range(len(entries) * dw)]
-    for si, terms in enumerate(entries):
-        for key, coords in terms:
-            _t_acc_cols(cols, si, coords, word(key), dw)
-    return Matrix.from_cols(cols, rows * dw)
+    assembled here, on integers: every term's products are summed as
+    numerators over one denominator d, the lcm over all terms of
+    (coordinate denominator x denominator of the word's integer form),
+    and each nonzero sum becomes one Fraction, in row-major order."""
+    ncols = len(entries) * dw
+    terms = [(si * dw, coords, word(key)._common_ints())
+             for si, ts in enumerate(entries) for key, coords in ts]
+    d = lcm(*{c.denominator * wd for _, coords, (wd, _) in terms for _, c in coords})
+    acc = [0] * (rows * dw * ncols)
+    for col, coords, (wd, wrows) in terms:
+        for ti, c in coords:
+            f = c.numerator * (d // (c.denominator * wd))
+            base = ti * dw * ncols + col
+            for tk, wrow in enumerate(wrows):
+                o = base + tk * ncols
+                for sk, x in wrow:
+                    acc[o + sk] += f * x
+    if d == 1:
+        out = tuple(Fraction(x) if x else Q0 for x in acc)
+    else:
+        out = tuple(Fraction(x, d) if x else Q0 for x in acc)
+    return Matrix._raw(rows * dw, ncols, out)
 
 
 def _direct_image(graph, edges, dims, word, dw) -> Quiver:
@@ -418,24 +438,6 @@ def j0_shriek(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
 def _signed(sign, coords):
     """Sparse coordinates times sign, which is 1 or -1."""
     return coords if sign > 0 else tuple((i, -c) for i, c in coords)
-
-
-def _t_acc_cols(cols, src_flag_index, coords, wmat, dw):
-    """Add the tensor product of the sparse coordinates (i, c) with wmat
-    into the dw columns of source basis element src_flag_index."""
-    if dw == 1:
-        w = wmat.entries[0]
-        if w:
-            col = cols[src_flag_index]
-            for ti, c in coords:
-                col[ti] += c * w
-        return
-    for sk in range(dw):
-        col = cols[src_flag_index * dw + sk]
-        wcol = [(tk, x) for tk, x in enumerate(wmat.col(sk)) if x]
-        for ti, c in coords:
-            for tk, x in wcol:
-                col[ti * dw + tk] += c * x
 
 
 def _cutoff_candidates(graph, flag, a):
@@ -574,7 +576,11 @@ class MacPhersonResult:
 
 def macpherson(graph: ArrangementGraph, w: LevelQuiver) -> MacPhersonResult:
     """The MacPherson extension: per-vertex images of the Shapovalov
-    morphism inside the * direct image, with the induced maps."""
+    morphism inside the * direct image, with the induced maps.  At each
+    vertex a, one elimination against the inclusion incl[a] solves for the
+    maps of every star edge (a, b), star(a, b) incl[b], and for the
+    projection, the Shapovalov component at a; incl[a] has full column
+    rank, so each solution is unique."""
     s = s0(graph, w)
     shriek, star = s.source, s.target
     incl = {}
@@ -583,25 +589,31 @@ def macpherson(graph: ArrangementGraph, w: LevelQuiver) -> MacPhersonResult:
         basis = image_basis(s.component(a))
         incl[a] = basis.basis.transpose()
         spaces[a] = basis.dim
-    maps = {}
-    for (a, b), m in star.maps.items():
-        target = m * incl[b]
-        x = solve_matrix(incl[a], target)
+    edges = {a: [] for a in graph.vertices}
+    for e in star.maps:
+        edges[e[0]].append(e)
+    solved = {}
+    proj_comps = {}
+    for a in graph.vertices:
+        blocks = [star.maps[e] * incl[e[1]] for e in edges[a]] + [s.component(a)]
+        n = star.dim(a)
+        rhs = Matrix._raw(n, sum(t.cols for t in blocks),
+                          tuple(x for i in range(n) for t in blocks for x in t.row(i)))
+        x = solve_matrix(incl[a], rhs)
         if x is None:
             raise InternalInconsistencyError("image not preserved by the quiver maps")
-        if not x.is_zero():
-            maps[(a, b)] = x
-    quiver = Quiver(graph, spaces, maps)
+        parts = []
+        o = 0
+        for t in blocks:
+            parts.append(x.submatrix(range(x.rows), range(o, o + t.cols)))
+            o += t.cols
+        proj_comps[a] = parts.pop()
+        solved.update(zip(edges[a], parts))
+    quiver = Quiver(graph, spaces, {e: solved[e] for e in star.maps})
     witness = SubquotientWitness()
     for a in graph.vertices:
         witness.record(a, "inclusion", (a,), incl[a])
     inclusion = QuiverMorphism(quiver, star, {a: incl[a] for a in graph.vertices})
-    proj_comps = {}
-    for a in graph.vertices:
-        x = solve_matrix(incl[a], s.component(a))
-        if x is None:
-            raise InternalInconsistencyError("Shapovalov image mismatch")
-        proj_comps[a] = x
     projection = QuiverMorphism(shriek, quiver, proj_comps)
     return MacPhersonResult(quiver, witness, inclusion, projection, shriek, star)
 

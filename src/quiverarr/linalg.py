@@ -929,13 +929,11 @@ class ChainComplex:
 
 
 def betti(c: ChainComplex):
-    """Betti numbers, indexed like c.dims: b[k] = dim ker d_k - rank d_{k-1}."""
-    out = []
-    for k in range(len(c.dims)):
-        d_out = c.differential(c.min_degree + k)
-        d_in = c.differential(c.min_degree + k - 1)
-        out.append((c.dims[k] - rank(d_out)) - rank(d_in))
-    return tuple(out)
+    """Betti numbers, indexed like c.dims: b[k] = dim ker d_k - rank d_{k-1}.
+    Each stored differential is ranked once; the maps into the lowest
+    degree and out of the highest are zero."""
+    ranks = [0] + [rank(d) for d in c.differentials] + [0]
+    return tuple(n - ranks[k + 1] - ranks[k] for k, n in enumerate(c.dims))
 
 
 class ChainMap:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from quiverarr.arrangement import format_arrangement
 from quiverarr.cli import main
+from quiverarr.corpus import CORPUS
 
 
 THREE_LINES_ARR = """# three concurrent lines
@@ -355,6 +357,17 @@ def test_cohomology_models(files, capsys):
     code, out = run(capsys, "cohomology", files["three.arr"],
                     "--model", "flag")
     assert code == 0
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_aomoto_cohomology_without_exp_exits_2(name, tmp_path, capsys):
+    """`cohomology --model aomoto` reads its exponents from --exp; without
+    one it is a parse problem (exit 2), not a traceback."""
+    arr = tmp_path / f"{name}.arr"
+    arr.write_text(format_arrangement(CORPUS[name]()))
+    code, err = run_failing(capsys, "cohomology", str(arr), "--model", "aomoto")
+    assert code == 2
+    assert "need --exp" in err
 
 
 def test_cohomology_refuses_non_central(files, capsys):

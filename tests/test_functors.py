@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverarr import corpus
@@ -916,23 +916,153 @@ def test_word_table_follows_the_quiver():
 
 
 def test_only_tensor_map_assembles_columns():
-    """Every call that allocates or fills direct-image columns sits in
-    `functors._tensor_map`; the images, s0, the Shapovalov form and the
-    group actions have no column loop of their own."""
+    """Every direct-image matrix is assembled in `functors._tensor_map`:
+    no function of `functors` or `equivariant` fills columns
+    (`_t_acc_cols`, `from_cols`) or reads the integer forms of the words
+    (`_common_ints`) outside it, and the images, s0 and the group actions,
+    its only callers, build no matrix of their own."""
     import ast
     import inspect
 
     from quiverarr import equivariant, functors
-    callers = {}
+    calls = {}
     for mod in (functors, equivariant):
         for fn in ast.walk(ast.parse(inspect.getsource(mod))):
             if isinstance(fn, ast.FunctionDef):
                 for n in ast.walk(fn):
                     if isinstance(n, ast.Call):
                         name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
-                        if name in ("_t_acc_cols", "from_cols"):
-                            callers.setdefault(name, set()).add(fn.name)
-    assert callers == {"_t_acc_cols": {"_tensor_map"}, "from_cols": {"_tensor_map"}}
+                        calls.setdefault(name, set()).add(fn.name)
+    assert "_t_acc_cols" not in calls and "from_cols" not in calls
+    assert calls["_common_ints"] == {"_tensor_map"}
+    builders = calls["_tensor_map"]
+    assert builders == {"_direct_image", "s0", "_tensor_action"}
+    assert not any(builders & calls.get(name, set())
+                   for name in ("Matrix", "_raw", "from_rows", "from_cols", "zero", "identity"))
+
+
+def column_loop_tensor_map(entries, rows, dw, word):
+    """Reference: the Fraction column loop that assembled the direct
+    images before the integer assembly, one column per source basis
+    element and W coordinate."""
+    cols = [[Fraction(0)] * (rows * dw) for _ in range(len(entries) * dw)]
+    for si, terms in enumerate(entries):
+        for key, coords in terms:
+            wmat = word(key)
+            if dw == 1:
+                w = wmat.entries[0]
+                if w:
+                    col = cols[si]
+                    for ti, c in coords:
+                        col[ti] += c * w
+                continue
+            for sk in range(dw):
+                col = cols[si * dw + sk]
+                wcol = [(tk, x) for tk, x in enumerate(wmat.col(sk)) if x]
+                for ti, c in coords:
+                    for tk, x in wcol:
+                        col[ti * dw + tk] += c * x
+    return Matrix.from_cols(cols, rows * dw)
+
+
+fractions_over_2_3_4 = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def tensor_map_inputs(draw):
+    """(entries, rows, dw, words): per source basis element a list of
+    (key, sparse coordinates) terms, coordinates and word entries drawn
+    over the denominators 1 to 4."""
+    rows = draw(st.integers(0, 4))
+    dw = draw(st.integers(1, 3))
+    keys = [(), (1,), (2, 1)]
+    words = {k: Matrix(dw, dw, draw(st.lists(fractions_over_2_3_4, min_size=dw * dw,
+                                              max_size=dw * dw)))
+             for k in keys}
+    coords = st.lists(st.tuples(st.integers(0, rows - 1), fractions_over_2_3_4),
+                      max_size=3).map(tuple) if rows else st.just(())
+    term = st.tuples(st.sampled_from(keys), coords)
+    entries = draw(st.lists(st.lists(term, max_size=3), max_size=4))
+    return entries, rows, dw, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensor_map_inputs())
+@example(([[((), ((0, Fraction(1, 2)),))]], 1, 1, {(): M([[Fraction(1, 2)]])}))
+@example(([[((), ((0, Fraction(1, 2)), (1, Fraction(2, 3))))], []], 2, 2,
+          {(): M([[Fraction(1, 2), 0], [Fraction(3, 4), Fraction(-1, 3)]])}))
+def test_tensor_map_matches_the_column_loop(args):
+    """The integer assembly over one denominator gives the column loop's
+    matrix, every entry a Fraction, also where both a coordinate and a
+    word entry are non-integral (1/2 x 1/2 needs the denominator 4)."""
+    from quiverarr.functors import _tensor_map
+    entries, rows, dw, words = args
+    got = _tensor_map(entries, rows, dw, words.__getitem__)
+    assert got == column_loop_tensor_map(entries, rows, dw, words.__getitem__)
+    assert all(type(x) is Fraction for x in got.entries)
+
+
+def per_edge_macpherson(s, incl):
+    """Reference: the maps of the MacPherson image solved edge by edge,
+    and the projection solved vertex by vertex, against the inclusions."""
+    from quiverarr.linalg import solve_matrix
+    maps = {e: solve_matrix(incl[e[0]], m * incl[e[1]]) for e, m in s.target.maps.items()}
+    proj = {a: solve_matrix(incl[a], s.component(a)) for a in s.source.graph.vertices}
+    return {e: x for e, x in maps.items() if not x.is_zero()}, proj
+
+
+def macpherson_inputs(g):
+    """Level-zero quivers on g: rank 1 generic and zero, rank 2 from three
+    random matrices and from a nilpotent one."""
+    n = g.arrangement.size
+    generic = {j: Fraction(j, 17) for j in range(1, n + 1)}
+    yield scalar_family_level0(g, generic)
+    yield scalar_family_level0(g, {j: Fraction(0) for j in range(1, n + 1)})
+    for seed in (1, 2, 3):
+        yield scalar_family_level0(g, generic, dim=2, seed=seed)
+    yield level_zero_quiver(g, 2, {j: M([[0, j], [0, 0]]) for j in range(1, n + 1)})
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_macpherson_is_the_per_edge_solve(name, monkeypatch):
+    """One solve per vertex gives the maps and the projection that one
+    solve per star edge and per projection give, in the same order."""
+    import quiverarr.functors as functors
+    g = graph(name)
+    for w in macpherson_inputs(g):
+        calls = []
+        real = functors.solve_matrix
+        monkeypatch.setattr(functors, "solve_matrix",
+                            lambda m, rhs: calls.append(m) or real(m, rhs))
+        mac = macpherson(g, w)
+        monkeypatch.setattr(functors, "solve_matrix", real)
+        assert len(calls) == len(g.vertices)
+        incl = {a: mac.inclusion.component(a) for a in g.vertices}
+        maps, proj = per_edge_macpherson(s0(g, w), incl)
+        assert list(mac.quiver.maps.items()) == list(maps.items())
+        assert mac.projection.components == proj
+
+
+def test_macpherson_refuses_a_star_map_leaving_the_image(monkeypatch):
+    """A star map carrying the image at its source outside the image at
+    its target is an internal inconsistency (exit 4)."""
+    import quiverarr.functors as functors
+    g = graph("three_lines")
+    w = level_zero_quiver(g, 2, {})
+    real = functors.s0
+    top = g.top()
+    a = next(k for k in g.vertices if g.level[k] == 1)
+
+    def corrupt_s0(graph_, w_):
+        s = real(graph_, w_)
+        star = s.target
+        star.maps[(a, top)] = Matrix(star.dim(a), star.dim(top),
+                                     [1] * (star.dim(a) * star.dim(top)))
+        return s
+
+    monkeypatch.setattr(functors, "s0", corrupt_s0)
+    with pytest.raises(InternalInconsistencyError, match="image not preserved"):
+        macpherson(g, w)
 
 
 def per_term_shapovalov_form(g, w, flag1, flag2):

@@ -178,6 +178,45 @@ def test_euler_characteristic_matches_betti():
     assert sum((-1) ** (d) * b[d - c.min_degree] for d in c.degrees) == c.euler_characteristic()
 
 
+def betti_ranking_both_sides(c):
+    """Reference: each Betti number from the ranks of the differentials
+    out of and into its degree, every differential ranked twice."""
+    return tuple(c.dims[k] - rank(c.differential(c.min_degree + k))
+                 - rank(c.differential(c.min_degree + k - 1)) for k in range(len(c.dims)))
+
+
+@st.composite
+def complexes(draw):
+    """(complex, Betti numbers): a standard complex, where d_k carries r_k
+    basis vectors of degree k onto the first r_k of degree k+1, in bases
+    changed at random."""
+    length = draw(st.integers(0, 5))
+    ranks = [0] + [draw(st.integers(0, 2)) for _ in range(length - 1)] + [0]
+    homology = tuple(draw(st.integers(0, 2)) for _ in range(length))
+    dims = [ranks[k] + ranks[k + 1] + homology[k] for k in range(length)]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bases = [rand_invertible(rng, n) for n in dims]
+    diffs = []
+    for k in range(length - 1):
+        std = Matrix(dims[k + 1], dims[k], [int(i < ranks[k + 1] and j == ranks[k] + i)
+                                            for i in range(dims[k + 1]) for j in range(dims[k])])
+        diffs.append(bases[k + 1] * std * invert(bases[k]))
+    return ChainComplex(draw(st.integers(-3, 3)), dims, diffs), homology
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes())
+def test_betti_ranks_each_differential_once(drawn):
+    import quiverarr.linalg as linalg
+    c, homology = drawn
+    assert betti_ranking_both_sides(c) == homology
+    ranked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rank", lambda m: ranked.append(m) or rank(m))
+        assert betti(c) == homology
+    assert [id(m) for m in ranked] == [id(d) for d in c.differentials]
+
+
 def test_image_complex():
     source = ChainComplex(0, (1, 2), (M([[1], [1]]),))
     target = ChainComplex(0, (2, 2), (M([[1, 0], [1, 0]]),))

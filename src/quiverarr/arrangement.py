@@ -30,7 +30,7 @@ import warnings
 from functools import wraps
 
 from .errors import ParseError, ShapeError, UnsupportedError
-from .linalg import (Matrix, Q0, Q1, _clear, _primitive, _reduce, _rref_entries, frac,
+from .linalg import (Matrix, Q0, Q1, _clear, _primitive, _reduce, _rref_rows, frac,
                      parse_rational, rref)
 
 
@@ -282,9 +282,9 @@ def build_graph(arrangement: Arrangement) -> ArrangementGraph:
     closure."""
     n = arrangement.ambient_dim
     hyps = Matrix.from_rows([h.equation_row() for h in arrangement.hyperplanes],
-                            cols=n + 1)._row_ints()
+                            cols=n + 1)._form
     echelon = {(): {}}
-    vertices = [Vertex((), 0, Matrix._raw(0, n + 1, ()))]
+    vertices = [Vertex((), 0, Matrix.zero(0, n + 1))]
     edges = []
     frontier = [()]
     while frontier:
@@ -315,7 +315,7 @@ def build_graph(arrangement: Arrangement) -> ArrangementGraph:
                         meet[c] = r
                     echelon[child] = meet
                     vertices.append(Vertex(child, len(meet), Matrix._raw(
-                        len(meet), n + 1, tuple(_rref_entries(meet, n + 1)))))
+                        len(meet), n + 1, _rref_rows(meet))))
                     nxt.append(child)
         frontier = nxt
     return ArrangementGraph(arrangement, vertices, edges)

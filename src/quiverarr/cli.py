@@ -14,6 +14,7 @@ reports them instead); an --exp quiver has scalar loops, so it is valid.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -330,9 +331,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`, built on the first call only: building the
+    whole subcommand tree costs more than a small run.  Parsing leaves it
+    unchanged (no option has a mutable default)."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.fn(args)
     except USAGE_ERRORS as exc:

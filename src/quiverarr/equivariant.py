@@ -316,11 +316,9 @@ def generator_kernels(act: GroupAction, comp, autos, twist_by_det=False):
     chars = {gi: det(act.elements[gi].linear) if twist_by_det else Q1 for gi in autos}
     out = []
     for p, dim in enumerate(comp.dims):
-        entries = []
-        for gi, per_degree in autos.items():
-            shifted = per_degree[p] - Matrix.identity(dim).scale(chars[gi])
-            entries.extend(shifted.entries)
-        out.append(kernel_basis(Matrix(len(autos) * dim, dim, entries)))
+        shifted = [per_degree[p] - Matrix.identity(dim).scale(chars[gi])
+                   for gi, per_degree in autos.items()]
+        out.append(kernel_basis(Matrix.zero(0, dim).vstack(*shifted)))
     return out
 
 

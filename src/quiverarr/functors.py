@@ -31,7 +31,6 @@ block at its running offset (`linalg.block_offsets`).
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 from typing import NamedTuple
@@ -40,10 +39,10 @@ from .arrangement import (ArrangementGraph, TruncatedGraph, per_graph,
                           specialization_graph)
 from .errors import (InternalInconsistencyError, InvalidQuiverError,
                      ShapeError, UnsupportedError)
-from .linalg import (Matrix, Q0, _int_product, block_diag, block_offsets,
-                     char_poly, image_basis, integer_roots, kernel_basis,
-                     kernel_rows, poly_format, product_is_zero, solve_matrix,
-                     sort_with_sign)
+from .linalg import (Matrix, Q0, _canonical, _from_int_rows, _int_product,
+                     block_diag, block_offsets, char_poly, image_basis,
+                     integer_roots, kernel_basis, kernel_rows, poly_format,
+                     product_is_zero, solve_matrix, sort_with_sign)
 from .oscomplex import flag_space, os_space
 from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _format_key,
                      _level_map, _loop_sum, _matrix_json, _through, check_quiver,
@@ -142,14 +141,20 @@ def _boundary_op(v: LevelQuiver, beta, bd: _Boundary) -> Matrix:
     downward map of the * image at a, and whose row block a is the upward
     map of the ! image at a: the loop A_a^beta on the diagonal block, and
     minus the paths A_{a2,d} A_{d,a} through the deltas d off it."""
-    through = bd.down * bd.up
-    ents = [-x if x else Q0 for x in through.entries]
-    n = bd.ambient
+    through = (bd.down * bd.up)._form
+    form = []
     for a in bd.ups:
         o, loop = bd.offsets[a], v.loop(a, beta)
-        for i in range(loop.rows):
-            ents[(o + i) * n + o:(o + i) * n + o + loop.cols] = loop.row(i)
-    return Matrix._raw(n, n, tuple(ents))
+        hi = o + loop.cols
+        for i, (d, nz) in enumerate(loop._form):
+            rd, rnz = through[o + i]
+            dd = lcm(rd, d)
+            f, g = -(dd // rd), dd // d
+            row = [(j, x * f) for j, x in rnz if j < o]
+            row += [(j + o, x * g) for j, x in nz]
+            row += [(j, x * f) for j, x in rnz if j >= hi]
+            form.append(_canonical(dd, row))
+    return Matrix._raw(bd.ambient, bd.ambient, form)
 
 
 def _loop_sum_ambient(v, bd: _Boundary, beta, c):
@@ -287,7 +292,7 @@ def adjoint_transport(u: LevelQuiver, phi: QuiverMorphism) -> QuiverMorphism:
     for beta in full.levels(n):
         bd = _boundary(v, beta)
         blocks = [phi.component(a) * u.map(a, beta) for a in bd.ups]
-        rhs = Matrix(bd.ambient, u.dim(beta), [x for m in blocks for x in m.entries])
+        rhs = blocks[0].vstack(*blocks[1:])
         sol = solve_matrix(bd.inclusion(), rhs)
         if sol is None:
             raise InternalInconsistencyError("transported morphism misses the subspace")
@@ -346,7 +351,7 @@ def _tensor_map(entries, rows, dw, word):
     assembled here, on integers: every term's products are summed as
     numerators over one denominator d, the lcm over all terms of
     (coordinate denominator x denominator of the word's integer form),
-    and each nonzero sum becomes one Fraction, in row-major order."""
+    and each row of sums is made canonical over d."""
     ncols = len(entries) * dw
     terms = [(si * dw, coords, word(key)._common_ints())
              for si, ts in enumerate(entries) for key, coords in ts]
@@ -360,11 +365,8 @@ def _tensor_map(entries, rows, dw, word):
                 o = base + tk * ncols
                 for sk, x in wrow:
                     acc[o + sk] += f * x
-    if d == 1:
-        out = tuple(Fraction(x) if x else Q0 for x in acc)
-    else:
-        out = tuple(Fraction(x, d) if x else Q0 for x in acc)
-    return Matrix._raw(rows * dw, ncols, out)
+    return _from_int_rows(rows * dw, ncols, [(acc[r * ncols:(r + 1) * ncols], d)
+                                             for r in range(rows * dw)])
 
 
 def _direct_image(graph, edges, dims, word, dw) -> Quiver:
@@ -596,10 +598,7 @@ def macpherson(graph: ArrangementGraph, w: LevelQuiver) -> MacPhersonResult:
     proj_comps = {}
     for a in graph.vertices:
         blocks = [star.maps[e] * incl[e[1]] for e in edges[a]] + [s.component(a)]
-        n = star.dim(a)
-        rhs = Matrix._raw(n, sum(t.cols for t in blocks),
-                          tuple(x for i in range(n) for t in blocks for x in t.row(i)))
-        x = solve_matrix(incl[a], rhs)
+        x = solve_matrix(incl[a], blocks[0].hstack(*blocks[1:]))
         if x is None:
             raise InternalInconsistencyError("image not preserved by the quiver maps")
         parts = []

@@ -1,35 +1,34 @@
 """Exact rational linear algebra.
 
-Everything in the package reduces to the operations here: dense matrices
-over `fractions.Fraction`, row reduction, kernels and images,
-characteristic polynomials, and Betti numbers of finite complexes.  No
-floating point anywhere.
+Everything in the package reduces to the operations here: matrices over
+Q, row reduction, kernels and images, characteristic polynomials, and
+Betti numbers of finite complexes.  No floating point anywhere.
 
-Matrices are immutable values; operations return new matrices.  A vector
-is a tuple of Fractions.  A polynomial is a tuple of Fractions, lowest
-degree first.
+Matrices are immutable values; operations return new matrices.  A matrix
+is stored as its canonical integer rows (see `Matrix`), and every
+operation here, as well as the assemblers of `functors` and `quiver`,
+writes that form directly; `Fraction` entries are built only where they
+are read (reports, indexing, `apply`).  A vector is a tuple of Fractions.
+A polynomial is a tuple of Fractions, lowest degree first.
 
 Every row reduction in the package, `rref`, `rank`, the presented
 spaces of `oscomplex` and the strata of `arrangement.build_graph`, runs on
 one private echelon kernel (`_forward`, `_back_substitute`, `_reduce`).  It
-works on sparse integer rows, {column: int} without zeros, each cleared of
-denominators once.  The forward pass pivots every row at its least column;
+works on sparse integer rows, {column: int} without zeros, read from the
+canonical rows.  The forward pass pivots every row at its least column;
 the back substitution clears each row at the pivots it contains, in
 descending pivot order.  A step divides exactly when the pivot divides the
 row's entry; otherwise it is fraction-free in the manner of Bareiss
 (1968), and the new row is divided by its content, so the integers stay
-small.  Fractions appear only at the edges: one per output entry.
+small.  A reduced row read over its pivot entry is a canonical row again.
 
-The other hot kernels, the matrix product and the characteristic
-polynomial, also work on the integer forms of their inputs.  The
-product's integer core (`_int_product`) also serves zero and equality
-tests that never form the Fractions (`product_is_zero`, `products_equal`),
-and each matrix keeps its integer form once computed (`_row_ints`).
-Characteristic polynomials run Berkowitz's division-free algorithm (1984)
-on the matrix cleared of denominators, and a product x y is taken from
-its smaller side through det(tI_n - x y) = t^(n-k) det(tI_k - y x)
-(`char_poly_of_product`).  Results are exactly those of the plain
-Fraction algorithms.
+The matrix product (`_int_product`) sums integer numerators over one
+denominator per output row; its integer core also serves zero and
+equality tests (`product_is_zero`, `products_equal`).  Characteristic
+polynomials run Berkowitz's division-free algorithm (1984) on the matrix
+cleared of denominators, and a product x y is taken from its smaller side
+through det(tI_n - x y) = t^(n-k) det(tI_k - y x) (`char_poly_of_product`).
+Results are exactly those of the plain Fraction algorithms.
 """
 
 from __future__ import annotations
@@ -83,54 +82,114 @@ def sort_with_sign(seq):
 def _cleared(items):
     """(d, [(key, numerator)]): the nonzero values of the (key, value)
     pairs, ints or Fractions, as integers over d, the lcm of their
-    denominators (1 when there are none)."""
+    denominators (1 when there are none).  With the keys ascending this is
+    the canonical row of the values (see `Matrix`)."""
     nz = [(j, x) for j, x in items if x]
     d = lcm(*{x.denominator for _, x in nz})
     return d, [(j, x.numerator * (d // x.denominator)) for j, x in nz]
 
 
-class Matrix:
-    """Dense row-major matrix over Q.  Its integer forms, read by the
-    product and echelon kernels, are computed on first use and kept (see
-    `_row_ints`, `_common_ints`)."""
+# Canonical rows are shared between matrices and never changed in place.
+_ZERO_ROW = (1, [])
 
-    __slots__ = ("rows", "cols", "entries", "_rows_form", "_common_form")
+
+def _canonical(d, nz):
+    """The canonical row of the entries nz over d: nz holds (column, int)
+    pairs in ascending column order without zeros, d is a nonzero int, and
+    both are divided by the gcd of d and the numerators, signed so that
+    the denominator is positive."""
+    if d == 1:
+        return d, nz
+    if not nz:
+        return _ZERO_ROW
+    g = gcd(d, *[x for _, x in nz])
+    if d < 0:
+        g = -g
+    if g == 1:
+        return d, nz
+    return d // g, [(j, x // g) for j, x in nz]
+
+
+def _joined(parts):
+    """The canonical row of canonical rows laid side by side: `parts` holds
+    (row, column offset) pairs in ascending order of offset.  Over the lcm
+    of the rows' denominators the numerators need no gcd: a prime dividing
+    that lcm to its full power divides one row's denominator to it, and
+    that row's scaled numerators then share no factor with it."""
+    parts = [(r, o) for r, o in parts if r[1]]
+    if not parts:
+        return _ZERO_ROW
+    if len(parts) == 1:
+        (d, nz), o = parts[0]
+        return (d, nz) if o == 0 else (d, [(j + o, x) for j, x in nz])
+    d = lcm(*[r for (r, _), _ in parts])
+    out = []
+    for (r, nz), o in parts:
+        f = d // r
+        out.extend([(j + o, x * f) for j, x in nz])
+    return d, out
+
+
+def _fraction_entries(form, cols):
+    """The Fraction entries, row-major, of a matrix given by its canonical
+    rows."""
+    out = []
+    for d, nz in form:
+        row = [Q0] * cols
+        for j, x in nz:
+            row[j] = Fraction(x, d)
+        out.extend(row)
+    return tuple(out)
+
+
+class Matrix:
+    """Immutable matrix over Q, stored as its canonical integer rows: row
+    i is (d, [(column, numerator), ...]) with d > 0, columns ascending, no
+    zero numerators and gcd(d, numerators) = 1; a zero row is (1, []).
+    The form is unique, so equal matrices have equal forms, and every
+    producer in the package writes it directly.  `entries`, the row-major
+    tuple of Fractions, is built from the form when first read and kept;
+    only the edges read it (reports, `.qvr` output, indexing, `apply`).
+    The constructor and `from_rows`/`from_cols` take any rationals and
+    clear them once (`_cleared`)."""
+
+    __slots__ = ("rows", "cols", "_form", "_entries", "_common_form")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
+        entries = [x if type(x) is int or type(x) is Fraction else Fraction(x)
+                   for x in entries]
         if len(entries) != rows * cols:
             raise ShapeError(f"expected {rows}x{cols}={rows*cols} entries, got {len(entries)}")
         self.rows = rows
         self.cols = cols
-        self.entries = entries
-        self._rows_form = self._common_form = None
+        self._form = [_cleared(enumerate(entries[i * cols:(i + 1) * cols]))
+                      for i in range(rows)]
+        self._entries = self._common_form = None
 
     @staticmethod
-    def _raw(rows, cols, entries):
-        """Internal constructor for entries already known to be Fractions."""
+    def _raw(rows, cols, form):
+        """Internal constructor for a list of rows known to be canonical."""
         m = Matrix.__new__(Matrix)
         m.rows = rows
         m.cols = cols
-        m.entries = entries
-        m._rows_form = m._common_form = None
+        m._form = form
+        m._entries = m._common_form = None
         return m
 
-    def _row_ints(self):
-        """Per row, (d, [(column, numerator)]): the row's nonzero entries
-        as integers over d, the lcm of their denominators (1 for a zero
-        row)."""
-        if self._rows_form is None:
-            n, e = self.cols, self.entries
-            self._rows_form = [_cleared(enumerate(e[i * n:(i + 1) * n]))
-                               for i in range(self.rows)]
-        return self._rows_form
+    @property
+    def entries(self):
+        """The entries, row-major, as a tuple of Fractions."""
+        if self._entries is None:
+            self._entries = _fraction_entries(self._form, self.cols)
+        return self._entries
 
     def _common_ints(self):
         """(d, rows): every row's nonzero entries as (column, numerator)
-        pairs over one common denominator d."""
+        pairs over one common denominator d, computed on first use and
+        kept."""
         if self._common_form is None:
-            rows = self._row_ints()
-            d = lcm(*(r for r, _ in rows))
+            rows = self._form
+            d = lcm(*[r for r, _ in rows])
             self._common_form = (d, [[(j, x * (d // r)) for j, x in nz] if r != d else nz
                                      for r, nz in rows])
         return self._common_form
@@ -160,13 +219,13 @@ class Matrix:
     def identity(n):
         if n < 0:
             raise ShapeError(f"negative matrix size {n}x{n}")
-        return Matrix._raw(n, n, tuple(Q1 if i == j else Q0 for i in range(n) for j in range(n)))
+        return Matrix._raw(n, n, [(1, [(i, 1)]) for i in range(n)])
 
     @staticmethod
     def zero(rows, cols):
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative matrix size {rows}x{cols}")
-        return Matrix._raw(rows, cols, (Q0,) * (rows * cols))
+        return Matrix._raw(rows, cols, [_ZERO_ROW] * rows)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -182,16 +241,41 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        return Matrix._raw(self.cols, self.rows,
-                           tuple(self.entries[i * self.cols + j]
-                                 for j in range(self.cols) for i in range(self.rows)))
+        """Each column of m over the lcm of the row denominators, made
+        canonical."""
+        form = self._form
+        d = lcm(*[r for r, _ in form])
+        cols = [[] for _ in range(self.cols)]
+        for i, (r, nz) in enumerate(form):
+            f = d // r
+            for j, x in nz:
+                cols[j].append((i, x * f))
+        return Matrix._raw(self.cols, self.rows, [_canonical(d, c) for c in cols])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._form == other._form)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple((d, tuple(nz)) for d, nz in self._form)))
+
+    def _combine(self, other, sign):
+        """self + sign * other, row by row over the lcm of the two rows'
+        denominators."""
+        form = []
+        for (d1, a), (d2, b) in zip(self._form, other._form):
+            if not b:
+                form.append((d1, a))
+            elif not a:
+                form.append((d2, b if sign > 0 else [(j, -x) for j, x in b]))
+            else:
+                d = lcm(d1, d2)
+                f1, f2 = d // d1, sign * (d // d2)
+                acc = {j: x * f1 for j, x in a}
+                for j, x in b:
+                    acc[j] = acc.get(j, 0) + x * f2
+                form.append(_canonical(d, sorted((j, x) for j, x in acc.items() if x)))
+        return Matrix._raw(self.rows, self.cols, form)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -200,81 +284,108 @@ class Matrix:
             return self
         if self.is_zero():
             return other
-        return Matrix._raw(self.rows, self.cols,
-                           tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix subtraction shape mismatch")
-        return Matrix._raw(self.rows, self.cols,
-                           tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Matrix._raw(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix._raw(self.rows, self.cols,
+                           [(d, [(j, -x) for j, x in nz]) for d, nz in self._form])
 
     def scale(self, c):
         c = frac(c)
-        return Matrix._raw(self.rows, self.cols, tuple(c * a if a else Q0 for a in self.entries))
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        p, q = c.numerator, c.denominator
+        return Matrix._raw(self.rows, self.cols,
+                           [_canonical(d * q, [(j, x * p) for j, x in nz])
+                            for d, nz in self._form])
 
     def __mul__(self, other):
         """Matrix product (see `_int_product`), or scaling by a number.
-        Every output entry becomes one Fraction, and an all-zero operand
-        gives the zero product at once."""
+        An all-zero operand gives the zero product at once."""
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero_row = (Q0,) * other.cols
         if self.is_zero() or other.is_zero():
-            return Matrix._raw(self.rows, other.cols, zero_row * self.rows)
-        out = []
-        for acc, d in _int_product(self, other):
-            if any(acc):
-                out.extend(Fraction(s, d) if s else Q0 for s in acc)
-            else:
-                out.extend(zero_row)
-        return Matrix._raw(self.rows, other.cols, tuple(out))
+            return Matrix.zero(self.rows, other.cols)
+        return _from_int_rows(self.rows, other.cols, _int_product(self, other))
 
     __rmul__ = scale
 
     def apply(self, vec):
-        """Matrix times column vector (tuple), summed over the nonzero
-        entries of the vector only."""
+        """Matrix times column vector (tuple of Fractions), summed over the
+        nonzero entries of each row only."""
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
-        nz = [(j, x) for j, x in enumerate(vec) if x]
-        cols, e = self.cols, self.entries
         out = []
-        for i in range(self.rows):
-            base = i * cols
+        for d, nz in self._form:
             acc = Q0
             for j, x in nz:
-                y = e[base + j]
+                y = vec[j]
                 if y:
-                    acc += y * x
-            out.append(acc)
+                    acc += x * y
+            out.append(acc / d if d != 1 else acc)
         return tuple(out)
 
     def is_zero(self):
-        return not any(self.entries)
+        for _, nz in self._form:
+            if nz:
+                return False
+        return True
 
-    def hstack(self, other):
-        if self.rows != other.rows:
+    def hstack(self, *others):
+        """self and the matrices `others` side by side."""
+        if any(b.rows != self.rows for b in others):
             raise ShapeError("hstack row mismatch")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return Matrix.from_rows(rows, cols=self.cols + other.cols)
+        blocks = (self,) + others
+        offsets, cols = block_offsets(range(len(blocks)), lambda k: blocks[k].cols)
+        return Matrix._raw(self.rows, cols,
+                           [_joined([(b._form[i], offsets[k]) for k, b in enumerate(blocks)])
+                            for i in range(self.rows)])
 
-    def vstack(self, other):
-        if self.cols != other.cols:
+    def vstack(self, *others):
+        """self and the matrices `others` one below the other."""
+        if any(b.cols != self.cols for b in others):
             raise ShapeError("vstack column mismatch")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        form = list(self._form)
+        for b in others:
+            form.extend(b._form)
+        return Matrix._raw(len(form), self.cols, form)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix.from_rows([[self[i, j] for j in col_idx] for i in row_idx],
-                                cols=len(col_idx))
+        """The rows row_idx and columns col_idx of m, in those orders.  A
+        contiguous ascending range of columns is cut out of each row, all
+        of them share the rows themselves."""
+        form = [self._form[i] for i in row_idx]
+        if col_idx == range(self.cols):
+            return Matrix._raw(len(form), self.cols, form)
+        if isinstance(col_idx, range) and col_idx.step == 1:
+            lo, hi = col_idx.start, col_idx.stop
+            form = [_canonical(d, [(j - lo, x) for j, x in nz if lo <= j < hi])
+                    for d, nz in form]
+        else:
+            where = {}
+            for k, c in enumerate(col_idx):
+                where.setdefault(c, []).append(k)
+            form = [_canonical(d, sorted((k, x) for j, x in nz if j in where
+                                         for k in where[j]))
+                    for d, nz in form]
+        return Matrix._raw(len(form), len(col_idx), form)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.row_list()!r})"
+
+
+def _from_int_rows(rows, cols, int_rows):
+    """The rows x cols matrix whose row i is int_rows[i] = (numerators,
+    d): a dense list of ints over d > 0."""
+    return Matrix._raw(rows, cols, [_canonical(d, [(j, x) for j, x in enumerate(acc) if x])
+                                    for acc, d in int_rows])
 
 
 def _int_product(a: Matrix, b: Matrix):
@@ -286,7 +397,7 @@ def _int_product(a: Matrix, b: Matrix):
     p = b.cols
     db, bnz = b._common_ints()
     out = []
-    for da, nz in a._row_ints():
+    for da, nz in a._form:
         acc = [0] * p
         for k, x in nz:
             for j, y in bnz[k]:
@@ -332,18 +443,12 @@ def block_offsets(keys, size):
 
 
 def block_diag(blocks):
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    m = [[Q0] * cols for _ in range(rows)]
-    r = c = 0
+    form = []
+    c = 0
     for b in blocks:
-        for i in range(b.rows):
-            row = b.row(i)
-            for j in range(b.cols):
-                m[r + i][c + j] = row[j]
-        r += b.rows
+        form.extend(_joined([(r, c)]) for r in b._form)
         c += b.cols
-    return Matrix.from_rows(m, cols=cols)
+    return Matrix._raw(len(form), c, form)
 
 
 def _integer_multiple(p):
@@ -425,36 +530,27 @@ def _back_substitute(echelon):
     return reduced
 
 
-def _rref_entries(echelon, cols):
+def _rref_rows(echelon):
     """The rows of a reduced echelon form in ascending pivot order, each
-    over its pivot entry: the nonzero rows of the RREF, as one flat list
-    of Fractions."""
-    out = []
-    for c in sorted(echelon):
-        x = echelon[c]
-        p = x[c]
-        row = [Q0] * cols
-        for k, v in x.items():
-            row[k] = Fraction(v, p)
-        out.extend(row)
-    return out
+    over its pivot entry: the nonzero rows of the RREF, canonical."""
+    return [_canonical(echelon[c][c], sorted(echelon[c].items())) for c in sorted(echelon)]
 
 
 def _int_echelon(m: Matrix):
-    """The forward echelon form of the rows of m, read from its kept
-    integer form, which stays as it is."""
-    return _forward(dict(nz) for _, nz in m._row_ints())
+    """The forward echelon form of the rows of m, read from its canonical
+    rows, which stay as they are."""
+    return _forward(dict(nz) for _, nz in m._form)
 
 
 def rref(m: Matrix):
     """Reduced row-echelon form.  Returns (rref_matrix, pivot_columns).
 
     The echelon kernel's forward pass and back substitution on the rows
-    of m, then one Fraction per entry: each row over its pivot entry."""
+    of m; each row is read over its pivot entry."""
     echelon = _back_substitute(_int_echelon(m))
-    out = _rref_entries(echelon, m.cols)
-    out.extend((Q0,) * ((m.rows - len(echelon)) * m.cols))
-    return Matrix._raw(m.rows, m.cols, tuple(out)), tuple(sorted(echelon))
+    form = _rref_rows(echelon)
+    form.extend([_ZERO_ROW] * (m.rows - len(echelon)))
+    return Matrix._raw(m.rows, m.cols, form), tuple(sorted(echelon))
 
 
 def rank(m: Matrix) -> int:
@@ -498,14 +594,17 @@ def kernel_rows(m: Matrix):
     r, pivots = rref(m)
     pivset = set(pivots)
     free = [c for c in range(m.cols) if c not in pivset]
+    at = {fc: [] for fc in free}
+    for pc, (d, nz) in zip(pivots, r._form):
+        for fc, x in nz:
+            if fc != pc:
+                at[fc].append((pc, x, d))
     rows = []
     for fc in free:
-        v = [Q0] * m.cols
-        v[fc] = Q1
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i, fc]
-        rows.append(v)
-    return Matrix.from_rows(rows, cols=m.cols), free
+        d = lcm(*[rd for _, _, rd in at[fc]])
+        rows.append(_canonical(d, sorted([(fc, d)] + [(pc, -x * (d // rd))
+                                                       for pc, x, rd in at[fc]])))
+    return Matrix._raw(len(rows), m.cols, rows), free
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -522,14 +621,8 @@ def solve(m: Matrix, rhs):
     """One solution x of m x = rhs, or None if inconsistent."""
     if len(rhs) != m.rows:
         raise ShapeError("rhs length differs from row count")
-    aug = m.hstack(Matrix(m.rows, 1, rhs))
-    r, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Q0] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, m.cols]
-    return tuple(x)
+    x = solve_matrix(m, Matrix(m.rows, 1, rhs))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(m: Matrix, rhs: Matrix):
@@ -537,15 +630,14 @@ def solve_matrix(m: Matrix, rhs: Matrix):
     a single elimination of the block-augmented matrix solves all columns."""
     if rhs.rows != m.rows:
         raise ShapeError("rhs row count mismatch")
+    n = m.cols
     r, pivots = rref(m.hstack(rhs))
-    if any(p >= m.cols for p in pivots):
+    if any(p >= n for p in pivots):
         return None
-    out = [[Q0] * rhs.cols for _ in range(m.cols)]
-    for i, p in enumerate(pivots):
-        row = r.row(i)
-        for j in range(rhs.cols):
-            out[p][j] = row[m.cols + j]
-    return Matrix.from_rows(out, cols=rhs.cols)
+    form = [_ZERO_ROW] * n
+    for p, (d, nz) in zip(pivots, r._form):
+        form[p] = _canonical(d, [(j - n, x) for j, x in nz if j >= n])
+    return Matrix._raw(n, rhs.cols, form)
 
 
 # -- polynomials (tuple of Fractions, lowest degree first) --------------------
@@ -683,9 +775,14 @@ def _char_poly_dense(m: Matrix):
     denominators of m, det(tI - m) = d^-n det(dt I - dm), so the
     coefficient of t^(n-i) is that of the integer matrix dm over d^i."""
     n = m.rows
-    d = lcm(*{x.denominator for x in m.entries})
-    c = _berkowitz([[x.numerator * (d // x.denominator) for x in m.row(i)]
-                    for i in range(n)])
+    d, rows = m._common_ints()
+    a = []
+    for nz in rows:
+        row = [0] * n
+        for j, x in nz:
+            row[j] = x
+        a.append(row)
+    c = _berkowitz(a)
     return tuple(Fraction(c[i], d ** i) if c[i] else Q0 for i in range(n, -1, -1))
 
 
@@ -715,13 +812,15 @@ def char_poly(m: Matrix):
     n = m.rows
     if n == 0:
         return (Q1,)
-    succ = [[j for j, x in enumerate(m.row(i)) if x and j != i] for i in range(n)]
+    succ = [[j for j, _ in nz if j != i] for i, (_, nz) in enumerate(m._form)]
     comps = _strongly_connected_components(n, succ)
     scalar_counts = {}
     p = (Q1,)
     for comp in comps:
         if len(comp) == 1:
-            v = m[comp[0], comp[0]]
+            i = comp[0]
+            d, nz = m._form[i]
+            v = next((Fraction(x, d) for j, x in nz if j == i), Q0)
             scalar_counts[v] = scalar_counts.get(v, 0) + 1
             continue
         block = m.submatrix(comp, comp)

@@ -25,7 +25,7 @@ from .arrangement import (AdmissibleGraph, ArrangementGraph, TruncatedGraph,
                           format_vertex_key, parse_vertex_key, truncated_graph)
 from .errors import (InvalidComplexError, InvalidQuiverError,
                      MissingLoopError, ParseError, ShapeError)
-from .linalg import (ChainComplex, Matrix, Q0, Subspace, _int_product,
+from .linalg import (ChainComplex, Matrix, Q0, Subspace, _int_product, _joined,
                      block_diag, block_offsets, char_poly_of_product, frac,
                      kernel_basis, parse_rational, poly_format,
                      products_equal, rational_roots)
@@ -356,14 +356,12 @@ def _level_map(v, tgt, src):
     """The maps A_{t,s} from the spaces at `src` to those at `tgt` (vertex
     keys) as one block matrix; a pair without a stored map, every
     non-adjacent one among them, is a zero block."""
-    widths = [v.spaces[s] for s in src]
-    out = []
+    offsets, width = block_offsets(src, v.spaces.__getitem__)
+    form = []
     for t in tgt:
-        blocks = [v.maps.get((t, s)) for s in src]
-        for i in range(v.spaces[t]):
-            for m, w in zip(blocks, widths):
-                out.extend((Q0,) * w if m is None else m.row(i))
-    return Matrix._raw(sum(v.spaces[t] for t in tgt), sum(widths), tuple(out))
+        blocks = [(v.maps[(t, s)]._form, offsets[s]) for s in src if (t, s) in v.maps]
+        form.extend(_joined([(m[i], o) for m, o in blocks]) for i in range(v.spaces[t]))
+    return Matrix._raw(len(form), width, form)
 
 
 # -- local and monodromy operators ---------------------------------------------------

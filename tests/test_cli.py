@@ -994,3 +994,33 @@ def test_mutated_inputs_exit_cleanly(files, capsys):
         assert "Traceback" not in err
         codes[code] += 1
     assert codes[0] and codes[2] and codes[3]
+
+
+def test_main_reuses_its_parser_across_calls(files):
+    """One process runs a usage error, a lattice and a cohomology report
+    through `main`, which builds its parser once; each gives the exit code
+    and output of a fresh interpreter running the same command."""
+    import os
+    import subprocess
+    import sys
+
+    from quiverarr import cli
+    runs = [["lattice", files["three.arr"], "--no-such-option"],
+            ["lattice", files["three.arr"]],
+            ["cohomology", files["three.arr"], "--model", "local", "--exp", files["sl2.exp"]]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    codes = []
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "quiverarr.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, out.getvalue(), err.getvalue()) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 0]
+    assert cli._parser.cache_info().misses == 1

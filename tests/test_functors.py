@@ -1099,3 +1099,54 @@ def test_shapovalov_form_is_the_per_term_sum(name):
         for f1 in flags:
             for f2 in flags:
                 assert form(f1, f2) == per_term_shapovalov_form(g, w, f1, f2)
+
+
+def test_boundary_op_rows_are_canonical():
+    """`_boundary_op` writes each row of -(down up) with the loop's row
+    in its diagonal block straight as a canonical row: the same as the
+    Fraction assembly, over the loops' and the paths' denominators."""
+    from types import SimpleNamespace
+
+    from quiverarr.functors import _Boundary, _boundary, _boundary_op
+    from quiverarr.linalg import _cleared
+
+    def check(v, beta, bd):
+        want = [[-x for x in r] for r in (bd.down * bd.up).row_list()]
+        for a in bd.ups:
+            o, loop = bd.offsets[a], v.loop(a, beta)
+            for i, r in enumerate(loop.row_list()):
+                want[o + i][o:o + loop.cols] = r
+        got = _boundary_op(v, beta, bd)
+        assert got._form == [_cleared(enumerate(r)) for r in want]
+        assert got.row_list() == want
+
+    g = graph("three_lines")
+    for v in (three_lines_w(dim=2, seed=3), push_star_step(three_lines_w(dim=2, seed=5))[0]):
+        for beta in g.levels(v.level + 1):
+            check(v, beta, _boundary(v, beta))
+    # a path row (1/2, 1) whose diagonal entry gives way to the loop 2:
+    # (2, -1) only after dividing the numerators (4, -2) over 2 by 2
+    bd = _Boundary(["a", "b"], {"a": 0, "b": 1}, 2, M([[1, 2]]), M([[Fraction(1, 2)], [1]]))
+    check(SimpleNamespace(loop=lambda a, beta: M([[2]])), None, bd)
+
+
+def test_hot_paths_never_read_fraction_entries(monkeypatch):
+    """The MacPherson extension, both towers of direct images and the
+    relation checker run on canonical integer rows only: on C_{1,3} at
+    ranks 1 and 2 no matrix builds its Fraction entries inside them."""
+    from quiverarr import linalg
+    g = graph("c13")
+    values = {j: Fraction(j, 13) - Fraction(1, 5) for j in range(1, g.arrangement.size + 1)}
+    quivers = [level_zero_quiver(g, m.rows, {j: m.scale(a) for j, a in values.items()})
+               for m in (Matrix.identity(1), M([[1, 1], [0, 1]]))]
+    built = []
+    real = linalg._fraction_entries
+    monkeypatch.setattr(linalg, "_fraction_entries",
+                        lambda form, cols: built.append(cols) or real(form, cols))
+    for w in quivers:
+        outputs = [macpherson(g, w).quiver, push_star(w, g.max_level),
+                   push_shriek(w, g.max_level)]
+        assert [check_quiver(v) for v in outputs] == [[], [], []]
+    assert built == []
+    assert quivers[1].loop(g.top(), (1,)).row(0) == (values[1], values[1])
+    assert len(built) == 1

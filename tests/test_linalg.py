@@ -12,6 +12,7 @@ from quiverarr.linalg import (
     poly_eval, poly_format, poly_mod, poly_monic, poly_mul, poly_sub, rank,
     rational_roots, rref, solve, solve_matrix,
 )
+from quiverarr.linalg import _cleared, block_diag
 
 
 def M(rows):
@@ -309,7 +310,7 @@ def sparse_matrices(draw):
 @example(Matrix.zero(3, 0))
 @example(Matrix.zero(0, 0))
 def test_rref_matches_fraction_elimination(m):
-    kept = [(d, list(nz)) for d, nz in m._row_ints()]
+    kept = [(d, list(nz)) for d, nz in m._form]
     r, piv = rref(m)
     ref_rows, ref_piv = fraction_rref(m)
     assert (r.rows, r.cols) == (m.rows, m.cols)
@@ -318,7 +319,7 @@ def test_rref_matches_fraction_elimination(m):
     assert all(type(x) is Fraction for x in r.entries)
     assert rank(m) == len(ref_piv)
     # the elimination reads the matrix's kept integer form and leaves it
-    assert m._row_ints() == kept
+    assert m._form == kept
 
 
 @settings(max_examples=100, deadline=None)
@@ -580,3 +581,92 @@ def test_det_matches_fraction_elimination(m):
 def test_det_rejects_non_square():
     with pytest.raises(ShapeError, match="determinant of a non-square matrix"):
         det(Matrix.zero(2, 3))
+
+
+def cleared_rows(rows):
+    """The canonical rows of a list of Fraction rows."""
+    return [_cleared(enumerate(r)) for r in rows]
+
+
+def assert_canonical(m):
+    """m's stored rows are the canonical rows of its Fraction entries."""
+    assert m._form == cleared_rows(m.row_list())
+
+
+SCALARS = st.sampled_from((0, 1, -1, -2, 3, Fraction(-3, 4), Fraction(6, 5), Fraction(1, 64)))
+
+
+@st.composite
+def producer_inputs(draw):
+    """(m, other of m's shape, right factor, row picks, column picks, a
+    column range lo:hi, scalar)."""
+    m = draw(matrices() | sparse_matrices())
+    other = draw(matrices(rows=m.rows, cols=m.cols))
+    right = draw(matrices(rows=m.cols, max_dim=4))
+    rows = draw(st.lists(st.integers(0, m.rows - 1), max_size=5)) if m.rows else []
+    cols = draw(st.lists(st.integers(0, m.cols - 1), max_size=5)) if m.cols else []
+    lo = draw(st.integers(0, m.cols))
+    return m, other, right, rows, cols, lo, draw(st.integers(lo, m.cols)), draw(SCALARS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(producer_inputs())
+@example((Matrix.zero(0, 3), Matrix.zero(0, 3), Matrix.identity(3), [], [2, 0], 1, 3,
+          Fraction(-3, 4)))
+@example((Matrix.zero(3, 0), M([[], [], []]), Matrix.zero(0, 2), [2, 2], [], 0, 0, -2))
+@example((M([[0, 0, 0], [-2, 4, 6], [0, -3, Fraction(1, 2)]]), Matrix.zero(3, 3),
+          M([[1], [Fraction(-1, 2)], [2]]), [1, 0], [2, 1], 1, 2, 0))
+@example((M([[-4, 6], [-6, 9]]), M([[4, -6], [0, Fraction(1, 3)]]), Matrix.identity(2),
+          [0], [1], 0, 1, -1))
+def test_every_producer_writes_the_canonical_form(args):
+    """Each matrix producer stores exactly the canonical rows of the
+    Fraction matrix it stands for (compared before its entries are ever
+    read), and equals and hashes like that matrix built from Fractions:
+    products, scaling by negative and zero numbers, sums, transposes,
+    slices, stacks, rref (negative pivots too), solutions and kernels;
+    shapes 0 x n and n x 0 and zero rows included."""
+    m, other, right, rows, cols, lo, hi, c = args
+    e, o = m.row_list(), other.row_list()
+    c = Fraction(c)
+    n = m.cols
+    expected = {
+        "product": (m * right, entrywise_product(m, right)),
+        "scale": (m.scale(c), [[c * x for x in r] for r in e]),
+        "negation": (-m, [[-x for x in r] for r in e]),
+        "sum": (m + other, [[x + y for x, y in zip(r, s)] for r, s in zip(e, o)]),
+        "difference": (m - other, [[x - y for x, y in zip(r, s)] for r, s in zip(e, o)]),
+        "transpose": (m.transpose(), [[e[i][j] for i in range(m.rows)] for j in range(n)]),
+        "submatrix": (m.submatrix(rows, cols), [[e[i][j] for j in cols] for i in rows]),
+        "column range": (m.submatrix(range(m.rows), range(lo, hi)), [r[lo:hi] for r in e]),
+        "hstack": (m.hstack(other, m), [r + s + r for r, s in zip(e, o)]),
+        "vstack": (m.vstack(other, m), e + o + e),
+        "block_diag": (block_diag([m, other]), [r + [Fraction(0)] * n for r in e]
+                       + [[Fraction(0)] * n + s for s in o]),
+        "rref": (rref(m)[0], fraction_rref(m)[0]),
+        "identity": (Matrix.identity(n), [[Fraction(int(i == j)) for j in range(n)]
+                                          for i in range(n)]),
+        "zero": (Matrix.zero(m.rows, n), [[Fraction(0)] * n for _ in range(m.rows)]),
+    }
+    for name, (got, want) in expected.items():
+        assert got._form == cleared_rows(want), name
+        built = Matrix.from_rows(want, cols=got.cols)
+        assert got == built and hash(got) == hash(built), name
+        assert got.row_list() == want, name
+    kernel, _ = kernel_rows(m)
+    assert_canonical(kernel)
+    assert (m * kernel.transpose()).is_zero()
+    rhs = m * right
+    x = solve_matrix(m, rhs)
+    assert_canonical(x)
+    assert m * x == rhs
+
+
+def test_form_built_and_fraction_built_matrices_are_equal():
+    """A matrix written as canonical rows and the same matrix read from
+    Fractions are ==, hash alike and compare without reading entries."""
+    prod = M([[Fraction(1, 2), 3], [0, Fraction(-2, 3)]]) * M([[2, 0], [Fraction(3, 4), 6]])
+    same = Matrix(2, 2, [Fraction(13, 4), 18, Fraction(-1, 2), -4])
+    assert prod._entries is None
+    assert prod == same and hash(prod) == hash(same)
+    assert prod._entries is None and not prod != same
+    assert prod != same.scale(2) and prod != Matrix.zero(2, 2)

@@ -465,3 +465,29 @@ def test_level_quiver_rejects_negative_dimension():
         LevelQuiver(TruncatedGraph(g, 0), {(): -1}, {})
     with pytest.raises(ShapeError):
         LevelQuiver(TruncatedGraph(g, 1), {(1,): -2}, {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_level_map_joins_blocks_over_different_denominators(data):
+    """`_level_map` lays the blocks of one row side by side over one lcm:
+    its stored rows are the canonical rows of the Fraction block matrix,
+    with pairs that have no map as zero blocks."""
+    from quiverarr.linalg import _cleared
+    from quiverarr.quiver import _level_map
+    g = graph("three_lines")
+    dims = {v: data.draw(st.integers(0, 2)) for v in g.vertices}
+    entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 9)))
+    maps = {(a, b): Matrix(dims[a], dims[b], data.draw(st.lists(
+                entry, min_size=dims[a] * dims[b], max_size=dims[a] * dims[b])))
+            for a in g.vertices for b in g.vertices
+            if a != b and g.adjacent(a, b) and data.draw(st.booleans())}
+    v = Quiver(g, dims, maps)
+    for tgt, src in ((g.levels(1), g.levels(0)), (g.levels(1), g.levels(2)),
+                     (g.levels(2), g.levels(1))):
+        want = [[x for s in src for x in (v.maps[(t, s)].row(i) if (t, s) in v.maps
+                                          else [Fraction(0)] * dims[s])]
+                for t in tgt for i in range(dims[t])]
+        got = _level_map(v, tgt, src)
+        assert got._form == [_cleared(enumerate(r)) for r in want]
+        assert got.row_list() == want

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .arrangement import ArrangementGraph
 from .errors import ShapeError, UnsupportedError
 from .functors import j0_star, macpherson
-from .linalg import ChainComplex, Matrix, Q0, betti, char_poly, rational_roots
+from .linalg import ChainComplex, Matrix, Q0, betti, char_poly_roots
 from .oscomplex import ExponentAssignment, aomoto_complex, flag_complex
 from .quiver import (LevelQuiver, Quiver, c_plus, level_zero_quiver,
                      local_ops, spectrum_lambda, Spectrum)
@@ -58,7 +58,7 @@ def spectrum_of_level_zero(graph, w: LevelQuiver):
     dim = w.dim(top)
     for j in range(1, graph.arrangement.size + 1):
         op = w.loop(top, (j,))
-        roots, split = rational_roots(char_poly(op))
+        _, roots, split = char_poly_roots(op)
         if not split or len(set(roots)) > (1 if dim else 0):
             return None
         values[j] = roots[0] if roots else Q0

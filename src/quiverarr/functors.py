@@ -31,6 +31,7 @@ block at its running offset (`linalg.block_offsets`).
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 from itertools import permutations, product
 from math import lcm
 from typing import NamedTuple
@@ -40,8 +41,8 @@ from .arrangement import (ArrangementGraph, TruncatedGraph, per_graph,
 from .errors import (InternalInconsistencyError, InvalidQuiverError,
                      ShapeError, UnsupportedError)
 from .linalg import (Matrix, Q0, _canonical, _from_int_rows, _int_product,
-                     block_diag, block_offsets, char_poly, image_basis,
-                     integer_roots, kernel_basis, kernel_rows, poly_format,
+                     block_diag, block_offsets, char_poly_roots, image_basis,
+                     kernel_basis, kernel_rows, poly_format,
                      product_is_zero, solve_matrix, sort_with_sign)
 from .oscomplex import flag_space, os_space
 from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _format_key,
@@ -565,15 +566,30 @@ def shapovalov_form(graph: ArrangementGraph, w: LevelQuiver):
 
 class MacPhersonResult:
     """The image of the Shapovalov morphism, with the maps realizing it as
-    a quotient of the ! image and a subobject of the * image."""
+    a quotient of the ! image and a subobject of the * image.
 
-    def __init__(self, quiver, witness, inclusion, projection, shriek, star):
+    `inclusion` and `projection` are built on first read, through
+    `QuiverMorphism` with its full check.  Both checks restate what holds
+    by construction: the inclusion's equations are the ones `solve_matrix`
+    solved exactly, and the projection's follow from the checked `s0`
+    morphism, since incl[a] is injective.  The CLI and the cohomology
+    routines read only `quiver` and `witness`."""
+
+    def __init__(self, quiver, witness, incl, proj, shriek, star):
         self.quiver = quiver
         self.witness = witness
-        self.inclusion = inclusion
-        self.projection = projection
+        self._incl = incl
+        self._proj = proj
         self.shriek = shriek
         self.star = star
+
+    @cached_property
+    def inclusion(self):
+        return QuiverMorphism(self.quiver, self.star, self._incl)
+
+    @cached_property
+    def projection(self):
+        return QuiverMorphism(self.shriek, self.quiver, self._proj)
 
 
 def macpherson(graph: ArrangementGraph, w: LevelQuiver) -> MacPhersonResult:
@@ -612,9 +628,7 @@ def macpherson(graph: ArrangementGraph, w: LevelQuiver) -> MacPhersonResult:
     witness = SubquotientWitness()
     for a in graph.vertices:
         witness.record(a, "inclusion", (a,), incl[a])
-    inclusion = QuiverMorphism(quiver, star, {a: incl[a] for a in graph.vertices})
-    projection = QuiverMorphism(shriek, quiver, proj_comps)
-    return MacPhersonResult(quiver, witness, inclusion, projection, shriek, star)
+    return MacPhersonResult(quiver, witness, incl, proj_comps, shriek, star)
 
 
 # -- the general Shapovalov morphism -------------------------------------------------
@@ -702,16 +716,17 @@ def spec_nonres_ops(v: Quiver, alpha):
 
 def spec_nonres_report(v: Quiver, alpha):
     """Characteristic polynomials of the specialization operators, with
-    the integer-eigenvalue exclusion the specialization theorem needs."""
+    the integer-eigenvalue exclusion the specialization theorem needs;
+    both from one `linalg.char_poly_roots` call per vertex."""
     ops = spec_nonres_ops(v, alpha)
     out = []
     for b, m in sorted(ops.items()):
-        p = char_poly(m)
-        ints = integer_roots(p) if any(c != 0 for c in p) else set()
+        p, roots, _ = char_poly_roots(m)
         out.append({
             "vertex": b,
             "char_poly": poly_format(p),
-            "nonzero_integer_eigenvalues": sorted(x for x in ints if x != 0),
+            "nonzero_integer_eigenvalues": sorted({int(r) for r in roots
+                                                   if r and r.denominator == 1}),
         })
     return out
 

@@ -9,7 +9,8 @@ is stored as its canonical integer rows (see `Matrix`), and every
 operation here, as well as the assemblers of `functors` and `quiver`,
 writes that form directly; `Fraction` entries are built only where they
 are read (reports, indexing, `apply`).  A vector is a tuple of Fractions.
-A polynomial is a tuple of Fractions, lowest degree first.
+A polynomial is a tuple of Fractions, lowest degree first; inside this
+module an integer polynomial is a list of ints, lowest degree first.
 
 Every row reduction in the package, `rref`, `rank`, the presented
 spaces of `oscomplex` and the strata of `arrangement.build_graph`, runs on
@@ -24,11 +25,14 @@ small.  A reduced row read over its pivot entry is a canonical row again.
 
 The matrix product (`_int_product`) sums integer numerators over one
 denominator per output row; its integer core also serves zero and
-equality tests (`product_is_zero`, `products_equal`).  Characteristic
-polynomials run Berkowitz's division-free algorithm (1984) on the matrix
-cleared of denominators, and a product x y is taken from its smaller side
-through det(tI_n - x y) = t^(n-k) det(tI_k - y x) (`char_poly_of_product`).
-Results are exactly those of the plain Fraction algorithms.
+equality tests (`product_is_zero`, `products_equal`).
+
+Characteristic polynomials and their rational roots run on Python ints.
+`char_poly` takes one integer factor per strongly connected block of the
+nonzero pattern, a larger block's from Berkowitz's division-free
+algorithm (1984), and makes one Fraction per coefficient of their
+product; `char_poly_roots` reads the roots off the same factors.  Results
+are exactly those of the plain Fraction algorithms.
 """
 
 from __future__ import annotations
@@ -451,12 +455,6 @@ def block_diag(blocks):
     return Matrix._raw(len(form), c, form)
 
 
-def _integer_multiple(p):
-    """The entries of p times the lcm of their denominators."""
-    d = lcm(*{c.denominator for c in p})
-    return [c.numerator * (d // c.denominator) for c in p]
-
-
 # -- the echelon kernel -------------------------------------------------------
 #
 # A row is a dict {column: int} without zeros.  An echelon form is a dict
@@ -771,93 +769,68 @@ def _berkowitz(a):
 
 
 def _char_poly_dense(m: Matrix):
-    """Characteristic polynomial over the integers: with d the lcm of the
-    denominators of m, det(tI - m) = d^-n det(dt I - dm), so the
-    coefficient of t^(n-i) is that of the integer matrix dm over d^i."""
+    """det(dt I - dm) = d^n det(tI - m), d the lcm of the denominators of
+    m, as an integer polynomial: with c_i the coefficient of s^(n-i) in
+    det(sI - dm) from Berkowitz, the coefficient of t^k is c_(n-k) d^k."""
     n = m.rows
     d, rows = m._common_ints()
-    a = []
-    for nz in rows:
-        row = [0] * n
-        for j, x in nz:
-            row[j] = x
-        a.append(row)
-    c = _berkowitz(a)
-    return tuple(Fraction(c[i], d ** i) if c[i] else Q0 for i in range(n, -1, -1))
+    c = _berkowitz([[dict(nz).get(j, 0) for j in range(n)] for nz in rows])
+    return [c[n - k] * d ** k for k in range(n + 1)]
 
 
-def _linear_factor_power(value, m):
-    """(x - value)^m by the binomial theorem."""
-    out = [Q0] * (m + 1)
-    c = 1
-    power = Q1
-    for k in range(m, -1, -1):
-        # coefficient of x^k is C(m, k) (-value)^(m-k)
-        out[k] = Fraction(c) * power
-        c = c * k // (m - k + 1) if k else c
-        power *= -value
-    return poly_trim(out)
+def char_poly(m: Matrix, factors=None):
+    """Monic characteristic polynomial det(tI - m), exact over Q.
 
-
-def char_poly(m: Matrix):
-    """Monic characteristic polynomial det(xI - m), exact over Q.
-
-    The nonzero pattern is condensed into strongly connected components
-    first; char polys of the diagonal blocks multiply, with repeated 1x1
-    blocks grouped into binomial powers.  Each larger block is cleared of
-    denominators and goes to Berkowitz's division-free algorithm over the
-    integers (`_char_poly_dense`)."""
+    One primitive integer factor per strongly connected component of the
+    nonzero pattern: (bt - a) for a 1 x 1 block a/b, and for a larger
+    block B the primitive part of `_char_poly_dense(B)`.  The factors
+    multiply as integer lists, and each coefficient becomes one Fraction
+    over the leading coefficient of the product.  A list passed as
+    `factors` receives the factors (`char_poly_roots` reads roots off
+    them)."""
     if m.rows != m.cols:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return (Q1,)
     succ = [[j for j, _ in nz if j != i] for i, (_, nz) in enumerate(m._form)]
-    comps = _strongly_connected_components(n, succ)
-    scalar_counts = {}
-    p = (Q1,)
-    for comp in comps:
+    found = []
+    for comp in _strongly_connected_components(m.rows, succ):
         if len(comp) == 1:
-            i = comp[0]
-            d, nz = m._form[i]
-            v = next((Fraction(x, d) for j, x in nz if j == i), Q0)
-            scalar_counts[v] = scalar_counts.get(v, 0) + 1
-            continue
-        block = m.submatrix(comp, comp)
-        p = poly_mul(p, _char_poly_dense(block))
-    for v, count in sorted(scalar_counts.items()):
-        p = poly_mul(p, _linear_factor_power(v, count))
-    return p
+            d, nz = m._form[comp[0]]
+            found.append(_primitive_part([-dict(nz).get(comp[0], 0), d]))
+        else:
+            found.append(_primitive_part(_char_poly_dense(m.submatrix(comp, comp))))
+    if factors is not None:
+        factors.extend(found)
+    p = [1]
+    for f in found:
+        p = _int_poly_mul(p, f)
+    return tuple(Fraction(c, p[-1]) if c else Q0 for c in p)
 
 
-def char_poly_of_product(x: Matrix, y: Matrix):
-    """char_poly(x * y) for x n x k and y k x n, from the smaller of the
-    two products: det(tI_n - x y) = t^(n-k) det(tI_k - y x) when n >= k."""
-    if x.cols != y.rows or x.rows != y.cols:
+def char_poly_roots(x: Matrix, y: Matrix = None):
+    """(char poly, rational roots with multiplicity, whether it splits over
+    Q) of x, or of x y when y is given: `rational_roots(char_poly(...))`,
+    each root found in the factor of `char_poly` that has it.  A product
+    is taken from its smaller side, det(tI_n - x y) = t^(n-k) det(tI_k -
+    y x) when n >= k, with n - k zero roots."""
+    pad = 0
+    if y is None:
+        m = x
+    elif x.cols != y.rows or x.rows != y.cols:
         raise ShapeError(f"x y is not square for {x.rows}x{x.cols} by {y.rows}x{y.cols}")
-    n, k = x.rows, x.cols
-    if n <= k:
-        return char_poly(x * y)
-    return (Q0,) * (n - k) + char_poly(y * x)
-
-
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
+    elif x.rows <= x.cols:
+        m = x * y
+    else:
+        m, pad = y * x, x.rows - x.cols
+    factors = []
+    p = char_poly(m, factors)
+    roots = {(0, 1): pad} if pad else {}
+    left = sum(_add_roots(f, roots) for f in factors)
+    return (Q0,) * pad + p, _root_list(roots), left == 0
 
 
 def integer_roots(p):
     """The set of integer roots of p, as ints: the integral members of
-    `rational_roots(p)`, which works on the squarefree part."""
-    if all(c == 0 for c in p):
-        raise ShapeError("integer_roots of the zero polynomial")
+    `rational_roots(p)`."""
     return {int(r) for r in rational_roots(p)[0] if r.denominator == 1}
 
 
@@ -869,65 +842,74 @@ def det(m: Matrix) -> Fraction:
     return -c if m.rows % 2 else c
 
 
-def poly_monic(p):
-    p = tuple(frac(c) for c in poly_trim(p))
-    lead = p[-1]
-    if lead == 1:
-        return p
-    return tuple(c / lead for c in p)
+def rational_roots(p):
+    """All rational roots of p with multiplicity, zero first and then
+    ascending, read off p times the lcm of its denominators
+    (`_add_roots`).  Returns (roots, fully_split)."""
+    p = poly_trim(p)
+    if all(c == 0 for c in p):
+        raise ShapeError("rational_roots of the zero polynomial")
+    d = lcm(*{c.denominator for c in p})
+    roots = {}
+    left = _add_roots([c.numerator * (d // c.denominator) for c in p], roots)
+    return _root_list(roots), left == 0
 
 
-def poly_mod(p, q):
-    """Remainder of p modulo q (q nonzero), both lowest-degree-first."""
-    p = [frac(c) for c in poly_trim(p)]
-    q = poly_trim(q)
-    dq = len(q) - 1
-    lead = frac(q[-1])
-    while len(p) - 1 >= dq and any(c != 0 for c in p):
-        f = p[-1] / lead
-        shift = len(p) - 1 - dq
-        for i, c in enumerate(q):
-            p[shift + i] -= f * c
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-    return poly_trim(p)
+# -- integer polynomials (lists of ints, lowest degree first) ----------------
+
+def _int_poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
 
 
-def poly_gcd(p, q):
-    """Monic gcd over Q."""
-    p, q = poly_trim(p), poly_trim(q)
-    while any(c != 0 for c in q):
-        p, q = q, poly_mod(p, q)
-        q = poly_trim(q)
-        if any(c != 0 for c in q):
-            q = poly_monic(q)
-    return poly_monic(p)
+def _primitive_part(p):
+    """The nonzero polynomial p over the gcd of its coefficients, signed
+    so that the leading one is positive."""
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return p if g == 1 else [c // g for c in p]
 
 
-def poly_derivative(p):
-    return poly_trim(tuple(Fraction(i) * c for i, c in enumerate(p)))[1:] or (Q0,)
+def _int_poly_gcd(a, b):
+    """The primitive gcd of integer polynomials a and b, b primitive, by
+    primitive pseudo-remainders; by Gauss's lemma it is the gcd over Q and
+    divides a and b in Z[x]."""
+    while b:
+        db, lb = len(b) - 1, b[-1]
+        while a and len(a) > db:
+            g = gcd(a[-1], lb)
+            fa, fb = lb // g, a[-1] // g
+            shift = len(a) - 1 - db
+            a = [c * fa for c in a]
+            for j, c in enumerate(b):
+                a[shift + j] -= fb * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, _primitive_part(a) if a else a
+    return a
 
 
-def _squarefree_part(p):
-    d = poly_derivative(p)
-    if poly_degree(d) < 0 or all(c == 0 for c in d):
-        return poly_monic(p)
-    g = poly_gcd(p, d)
-    if poly_degree(g) == 0:
-        return poly_monic(p)
-    # exact division p / g by synthetic long division
-    out = []
-    rem = [frac(c) for c in poly_trim(p)]
-    dg = poly_degree(g)
-    while len(rem) - 1 >= dg:
-        f = rem[-1] / g[-1]
-        out.append(f)
-        shift = len(rem) - 1 - dg
-        for i, c in enumerate(g):
-            rem[shift + i] -= f * c
-        rem.pop()
-    out.reverse()
-    return poly_monic(tuple(out))
+def _divisors(n):
+    """The positive divisors of the int n != 0, by trial division that
+    divides out each prime found (the numbers read here are smooth)."""
+    n = abs(n)
+    out = [1]
+    p = 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out = [d * p ** e for d in out for e in range(k + 1)]
+        p += 1 if p == 2 else 2
+    return out + [d * n for d in out] if n > 1 else out
 
 
 def _divide_linear(c, pn, qd):
@@ -946,39 +928,54 @@ def _divide_linear(c, pn, qd):
     return q if acc == 0 else None
 
 
-def rational_roots(p):
-    """All rational roots of p with multiplicity.  Returns (roots,
-    fully_split).  Candidates come from the rational root theorem applied
-    to the squarefree part, which keeps the integers to factor small even
-    when p has high-multiplicity roots.  Candidates are tested, and roots
-    divided out, by exact division of integer polynomials."""
-    p = poly_trim(p)
-    if all(c == 0 for c in p):
-        raise ShapeError("rational_roots of the zero polynomial")
-    roots = []
-    coeffs = list(p)
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        roots.append(Q0)
-        coeffs = coeffs[1:]
-    if len(coeffs) == 1:
-        return roots, True
-    ints = _integer_multiple(_squarefree_part(tuple(coeffs)))
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    leads = _divisors(ints[-1])
-    simple_roots = sorted(Fraction(pn, qd) for p in _divisors(ints[low]) for qd in leads
-                          if gcd(p, qd) == 1 for pn in (p, -p)
-                          if _divide_linear(ints, pn, qd) is not None)
-    coeffs = _integer_multiple(coeffs)
-    for r in simple_roots:
-        while len(coeffs) > 1:
-            q = _divide_linear(coeffs, r.numerator, r.denominator)
-            if q is None:
-                break
-            coeffs = q
-            roots.append(r)
-    return roots, len(coeffs) == 1
+def _add_roots(c, roots):
+    """Count the rational roots of the nonzero integer polynomial c into
+    `roots`, {(numerator, denominator > 0): multiplicity}; return the
+    degree of what is left of c with them divided out.  Candidates p/q
+    come from the rational root theorem on the squarefree part c / gcd(c,
+    c') of c's primitive part, which keeps the integers to factor small:
+    p divides its constant, q its leading coefficient.  A candidate
+    passing the tests at 1 and -1 is divided out of c while it divides."""
+    z = 0
+    while c[z] == 0:
+        z += 1
+    if z:
+        roots[(0, 1)] = roots.get((0, 1), 0) + z
+        c = c[z:]
+    if len(c) == 1:
+        return 0
+    c = _primitive_part(c)
+    if len(c) == 2:
+        roots[(-c[0], c[1])] = roots.get((-c[0], c[1]), 0) + 1
+        return 0
+    g = _int_poly_gcd(c, _primitive_part([i * x for i, x in enumerate(c)][1:]))
+    leads = _divisors(c[-1] // g[-1])
+    # a root pn/qd of c makes (qd - pn) divide c(1) and (qd + pn) divide c(-1)
+    at1, at_minus1 = sum(c), sum(c[::2]) - sum(c[1::2])
+    for p in _divisors(c[0] // g[0]):
+        for qd in leads:
+            for pn in (p, -p) if gcd(p, qd) == 1 else ():
+                if (at1 % (qd - pn) if qd != pn else at1) or \
+                        (at_minus1 % (qd + pn) if qd != -pn else at_minus1):
+                    continue
+                k = 0
+                q = _divide_linear(c, pn, qd)
+                while q is not None:
+                    c, k = q, k + 1
+                    q = _divide_linear(c, pn, qd)
+                if k:
+                    roots[(pn, qd)] = roots.get((pn, qd), 0) + k
+                    if len(c) == 1:
+                        return 0
+    return len(c) - 1
+
+
+def _root_list(roots):
+    """The roots counted by `_add_roots` as a list of Fractions with
+    multiplicity: zero first, then the others ascending."""
+    zeros = roots.pop((0, 1), 0)
+    found = sorted((Fraction(p, q), k) for (p, q), k in roots.items())
+    return [Q0] * zeros + [r for r, k in found for _ in range(k)]
 
 
 # -- chain complexes -----------------------------------------------------------

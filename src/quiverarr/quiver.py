@@ -26,9 +26,9 @@ from .arrangement import (AdmissibleGraph, ArrangementGraph, TruncatedGraph,
 from .errors import (InvalidComplexError, InvalidQuiverError,
                      MissingLoopError, ParseError, ShapeError)
 from .linalg import (ChainComplex, Matrix, Q0, Subspace, _int_product, _joined,
-                     block_diag, block_offsets, char_poly_of_product, frac,
+                     block_diag, block_offsets, char_poly_roots, frac,
                      kernel_basis, parse_rational, poly_format,
-                     products_equal, rational_roots)
+                     products_equal)
 
 
 class Quiver:
@@ -370,7 +370,7 @@ class LocalOps:
     """S, T, Tbar and Stilde at a vertex.  T and Tbar are kept as their
     factor pairs (`T_factors`, `Tbar_factors`: T = X Y for the pair
     (X, Y)) and formed only when read, since their char polys come from
-    the smaller product Y X (`linalg.char_poly_of_product`)."""
+    the smaller product Y X (`linalg.char_poly_roots`)."""
 
     def __init__(self, S, T_factors, Tbar_factors, stilde):
         self.S = S
@@ -470,19 +470,19 @@ def check_nonresonance_class(v: Quiver):
     """Per-vertex monodromy report: characteristic polynomials of T and
     Tbar, the positive-integer-eigenvalue flag for Tbar, and whether the
     eigenvalues of T fit in some non-resonant set (decidable only when the
-    polynomial splits over Q).  Each char poly is taken from the smaller
-    side of its factor pair: char(T) = char(C R) from S = R C."""
+    polynomial splits over Q).  Each char poly and its rational roots come
+    from one `linalg.char_poly_roots` call on the factor pair, which takes
+    the smaller side, char(T) = char(C R) from S = R C, and reads the
+    roots off the integer factors of that char poly."""
     g = v.graph
     report = []
     for b in g.vertices:
         if g.level[b] == 0:
             continue
         ops = local_ops(v, b)
-        pt = char_poly_of_product(*ops.T_factors)
-        ptbar = char_poly_of_product(*ops.Tbar_factors)
-        tbar_roots, _ = rational_roots(ptbar)
+        pt, t_roots, split = char_poly_roots(*ops.T_factors)
+        ptbar, tbar_roots, _ = char_poly_roots(*ops.Tbar_factors)
         tbar_flag = any(r > 0 and r.denominator == 1 for r in tbar_roots)
-        t_roots, split = rational_roots(pt)
         if not split:
             status = "undetermined"
         else:

@@ -1065,6 +1065,46 @@ def test_macpherson_refuses_a_star_map_leaving_the_image(monkeypatch):
         macpherson(g, w)
 
 
+def test_macpherson_builds_its_morphisms_when_read(monkeypatch):
+    """One QuiverMorphism, the checked s0, per macpherson call; the
+    inclusion and the projection are built and checked on first read
+    only, once each."""
+    import quiverarr.quiver as quiver_module
+    g = graph("three_lines")
+    built = []
+    real = quiver_module.QuiverMorphism.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(quiver_module.QuiverMorphism, "__init__", counted)
+    for w in macpherson_inputs(g):
+        del built[:]
+        mac = macpherson(g, w)
+        assert len(built) == 1
+        assert mac.quiver.total_dim() >= 0 and mac.witness is not None
+        assert len(built) == 1
+        assert mac.inclusion is mac.inclusion
+        assert len(built) == 2
+        assert mac.projection is mac.projection
+        assert len(built) == 3
+
+
+@pytest.mark.parametrize("which", ["inclusion", "projection"])
+def test_macpherson_morphisms_are_checked_when_read(which, monkeypatch):
+    """A wrong inclusion or projection component is refused when the
+    morphism is first read."""
+    from quiverarr.errors import InvalidQuiverError
+    g = graph("three_lines")
+    mac = macpherson(g, three_lines_w())
+    comps = mac._incl if which == "inclusion" else mac._proj
+    top = g.top()
+    monkeypatch.setitem(comps, top, comps[top].scale(2))
+    with pytest.raises(InvalidQuiverError, match="not a morphism"):
+        getattr(mac, which)
+
+
 def per_term_shapovalov_form(g, w, flag1, flag2):
     """Reference: the form summed term by term, each word multiplied out
     on its own."""

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 
 from quiverarr.errors import InvalidComplexError, ShapeError
 from quiverarr.linalg import (
-    ChainComplex, ChainMap, Matrix, betti, block_offsets, char_poly, det,
-    image_basis, image_complex, integer_roots, kernel_basis, kernel_rows,
-    poly_eval, poly_format, poly_mod, poly_monic, poly_mul, poly_sub, rank,
-    rational_roots, rref, solve, solve_matrix,
+    ChainComplex, ChainMap, Matrix, betti, block_offsets, char_poly,
+    char_poly_roots, det, image_basis, image_complex, integer_roots,
+    kernel_basis, kernel_rows, poly_eval, poly_format, poly_mul, poly_sub,
+    poly_trim, rank, rational_roots, rref, solve, solve_matrix,
 )
 from quiverarr.linalg import _cleared, block_diag
 
@@ -415,9 +417,13 @@ def square_matrices(draw, max_dim=7):
 def test_integer_char_poly_matches_fraction_hessenberg(m):
     from quiverarr.linalg import _char_poly_dense
     expect = fraction_hessenberg_char_poly(m)
-    assert _char_poly_dense(m) == expect
+    # det(dt I - dm) = d^n det(tI - m), d the lcm of the denominators of m
+    scale = math.lcm(*(x.denominator for x in m.entries)) ** m.rows
+    dense = _char_poly_dense(m)
+    assert all(type(c) is int for c in dense)
+    assert tuple(Fraction(c, scale) for c in dense) == expect
     assert char_poly(m) == expect
-    assert all(type(x) is Fraction for x in _char_poly_dense(m))
+    assert all(type(x) is Fraction for x in char_poly(m))
 
 
 @settings(max_examples=100, deadline=None)
@@ -437,20 +443,234 @@ def test_char_poly_matches_sympy(m):
 @example(None, 3, 0)
 @example(None, 0, 0)
 def test_char_poly_of_product_is_char_poly_of_the_product(data, n, k):
-    from quiverarr.linalg import char_poly_of_product
     if data is None:
         x, y = Matrix.zero(n, k), Matrix.zero(k, n)
     else:
         x = data.draw(matrices(rows=n, cols=k))
         y = data.draw(matrices(rows=k, cols=n))
-    assert char_poly_of_product(x, y) == char_poly(x * y)
-    assert char_poly_of_product(y, x) == char_poly(y * x)
+    for a, b in ((x, y), (y, x)):
+        p, roots, split = char_poly_roots(a, b)
+        assert p == char_poly(a * b)
+        assert (sorted(roots), split) == sorted_roots(fraction_rational_roots(p))
 
 
 def test_char_poly_of_product_shape_check():
-    from quiverarr.linalg import char_poly_of_product
     with pytest.raises(ShapeError):
-        char_poly_of_product(Matrix.zero(2, 3), Matrix.zero(2, 3))
+        char_poly_roots(Matrix.zero(2, 3), Matrix.zero(2, 3))
+    with pytest.raises(ShapeError):
+        char_poly_roots(Matrix.zero(2, 3))
+
+
+# -- roots by Euclid over Fractions: the reference for the integer path ------
+
+def poly_monic(p):
+    p = tuple(Fraction(c) for c in poly_trim(p))
+    return tuple(c / p[-1] for c in p)
+
+
+def poly_mod(p, q):
+    """Remainder of p modulo q (q nonzero), both lowest degree first."""
+    p = [Fraction(c) for c in poly_trim(p)]
+    q = poly_trim(q)
+    dq = len(q) - 1
+    while len(p) - 1 >= dq and any(p):
+        f = p[-1] / q[-1]
+        shift = len(p) - 1 - dq
+        for i, c in enumerate(q):
+            p[shift + i] -= f * c
+        while len(p) > 1 and p[-1] == 0:
+            p.pop()
+    return poly_trim(p)
+
+
+def poly_gcd(p, q):
+    """Monic gcd over Q."""
+    p, q = poly_trim(p), poly_trim(q)
+    while any(q):
+        p, q = q, poly_mod(p, q)
+        if any(q):
+            q = poly_monic(q)
+    return poly_monic(p)
+
+
+def divide_exactly(p, g):
+    """p / g over Fractions by long division, g dividing p."""
+    out = []
+    rem = [Fraction(c) for c in poly_trim(p)]
+    while len(rem) >= len(g):
+        f = rem[-1] / g[-1]
+        out.append(f)
+        shift = len(rem) - len(g)
+        for i, c in enumerate(g):
+            rem[shift + i] -= f * c
+        rem.pop()
+    return tuple(reversed(out))
+
+
+def squarefree_part(p):
+    """The monic squarefree part of p: p over its gcd with p', by Euclid
+    over Q."""
+    d = poly_trim([i * c for i, c in enumerate(p)][1:] or [0])
+    if not any(d):
+        return poly_monic(p)
+    return poly_monic(divide_exactly(p, poly_gcd(p, d)))
+
+
+def divisors(n):
+    """The positive divisors of n != 0, from its prime factorization."""
+    n = abs(n)
+    out = {1}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out |= {d * p for d in out}
+        p += 1
+    return out | {d * n for d in out}
+
+
+def fraction_rational_roots(p):
+    """Reference: the rational roots of p with multiplicity, zero first and
+    then ascending, and whether p splits.  Candidates come from the
+    rational root theorem on the Fraction squarefree part and are tested
+    by evaluation; a root is divided out while it is one."""
+    coeffs = [Fraction(c) for c in poly_trim(p)]
+    roots = []
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        roots.append(Fraction(0))
+        coeffs.pop(0)
+    if len(coeffs) == 1:
+        return roots, True
+    sq = squarefree_part(coeffs)
+    d = math.lcm(*(c.denominator for c in sq))
+    ints = [int(c * d) for c in sq]
+    n = len(ints) - 1
+    # Cauchy's bound on the roots of the monic sq; b^n sq(a/b) over Z
+    bound = 1 + max(abs(c) for c in sq[:-1])
+    numerators = divisors(ints[0])
+    candidates = {Fraction(a, b) for b in divisors(ints[-1]) for x in numerators
+                  if x <= bound * b for a in (x, -x)
+                  if sum(c * a ** i * b ** (n - i) for i, c in enumerate(ints)) == 0}
+    rest = tuple(coeffs)
+    for r in sorted(candidates):
+        while len(rest) > 1 and poly_eval(rest, r) == 0:
+            rest = divide_exactly(rest, (-r, Fraction(1)))
+            roots.append(r)
+    return roots, len(rest) == 1
+
+
+def sorted_roots(result):
+    roots, split = result
+    return sorted(roots), split
+
+
+def test_fraction_euclid_reference():
+    assert poly_monic((2, 4)) == (Fraction(1, 2), Fraction(1))
+    assert all(type(c) is Fraction for c in poly_monic((2, 4)) + poly_monic((3, 1)))
+    assert poly_mod((1, 0, 1), (1, 2)) == (Fraction(5, 4),)
+    assert poly_gcd((-1, 0, 1), (1, 2, 1)) == (1, 1)
+    # (t - 1)^2 (t + 2)^3 (2t - 1)
+    p = poly_mul(poly_mul((1, -2, 1), (8, 12, 6, 1)), (-1, 2))
+    assert squarefree_part(p) == poly_monic(poly_mul(poly_mul((-1, 1), (2, 1)), (-1, 2)))
+    assert fraction_rational_roots(p) == ([-2, -2, -2, Fraction(1, 2), 1, 1], True)
+    assert fraction_rational_roots((0, 0, 1, 0, 1)) == ([0, 0], False)
+
+
+@st.composite
+def root_polynomials(draw):
+    """Integer polynomials with repeated rational roots: a product of
+    powers of linear factors (qt - p) and an integer cofactor."""
+    p = (1,)
+    for _ in range(draw(st.integers(0, 3))):
+        den = draw(st.integers(1, 6))
+        root = (-draw(st.integers(-8, 8)), den)
+        for _ in range(draw(st.integers(1, 4))):
+            p = poly_mul(p, root)
+    cofactor = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda c: c[-1]))
+    return [int(c) for c in poly_mul(p, tuple(cofactor))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_polynomials())
+@example([1, -2, 1])
+@example([4, 0, 1])
+@example([-8, 12, -6, 1])
+def test_integer_squarefree_part_is_the_fraction_one(c):
+    """The gcd of c and c' by primitive pseudo-remainders over Z is the
+    Euclid gcd over Q up to a unit, so c over it is the squarefree part."""
+    from quiverarr.linalg import _int_poly_gcd, _primitive_part
+    c = _primitive_part(c)
+    if len(c) < 2:
+        return
+    g = _int_poly_gcd(c, _primitive_part([i * x for i, x in enumerate(c)][1:]))
+    assert all(type(x) is int for x in g) and g[-1] > 0
+    assert math.gcd(*g) == 1
+    assert poly_monic(g) == poly_gcd(c, [i * x for i, x in enumerate(c)][1:])
+    assert poly_monic(divide_exactly(c, g)) == squarefree_part(c)
+    # the squarefree part's ends, which the rational root theorem reads
+    assert c[-1] % g[-1] == 0
+    if c[0]:
+        assert c[0] % g[0] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_polynomials())
+def test_rational_roots_match_the_fraction_euclid(c):
+    expect = fraction_rational_roots(c)
+    assert rational_roots(c) == expect
+    assert rational_roots(tuple(Fraction(x, 3) for x in c)) == expect
+
+
+def jordan(value, n):
+    return Matrix(n, n, [value if i == j else 1 if j == i + 1 else 0
+                         for i in range(n) for j in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+@example(Matrix.zero(0, 0))
+@example(jordan(2, 3))
+@example(block_diag([jordan(Fraction(-1, 2), 2), jordan(3, 2), Matrix.identity(1)]))
+@example(Matrix.from_rows([[0, -1], [1, 0]]))
+@example(Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]))
+@example(Matrix.from_rows([[Fraction(1, 2), 1, 0], [0, Fraction(1, 2), 1],
+                           [Fraction(1, 64), 0, Fraction(1, 2)]]))
+def test_char_poly_roots_are_the_rational_roots_of_the_char_poly(m):
+    p, roots, split = char_poly_roots(m)
+    assert p == char_poly(m)
+    expect = fraction_rational_roots(p)
+    assert (sorted(roots), split) == sorted_roots(expect)
+    assert (roots, split) == rational_roots(p) == expect
+    assert all(type(r) is Fraction for r in roots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+@example(jordan(2, 3))
+@example(Matrix.from_rows([[0, -1], [1, 0]]))
+def test_char_poly_roots_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    sm = sympy.Matrix(m.rows, m.cols,
+                      [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+    t = sympy.Symbol("t")
+    found = sympy.roots(sympy.Poly(sm.charpoly(t).as_expr(), t), filter="Q")
+    expect = sorted(Fraction(int(r.p), int(r.q)) for r, k in found.items() for _ in range(k))
+    _, roots, split = char_poly_roots(m)
+    assert sorted(roots) == expect
+    assert split == (len(expect) == m.rows)
+
+
+def test_char_poly_roots_with_large_denominators_are_quick():
+    # P diag(1, 2, 3) P^-1 has denominators of the size of det P, about
+    # 4 10^10; read on d^3 det(tI - m) instead of its primitive part, the
+    # constant term 6 d^3 would be factored by trial division past 10^16
+    p = Matrix.from_rows([[1009, 2003, 3001], [4001, 1013, 5003], [6007, 7001, 1019]])
+    m = p * Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) * invert(p)
+    assert max(x.denominator for x in m.entries) > 10 ** 10
+    t0 = time.perf_counter()
+    got = char_poly_roots(m)
+    assert time.perf_counter() - t0 < 0.5
+    assert got == ((-6, 11, -6, 1), [1, 2, 3], True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -484,9 +704,7 @@ def test_rational_roots_of_int_coefficients():
     assert rational_roots((4, 0, 2)) == ([], False)
     assert rational_roots((-3, 2)) == ([Fraction(3, 2)], True)
     assert rational_roots((0, 0, 6, -5, 1)) == ([0, 0, Fraction(2), Fraction(3)], True)
-    assert poly_monic((2, 4)) == (Fraction(1, 2), Fraction(1))
-    assert all(type(c) is Fraction for c in poly_monic((2, 4)) + poly_monic((3, 1)))
-    assert poly_mod((1, 0, 1), (1, 2)) == (Fraction(5, 4),)
+    assert all(type(r) is Fraction for r in rational_roots((0, 0, 6, -5, 1))[0])
 
 
 @settings(max_examples=200, deadline=None)

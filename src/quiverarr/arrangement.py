@@ -140,10 +140,12 @@ class AdmissibleGraph:
         self.level = dict(levels)
         self.vertices = tuple(sorted(self.level, key=lambda k: (self.level[k], k)))
         self._edges = set()
+        self._pairs = set()  # both orientations of every edge
         for a, b in edges:
             if abs(self.level[a] - self.level[b]) != 1:
                 raise ShapeError(f"edge {a},{b} does not change level by one")
             self._edges.add(frozenset((a, b)))
+            self._pairs.update(((a, b), (b, a)))
         self._down = {v: [] for v in self.vertices}
         self._up = {v: [] for v in self.vertices}
         for e in self._edges:
@@ -183,7 +185,9 @@ class AdmissibleGraph:
         return self._up[self.key(v)]
 
     def adjacent(self, a, b):
-        return frozenset((self.key(a), self.key(b))) in self._edges
+        """Whether a and b (keys or Vertex objects) span an edge: one
+        lookup of the ordered pair in the set of both orientations."""
+        return (self.key(a), self.key(b)) in self._pairs
 
     @property
     def edges(self):

@@ -134,6 +134,14 @@ def _joined(parts):
     return d, out
 
 
+def _shifted(rows, o):
+    """Canonical rows with every column moved right by o; at o = 0 the
+    rows themselves, shared."""
+    if not o:
+        return rows
+    return [(d, [(j + o, x) for j, x in nz]) for d, nz in rows]
+
+
 def _fraction_entries(form, cols):
     """The Fraction entries, row-major, of a matrix given by its canonical
     rows."""
@@ -450,7 +458,7 @@ def block_diag(blocks):
     form = []
     c = 0
     for b in blocks:
-        form.extend(_joined([(r, c)]) for r in b._form)
+        form.extend(_shifted(b._form, c))
         c += b.cols
     return Matrix._raw(len(form), c, form)
 

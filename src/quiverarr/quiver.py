@@ -12,6 +12,12 @@ one product (`_through`) and every sum of loops at a vertex is
 complexes C+ and C-, the local and monodromy operators with their spectra,
 non-resonance reports, and Hom spaces.
 
+All of them work on level-to-level block matrices of the maps
+(`_level_map`), where a target with one map takes that map's stored rows.
+The relation checker forms the products of those matrices once per pair
+of levels and reads relations (b) and (c) off one sparse scan of their
+nonzero entries, never per vertex pair.
+
 Maps (and loop operators) absent from the data tables are implicitly zero.
 """
 
@@ -20,15 +26,18 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
+from operator import add
 
 from .arrangement import (AdmissibleGraph, ArrangementGraph, TruncatedGraph,
-                          format_vertex_key, parse_vertex_key, truncated_graph)
+                          format_vertex_key, parse_vertex_key, per_graph,
+                          truncated_graph)
 from .errors import (InvalidComplexError, InvalidQuiverError,
                      MissingLoopError, ParseError, ShapeError)
-from .linalg import (ChainComplex, Matrix, Q0, Subspace, _int_product, _joined,
-                     block_diag, block_offsets, char_poly_roots, frac,
-                     kernel_basis, parse_rational, poly_format,
-                     products_equal)
+from .linalg import (_ZERO_ROW, ChainComplex, Matrix, Q0, Subspace, _int_product,
+                     _joined, _shifted, block_diag, block_offsets,
+                     char_poly_roots, frac, kernel_basis, parse_rational,
+                     poly_format, products_equal)
 
 
 class Quiver:
@@ -46,10 +55,12 @@ class Quiver:
         if unknown:
             raise ShapeError(f"spaces at unknown vertices {sorted(unknown)}")
         self.maps = {}
+        pairs = graph._pairs
         for (a, b), m in maps.items():
-            a, b = graph.key(a), graph.key(b)
-            if not graph.adjacent(a, b):
-                raise ShapeError(f"map on non-adjacent pair {a}, {b}")
+            if (a, b) not in pairs:
+                a, b = graph.key(a), graph.key(b)
+                if (a, b) not in pairs:
+                    raise ShapeError(f"map on non-adjacent pair {a}, {b}")
             if (m.rows, m.cols) != (self.spaces[a], self.spaces[b]):
                 raise ShapeError(f"map {a},{b} has shape {m.rows}x{m.cols}, "
                                  f"expected {self.spaces[a]}x{self.spaces[b]}")
@@ -194,71 +205,68 @@ def check_quiver(v: Quiver):
 
     The sum over b of A_{a,b} A_{b,c} for a pair (a, c) is the (a, c)
     block of a product of level-to-level map matrices (a missing edge is a
-    zero block), so each such product is formed once per pair of levels
-    and every relation reads its block.  The products are only tested for
-    zero, so they stay integer numerators (`linalg._int_product`)."""
-    out = []
+    zero block), so each product is formed once per pair of levels, on
+    integer numerators (`linalg._int_product`): level p+2 <- p, level
+    p <- p+2, and level p <- p as the sum of the products through levels
+    p - 1 and p + 1.  One sparse scan of each product's rows maps every
+    nonzero entry, through the owner of its row and of its column, to a
+    vertex pair.  Across two levels every such pair violates (b); within a
+    level it violates (c) when its two vertices are distinct and lie above
+    a shared vertex (`_shared_below`), and a level with no such pair forms
+    no product.  The pairs come out in the graph's vertex order, first
+    vertex first, followed by the loop relations of a level quiver
+    (`_check_loops`)."""
     g = v.graph
-    verts = list(g.vertices)
     lv = g.level
     by_level = _level_blocks(v)
     top = len(by_level) - 1
-    offset = {}
-    level_dim = []
-    for keys in by_level:
-        offs, total = block_offsets(keys, v.dim)
-        offset.update(offs)
-        level_dim.append(total)
+    owners = [[k for k in keys for _ in range(v.spaces[k])] for keys in by_level]
     down = [_level_map(v, by_level[p + 1], by_level[p]) for p in range(top)]
     up = [_level_map(v, by_level[p], by_level[p + 1]) for p in range(top)]
-    composites = {}
-
-    def composite(p, q):
-        """Sum over the middle vertices b of A_{a,b} A_{b,c}, a at level
-        p, c at level q, as the integer rows of one level q -> level p
-        matrix with its zero pattern."""
-        if (p, q) not in composites:
-            if p == q + 2:
-                pairs = [(down[q + 1], down[q])]
-            elif q == p + 2:
-                pairs = [(up[p], up[p + 1])]
-            else:
-                pairs = ([(down[p - 1], up[p - 1])] if p > 0 else []) + \
-                    ([(up[p], down[p])] if p < top else [])
-            composites[(p, q)] = _sum_of_products(pairs, level_dim[p], level_dim[q])
-        return composites[(p, q)]
-
-    def violated(a, c):
-        rows = composite(lv[a], lv[c])
-        c0, nc = offset[c], v.dim(c)
-        return any(any(rows[i][c0:c0 + nc]) for i in range(offset[a], offset[a] + v.dim(a)))
-
-    for a in verts:
-        for c in verts:
-            if abs(lv[a] - lv[c]) == 2:
-                if violated(a, c):
-                    out.append(("(b)", (a, c)))
-            elif lv[a] == lv[c] and a != c:
-                if any(set(g.down(a)) & set(g.down(c))):
-                    if violated(a, c):
-                        out.append(("(c)", (a, c)))
+    hits = set()
+    for p in range(top - 1):
+        hits |= _nonzero_pairs(owners[p + 2], owners[p], [(down[p + 1], down[p])])
+        hits |= _nonzero_pairs(owners[p], owners[p + 2], [(up[p], up[p + 1])])
+    shared = _shared_below(g)
+    for p in range(top + 1):
+        if shared.get(p):
+            products = ([(down[p - 1], up[p - 1])] if p > 0 else []) + \
+                ([(up[p], down[p])] if p < top else [])
+            hits |= shared[p] & _nonzero_pairs(owners[p], owners[p], products)
+    pos = {k: i for i, k in enumerate(g.vertices)}
+    out = [("(b)" if lv[a] != lv[c] else "(c)", (a, c))
+           for a, c in sorted(hits, key=lambda h: (pos[h[0]], pos[h[1]]))]
     if isinstance(v, LevelQuiver):
         out.extend(_check_loops(v))
     return out
 
 
-def _sum_of_products(pairs, rows, cols):
-    """Integer rows with the zero pattern of the sum of the products a b
-    over the pairs (a, b), each rows x cols: the running sum keeps one
-    denominator per row, and each product is added over the product of
-    the two denominators."""
-    out = [[0] * cols for _ in range(rows)]
-    den = [1] * rows
-    for a, b in pairs:
-        for i, (acc, d) in enumerate(_int_product(a, b)):
-            e = den[i]
-            out[i] = [x * d + y * e for x, y in zip(out[i], acc)]
-            den[i] = e * d
+@per_graph
+def _shared_below(g):
+    """{level: the ordered pairs of distinct vertices of that level that
+    lie above a shared vertex}, the pairs relation (c) constrains: the
+    union over b of up(b) x up(b) off the diagonal."""
+    out = {}
+    for b in g.vertices:
+        ups = g.up(b)
+        if len(ups) > 1:
+            out.setdefault(g.level[b] - 1, set()).update(
+                (a, c) for a in ups for c in ups if a != c)
+    return out
+
+
+def _nonzero_pairs(row_owner, col_owner, products):
+    """The (row owner, column owner) pairs of the nonzero entries of the
+    sum of the products a b over the pairs (a, b): each row of the sum is
+    kept as integer numerators over a running denominator, and its nonzero
+    columns are picked out without a per-entry loop."""
+    out = set()
+    for a, parts in zip(row_owner, zip(*[_int_product(x, y) for x, y in products])):
+        acc, d = parts[0]
+        for acc2, d2 in parts[1:]:
+            acc = list(map(add, map(d2.__mul__, acc), map(d.__mul__, acc2)))
+            d *= d2
+        out.update(zip(repeat(a), set(compress(col_owner, acc))))
     return out
 
 
@@ -355,12 +363,21 @@ def _complex_from(v, downward):
 def _level_map(v, tgt, src):
     """The maps A_{t,s} from the spaces at `src` to those at `tgt` (vertex
     keys) as one block matrix; a pair without a stored map, every
-    non-adjacent one among them, is a zero block."""
+    non-adjacent one among them, is a zero block.  A target with one
+    stored map among `src` takes that map's rows, shared at offset 0 and
+    shifted otherwise; only a target with several is joined row by row
+    over one lcm (`linalg._joined`)."""
     offsets, width = block_offsets(src, v.spaces.__getitem__)
+    maps = v.maps
     form = []
     for t in tgt:
-        blocks = [(v.maps[(t, s)]._form, offsets[s]) for s in src if (t, s) in v.maps]
-        form.extend(_joined([(m[i], o) for m, o in blocks]) for i in range(v.spaces[t]))
+        blocks = [(maps[(t, s)]._form, offsets[s]) for s in src if (t, s) in maps]
+        if len(blocks) == 1:
+            form.extend(_shifted(*blocks[0]))
+        elif blocks:
+            form.extend(_joined([(m[i], o) for m, o in blocks]) for i in range(v.spaces[t]))
+        else:
+            form.extend([_ZERO_ROW] * v.spaces[t])
     return Matrix._raw(len(form), width, form)
 
 

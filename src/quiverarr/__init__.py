@@ -3,7 +3,8 @@ arrangements, and the cohomology tables they compute.
 
 The building blocks, bottom to top:
 
-- linalg: dense matrices over Q, kernels, characteristic polynomials,
+- linalg: matrices over Q stored as sparse canonical integer rows, one
+  echelon kernel for kernels and solves, characteristic polynomials,
   finite chain complexes and their Betti numbers;
 - arrangement: the graph of strata of an affine arrangement, its
   truncations (with loops), specialization graphs, and the discriminantal

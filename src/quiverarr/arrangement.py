@@ -407,13 +407,10 @@ def specialization_graph(g: ArrangementGraph, alpha) -> SpecializationGraph:
             raise UnsupportedError("specialization classes mix codimensions")
         classes[ck] = members
         levels[ck] = ls.pop()
-    keys = list(classes)
-    edges = []
-    for a in keys:
-        for b in keys:
-            if levels[a] + 1 == levels[b] and any(
-                    g.adjacent(x, y) for x in classes[a] for y in classes[b]):
-                edges.append((a, b))
+    # two classes are adjacent when some members are: each edge of g
+    # joins the classes of its ends, which lie one level apart
+    owner = {m: ck for ck, members in classes.items() for m in members}
+    edges = {(owner[x], owner[y]) for x, y in g.edges}
     return SpecializationGraph(alpha, classes, AdmissibleGraph(levels, edges))
 
 

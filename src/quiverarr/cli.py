@@ -27,7 +27,7 @@ from .equivariant import EquivariantLevelZero, equivariant_cohomology, parse_gro
 from .errors import (HypothesisError, InternalInconsistencyError,
                      InvalidQuiverError, MissingLoopError, NotFiniteError,
                      ParseError, ShapeError, SymmetryError, UnsupportedError)
-from .functors import (fourier_dual, macpherson, push_shriek_step,
+from .functors import (_push, fourier_dual, macpherson, push_shriek_step,
                        push_star_step, restrict, s0, specialize)
 from .liecheck import KZInstance, kz_check
 from .linalg import betti, parse_rational
@@ -174,11 +174,10 @@ def cmd_push(args, star):
                    else "none (the input is at the top level)")
         raise ParseError(f"--level {target} is out of range for a level-{v.level} "
                          f"input: allowed {allowed}")
-    step = push_star_step if star else push_shriek_step
-    witness = None
-    while v.level < target:
-        v, witness = step(v)
-    return quiver_to_json(v, witness=witness.to_json() if witness else None)
+    if v.level == target:  # the default target of an input at the top level
+        return quiver_to_json(v)
+    v, witness = _push(v, target, push_star_step if star else push_shriek_step)
+    return quiver_to_json(v, witness=witness.to_json())
 
 
 def cmd_ic_quiver(args):

@@ -8,6 +8,11 @@ MacPherson extension, specialization at a stratum, and the Fourier dual.
 Subspaces and quotients are carried as explicit inclusion / projection
 matrices over the canonical bases (kernel bases in RREF, non-pivot
 coordinates for quotients), so induced maps reduce to exact solves.
+Each one-step image builds a new vertex's boundary sum, space, witness
+entry, maps and loops in one pass, and one driver (`_push`) iterates
+either step.  The adjunction reuses the witness of the * step, and the
+canonical morphism from the ! image to the * image is one solve of the
+identity constraints and `quiver.hom_equations`, and one rank.
 
 The level-zero direct images J_{0,*} (Orlik-Solomon coordinates) and
 J_{0,!} (flag coordinates) and the Shapovalov morphism S_0 between them
@@ -40,14 +45,14 @@ from .arrangement import (ArrangementGraph, TruncatedGraph, per_graph,
                           specialization_graph)
 from .errors import (InternalInconsistencyError, InvalidQuiverError,
                      ShapeError, UnsupportedError)
-from .linalg import (Matrix, Q0, _canonical, _from_int_rows, _int_product,
-                     block_diag, block_offsets, char_poly_roots, image_basis,
-                     kernel_basis, kernel_rows, poly_format,
-                     product_is_zero, solve_matrix, sort_with_sign)
+from .linalg import (Matrix, Q0, _canonical, _from_int_rows, block_diag,
+                     block_offsets, char_poly_roots, image_basis, kernel_basis,
+                     kernel_rows, poly_format, product_is_zero, rank,
+                     solve_matrix, sort_with_sign)
 from .oscomplex import flag_space, os_space
 from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _format_key,
                      _level_map, _loop_sum, _matrix_json, _through, check_quiver,
-                     hom_offsets, hom_space, morphism_from_coords)
+                     hom_equations, hom_offsets, morphism_from_coords)
 
 
 class SubquotientWitness:
@@ -77,26 +82,14 @@ class SubquotientWitness:
 def restrict(v, k) -> LevelQuiver:
     """The level-k restriction: spaces and maps survive unchanged, and
     each forgotten adjacency leaves the composite loop A_{a,b} A_{b,a}."""
-    full = _full_graph(v)
-    l = _level_of(v, full)
-    if not 0 <= k < l:
-        raise ShapeError(f"restriction level {k} must be below {l}")
-    t = TruncatedGraph(full, k)
+    v = as_level_quiver(v)
+    if not 0 <= k < v.level:
+        raise ShapeError(f"restriction level {k} must be below {v.level}")
+    t = TruncatedGraph(v.graph.full, k)
     spaces = {a: v.dim(a) for a in t.vertices}
-    maps = {}
-    for (a, b), m in v.maps.items():
-        if full.level[a] <= k and full.level[b] <= k:
-            maps[(a, b)] = m
-    loops = {(at, via): _through(v, at, [via]) for (at, via) in t.loops}
+    maps = {(a, b): m for (a, b), m in v.maps.items() if a in spaces and b in spaces}
+    loops = {(at, via): v.map(at, via) * v.map(via, at) for (at, via) in t.loops}
     return LevelQuiver(t, spaces, maps, loops)
-
-
-def _full_graph(v):
-    return v.graph.full if isinstance(v, LevelQuiver) else v.graph
-
-
-def _level_of(v, full):
-    return v.level if isinstance(v, LevelQuiver) else full.max_level
 
 
 def as_level_quiver(v) -> LevelQuiver:
@@ -121,11 +114,6 @@ class _Boundary(NamedTuple):
     ambient: int
     up: Matrix
     down: Matrix
-
-    def inclusion(self):
-        """The canonical inclusion of the * subspace, the kernel of `up`
-        (basis in RREF, as columns)."""
-        return kernel_basis(self.up).basis.transpose()
 
 
 def _boundary(v: LevelQuiver, beta) -> _Boundary:
@@ -167,28 +155,31 @@ def _loop_sum_ambient(v, bd: _Boundary, beta, c):
                        for g in bd.ups])
 
 
+def _next_level(v: LevelQuiver):
+    """What both one-step direct images start from: the full graph, the
+    truncation one level deeper, copies of v's spaces and maps, and an
+    empty witness."""
+    full = v.graph.full
+    if v.level + 1 > full.max_level:
+        raise ShapeError("no deeper level to push to")
+    t = TruncatedGraph(full, v.level + 1)
+    return full, t, dict(v.spaces), dict(v.maps), SubquotientWitness()
+
+
 def push_star_step(v: LevelQuiver):
     """One-step direct image of the * kind: at each new vertex the space is
-    the subspace of the sum one level up cut out by the downward relations.
-    The downward maps into a new vertex come from one solve against its
-    inclusion.  Returns (level quiver, witness)."""
-    full = v.graph.full
-    n = v.level + 1
-    if n > full.max_level:
-        raise ShapeError("no deeper level to push to")
-    t = TruncatedGraph(full, n)
-    spaces = {a: v.dim(a) for a in v.graph.vertices}
-    maps = {k: m for k, m in v.maps.items()}
-    witness = SubquotientWitness()
-    incl = {}
-    for beta in full.levels(n):
+    the subspace of the sum one level up cut out by the downward relations,
+    recorded in the witness as its inclusion (the kernel of
+    `_Boundary.up`, basis in RREF, as columns).  The downward maps into a
+    new vertex, and its loops, come from solves against that inclusion.
+    Returns (level quiver, witness)."""
+    full, t, spaces, maps, witness = _next_level(v)
+    loops = {}
+    for beta in full.levels(t.n):
         bd = _boundary(v, beta)
-        inc = bd.inclusion()
-        incl[beta] = (bd, inc)
+        inc = kernel_basis(bd.up).basis.transpose()
         spaces[beta] = inc.cols
         witness.record(beta, "inclusion", bd.ups, inc)
-    for beta in full.levels(n):
-        bd, inc = incl[beta]
         x = solve_matrix(inc, _boundary_op(v, beta, bd))
         if x is None:
             raise InternalInconsistencyError(
@@ -199,14 +190,12 @@ def push_star_step(v: LevelQuiver):
             maps[(a, beta)] = inc.submatrix(block, range(inc.cols))
             # downward map, landing inside the subspace
             maps[(beta, a)] = x.submatrix(range(x.rows), block)
-    loops = {}
-    for (at, via) in t.loops:
-        bd, inc = incl[at]
-        amb_op = _loop_sum_ambient(v, bd, at, via)
-        x = solve_matrix(inc, amb_op * inc)
-        if x is None:
-            raise InternalInconsistencyError(f"loop does not preserve the subspace at {at}")
-        loops[(at, via)] = x
+        for via in full.down(beta):
+            x = solve_matrix(inc, _loop_sum_ambient(v, bd, beta, via) * inc)
+            if x is None:
+                raise InternalInconsistencyError(
+                    f"loop does not preserve the subspace at {beta}")
+            loops[(beta, via)] = x
     return LevelQuiver(t, spaces, maps, loops), witness
 
 
@@ -215,86 +204,72 @@ def push_shriek_step(v: LevelQuiver):
     the quotient of the sum one level up by the images of the downward
     maps (the columns of `_Boundary.down`).  Returns (level quiver,
     witness)."""
-    full = v.graph.full
-    n = v.level + 1
-    if n > full.max_level:
-        raise ShapeError("no deeper level to push to")
-    t = TruncatedGraph(full, n)
-    spaces = {a: v.dim(a) for a in v.graph.vertices}
-    maps = {k: m for k, m in v.maps.items()}
-    witness = SubquotientWitness()
-    quo = {}
-    for beta in full.levels(n):
+    full, t, spaces, maps, witness = _next_level(v)
+    loops = {}
+    for beta in full.levels(t.n):
         bd = _boundary(v, beta)
+        for a, a2 in permutations(bd.ups, 2):
+            if len(set(full.up(a)) & set(full.up(a2))) > 1:
+                raise InternalInconsistencyError(
+                    f"multiple connecting vertices above {a}, {a2}")
         # the quotient in coordinates on the free columns (`kernel_rows`);
         # the lift is the inclusion of their unit vectors
         proj, free = kernel_rows(bd.down.transpose())
-        quo[beta] = (bd, proj, free)
         spaces[beta] = proj.rows
         witness.record(beta, "projection", bd.ups, proj)
-    for beta in full.levels(n):
-        bd, proj, free = quo[beta]
         op = _boundary_op(v, beta, bd)
-        # the rows of op that vanish on the relations
-        defined = [not any(acc) for acc, _ in _int_product(op, bd.down)]
+        if not product_is_zero(op, bd.down):
+            raise InternalInconsistencyError(
+                f"upward map not defined on the quotient at {beta}")
         for a in bd.ups:
             block = range(bd.offsets[a], bd.offsets[a] + v.dim(a))
             maps[(beta, a)] = proj.submatrix(range(proj.rows), block)
             # upward map: the three-case rule on single-summand representatives
-            for a2 in bd.ups:
-                if a2 != a and len(set(full.up(a)) & set(full.up(a2))) > 1:
-                    raise InternalInconsistencyError(
-                        f"multiple connecting vertices above {a}, {a2}")
-            if not all(defined[i] for i in block):
-                raise InternalInconsistencyError(
-                    f"upward map not defined on the quotient at {beta}")
             maps[(a, beta)] = op.submatrix(block, free)
-    loops = {}
-    for (at, via) in t.loops:
-        bd, proj, free = quo[at]
-        amb_op = proj * _loop_sum_ambient(v, bd, at, via)
-        loops[(at, via)] = amb_op.submatrix(range(amb_op.rows), free)
-        if not product_is_zero(amb_op, bd.down):
-            raise InternalInconsistencyError(f"loop not defined on the quotient at {at}")
+        for via in full.down(beta):
+            amb_op = proj * _loop_sum_ambient(v, bd, beta, via)
+            if not product_is_zero(amb_op, bd.down):
+                raise InternalInconsistencyError(
+                    f"loop not defined on the quotient at {beta}")
+            loops[(beta, via)] = amb_op.submatrix(range(amb_op.rows), free)
     return LevelQuiver(t, spaces, maps, loops), witness
+
+
+def _push(v, l, step):
+    """Iterate the one-step direct image `step` from v (a level quiver, or
+    a full one read at the top level) up to level l, above v's level.
+    Returns (level quiver, witness of the last step)."""
+    v = as_level_quiver(v)
+    if not v.level < l <= v.graph.full.max_level:
+        raise ShapeError(f"bad target level {l}")
+    while v.level < l:
+        v, witness = step(v)
+    return v, witness
 
 
 def push_star(v: LevelQuiver, l) -> LevelQuiver:
     """Iterated one-step * direct image up to level l."""
-    v = as_level_quiver(v)
-    if not v.level < l <= v.graph.full.max_level:
-        raise ShapeError(f"bad target level {l}")
-    while v.level < l:
-        v, _ = push_star_step(v)
-    return v
+    return _push(v, l, push_star_step)[0]
 
 
 def push_shriek(v: LevelQuiver, l) -> LevelQuiver:
     """Iterated one-step ! direct image up to level l."""
-    v = as_level_quiver(v)
-    if not v.level < l <= v.graph.full.max_level:
-        raise ShapeError(f"bad target level {l}")
-    while v.level < l:
-        v, _ = push_shriek_step(v)
-    return v
+    return _push(v, l, push_shriek_step)[0]
 
 
 def adjoint_transport(u: LevelQuiver, phi: QuiverMorphism) -> QuiverMorphism:
     """Transport phi: restrict(u) -> v through the adjunction to a morphism
     u -> push_star_step(v): unchanged below the boundary, and the sum of
-    phi after the downward maps of u at the boundary."""
+    phi after the downward maps of u at the boundary, solved against the
+    inclusion of each new vertex that the step's witness records."""
     v = phi.target
-    n = u.level
-    if v.level != n - 1:
+    if v.level != u.level - 1:
         raise ShapeError("adjoint_transport needs a morphism at one level down")
-    w, _ = push_star_step(v)
-    full = u.graph.full
+    w, witness = push_star_step(v)
     comps = {a: phi.component(a) for a in v.graph.vertices}
-    for beta in full.levels(n):
-        bd = _boundary(v, beta)
-        blocks = [phi.component(a) * u.map(a, beta) for a in bd.ups]
-        rhs = blocks[0].vstack(*blocks[1:])
-        sol = solve_matrix(bd.inclusion(), rhs)
+    for beta, entry in witness.entries.items():
+        blocks = [phi.component(a) * u.map(a, beta) for a in entry["ambient"]]
+        sol = solve_matrix(entry["matrix"], blocks[0].vstack(*blocks[1:]))
         if sol is None:
             raise InternalInconsistencyError("transported morphism misses the subspace")
         comps[beta] = sol
@@ -635,36 +610,28 @@ def macpherson(graph: ArrangementGraph, w: LevelQuiver) -> MacPhersonResult:
 
 def unique_morphism_restricting_to_identity(p, q, k) -> QuiverMorphism:
     """The unique morphism p -> q whose components at levels <= k are the
-    identity; raises when it does not exist or is not unique."""
-    basis = hom_space(p, q)
-    g = p.graph
+    identity; raises when it does not exist or is not unique.  One solve:
+    unit rows pinning the low hom coordinates, first so that they clear
+    those columns from every row below, then `hom_equations`; the
+    solution is unique when that system has full column rank."""
+    eqs = hom_equations(p, q)
     offsets, total = hom_offsets(p, q)
-    low = [vtx for vtx in g.vertices if g.level[vtx] <= k]
-    rows = []
-    rhs = []
-    for vtx in low:
-        if p.dim(vtx) != q.dim(vtx):
-            raise ShapeError("low-level spaces differ; no identity restriction")
-        n = p.dim(vtx)
-        ident = Matrix.identity(n)
-        for i in range(n):
-            for j in range(n):
-                rows.append([basis.basis[bi, offsets[vtx] + i * n + j]
-                             for bi in range(basis.dim)])
-                rhs.append(ident[i, j])
-    system = Matrix.from_rows(rows, cols=basis.dim)
-    sol = solve_matrix(system, Matrix(len(rhs), 1, rhs))
+    g = p.graph
+    pinned, values = [], []
+    for vtx in g.vertices:
+        if g.level[vtx] <= k:
+            n = p.dim(vtx)
+            if n != q.dim(vtx):
+                raise ShapeError("low-level spaces differ; no identity restriction")
+            pinned += [(1, [(c, 1)]) for c in range(offsets[vtx], offsets[vtx] + n * n)]
+            values += Matrix.identity(n).entries
+    system = Matrix._raw(len(pinned), total, pinned).vstack(eqs)
+    sol = solve_matrix(system, Matrix(system.rows, 1, values + [0] * eqs.rows))
     if sol is None:
         raise InternalInconsistencyError("no morphism restricts to the identity")
-    if kernel_basis(system).dim != 0:
+    if rank(system) < total:
         raise InternalInconsistencyError("identity-restricting morphism is not unique")
-    coords = [Q0] * total
-    for bi in range(basis.dim):
-        c = sol[bi, 0]
-        if c:
-            row = basis.basis.row(bi)
-            coords = [x + c * y for x, y in zip(coords, row)]
-    return morphism_from_coords(p, q, coords)
+    return morphism_from_coords(p, q, sol.col(0))
 
 
 def s_general(v: LevelQuiver, l) -> QuiverMorphism:

@@ -58,11 +58,13 @@ def parse_rational(text, path=None, line=None) -> Fraction:
     """The rational written as `text` ('3/100', '-2', '0.25'); a zero
     denominator or anything else that is not a finite rational is a
     ParseError.  Every text format and the --kappa options read their
-    rationals here."""
+    rationals here; a JSON boolean is not one."""
     try:
-        return Fraction(text)
+        if type(text) is not bool:
+            return Fraction(text)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-        raise ParseError(f"bad rational {text!r}", path, line)
+        pass
+    raise ParseError(f"bad rational {text!r}", path, line)
 
 
 def sort_with_sign(seq):

@@ -384,21 +384,26 @@ def _level_map(v, tgt, src):
 # -- local and monodromy operators ---------------------------------------------------
 
 class LocalOps:
-    """S, T, Tbar and Stilde at a vertex.  T and Tbar are kept as their
-    factor pairs (`T_factors`, `Tbar_factors`: T = X Y for the pair
-    (X, Y)) and formed only when read, since their char polys come from
-    the smaller product Y X (`linalg.char_poly_roots`)."""
+    """S, T, Tbar and Stilde at a vertex.  S, T and Tbar are kept as factor
+    pairs (`T_factors` = (C, R) gives T = C R and S = R C, `Tbar_factors`
+    = (X, Y) gives Tbar = X Y) and formed only when read, since the char
+    polys of T and Tbar come from the smaller products
+    (`linalg.char_poly_roots`)."""
 
-    def __init__(self, S, T_factors, Tbar_factors, stilde):
-        self.S = S
+    def __init__(self, T_factors, Tbar_factors, stilde):
         self.T_factors = T_factors
         self.Tbar_factors = Tbar_factors
         self._stilde = stilde
 
     @cached_property
+    def S(self):
+        c, r = self.T_factors
+        return r * c
+
+    @cached_property
     def T(self):
-        x, y = self.T_factors
-        return x * y
+        c, r = self.T_factors
+        return c * r
 
     @cached_property
     def Tbar(self):
@@ -424,7 +429,7 @@ def local_ops(v: Quiver, beta) -> LocalOps:
     tops = sorted({d for a in ups for d in g.up(a)})
     r, c = _level_map(v, [b], ups), _level_map(v, ups, [b])
     tbar = (_level_map(v, ups, tops), _level_map(v, tops, ups))
-    return LocalOps(r * c, (c, r), tbar, lambda: _stilde(v, b))
+    return LocalOps((c, r), tbar, lambda: _stilde(v, b))
 
 
 def _through(v: Quiver, b, keys):
@@ -526,9 +531,10 @@ def hom_offsets(v: Quiver, w: Quiver):
     return block_offsets(v.graph.vertices, lambda k: w.dim(k) * v.dim(k))
 
 
-def hom_space(v: Quiver, w: Quiver) -> Subspace:
-    """The solution space of all intertwining equations for morphisms
-    v -> w, in the coordinates of `hom_offsets`."""
+def hom_equations(v: Quiver, w: Quiver) -> Matrix:
+    """The intertwining equations of morphisms v -> w, one row per scalar
+    equation of f_a A_{a,b} = B_{a,b} f_b over the edges (and of the
+    loops, at level), in the coordinates of `hom_offsets`."""
     g = v.graph
     if w.graph is not g and w.graph.vertices != g.vertices:
         raise ShapeError("hom between quivers on different graphs")
@@ -556,7 +562,13 @@ def hom_space(v: Quiver, w: Quiver) -> Subspace:
     if isinstance(v, LevelQuiver):
         for (at, via) in g.loops:
             add_equations(v.loop(at, via), w.loop(at, via), at, at)
-    return kernel_basis(Matrix.from_rows(rows, cols=total))
+    return Matrix.from_rows(rows, cols=total)
+
+
+def hom_space(v: Quiver, w: Quiver) -> Subspace:
+    """The solution space of all intertwining equations for morphisms
+    v -> w (`hom_equations`), in the coordinates of `hom_offsets`."""
+    return kernel_basis(hom_equations(v, w))
 
 
 def morphism_from_coords(v: Quiver, w: Quiver, coords) -> QuiverMorphism:
@@ -611,30 +623,42 @@ def _json_size(value, what):
     return value
 
 
+def _put_once(table, key, value, what):
+    """table[key] = value for a key not given before: a JSON key, or a
+    vertex, map or loop (in any spelling of its vertices), written twice
+    is malformed."""
+    if key in table:
+        raise ParseError(f"malformed quiver JSON: {what} {key!r} given twice")
+    table[key] = value
+
+
 def quiver_from_json(graph: AdmissibleGraph, data):
     """Load a .qvr object against a built graph; level null gives a plain
-    quiver, an integer gives a level quiver of that truncation."""
+    quiver, an integer gives a level quiver of that truncation.  Keys it
+    does not read (such as a pushed quiver's "witness") are ignored."""
     if not isinstance(data, dict):
         raise ParseError("malformed quiver JSON: expected an object at the top level")
     try:
         level = data.get("level")
-        spaces = {parse_vertex_key(k): _json_size(d, "space dimension")
-                  for k, d in data["spaces"].items()}
-        dims = dict(spaces)
+        spaces = {}
+        for k, d in data["spaces"].items():
+            _put_once(spaces, parse_vertex_key(k), _json_size(d, "space dimension"), "space")
         maps = {}
         for item in data.get("maps", []):
             a = parse_vertex_key(item["to"])
             b = parse_vertex_key(item["from"])
-            maps[(a, b)] = _matrix_from_json(item["matrix"],
-                                             dims.get(a, 0), dims.get(b, 0))
+            _put_once(maps, (a, b), _matrix_from_json(item["matrix"], spaces.get(a, 0),
+                                                      spaces.get(b, 0)), "map")
         loops = {}
+        if level is None and data.get("loops"):
+            raise ParseError("malformed quiver JSON: loops need an integer level")
         if level is not None:
             level = _json_size(level, "level")
             for item in data.get("loops", []):
                 at = parse_vertex_key(item["at"])
                 via = parse_vertex_key(item["via"])
-                loops[(at, via)] = _matrix_from_json(item["matrix"],
-                                                     dims.get(at, 0), dims.get(at, 0))
+                _put_once(loops, (at, via), _matrix_from_json(
+                    item["matrix"], spaces.get(at, 0), spaces.get(at, 0)), "loop")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed quiver JSON: {exc}")
     if level is None:
@@ -646,12 +670,19 @@ def quiver_from_json(graph: AdmissibleGraph, data):
     return LevelQuiver(t, spaces, maps, loops)
 
 
+def _json_object(pairs):
+    """A JSON object as a dict; a key written twice in it is malformed."""
+    out = {}
+    for k, x in pairs:
+        _put_once(out, k, x, "key")
+    return out
+
+
 def parse_quiver(text, graph, path=None):
     try:
-        data = json.loads(text, parse_float=Fraction)
+        return quiver_from_json(graph, json.loads(text, parse_float=Fraction,
+                                                  object_pairs_hook=_json_object))
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}", path)
-    try:
-        return quiver_from_json(graph, data)
     except ParseError as exc:
         raise ParseError(str(exc), path)

@@ -240,6 +240,33 @@ def test_specialization_three_lines_merges_other_lines():
     assert sp.graph.level[sp.class_of((2,))] == 1
 
 
+def assert_specialization_edges_are_the_pairwise_scan(g):
+    """At every vertex where the specialization graph exists, its edges
+    are the pairs of classes one level apart with some adjacent pair of
+    members, found by testing every pair of classes and of members."""
+    for alpha in g.vertices:
+        try:
+            sp = specialization_graph(g, alpha)
+        except UnsupportedError:
+            continue
+        classes, level = sp.classes, sp.graph.level
+        assert sp.graph.edges == {
+            frozenset((a, b)) for a in classes for b in classes
+            if level[a] + 1 == level[b]
+            and any(g.adjacent(x, y) for x in classes[a] for y in classes[b])}
+
+
+@pytest.mark.parametrize("name", corpus.CENTRAL)
+def test_specialization_edges_are_the_pairwise_scan_on_the_corpus(name):
+    assert_specialization_edges_are_the_pairwise_scan(build_graph(corpus.CORPUS[name]()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_arrangements().filter(lambda arr: arr.is_central()))
+def test_specialization_edges_are_the_pairwise_scan_on_random_arrangements(arr):
+    assert_specialization_edges_are_the_pairwise_scan(build_graph(arr))
+
+
 def assert_elimination_meets_are_wedges(g):
     """In a central arrangement every two strata meet; stacking their
     equations and eliminating gives the equations of their wedge."""

@@ -511,6 +511,36 @@ def test_qvr_json_non_finite_entry_exits_2(files, capsys, tmp_path, entry):
     assert code == 2 and "bad rational" in err
 
 
+def test_qvr_json_boolean_entry_exits_2(files, capsys, tmp_path):
+    # true used to be read as 1
+    code, err = run_failing(capsys, "dual", files["single.arr"], "--qvr", loop_qvr(tmp_path, "true"))
+    assert code == 2 and "bad rational True" in err
+
+
+ONE = [["1"]]
+
+
+@pytest.mark.parametrize("data, what", [
+    ({"level": 0, "spaces": {"()": 1, "( )": 2}}, "space () given twice"),
+    ({"level": None, "spaces": {"()": 1, "(1)": 1},
+      "maps": [{"from": "(1)", "to": "()", "matrix": ONE},
+               {"from": "( 1 )", "to": "()", "matrix": [["2"]]}]}, "map ((), (1,)) given twice"),
+    ({"level": 0, "spaces": {"()": 1},
+      "loops": [{"at": "()", "via": "(1)", "matrix": ONE},
+                {"at": "()", "via": "(1)", "matrix": ONE}]}, "loop ((), (1,)) given twice"),
+    ({"level": None, "spaces": {"()": 1, "(1)": 1},
+      "loops": [{"at": "()", "via": "(1)", "matrix": ONE}]}, "loops need an integer level"),
+    ('{"level": 0, "spaces": {"()": 1, "()": 2}}', "key '()' given twice"),
+], ids=["space-twice", "map-twice", "loop-twice", "loops-without-level", "json-key-twice"])
+def test_qvr_repeated_or_dropped_data_exits_2(files, capsys, tmp_path, data, what):
+    # each of these used to be read with the last entry winning, or the
+    # loops dropped, and checked as a valid quiver
+    qvr = tmp_path / "strict.qvr"
+    qvr.write_text(data if isinstance(data, str) else json.dumps(data))
+    code, err = run_failing(capsys, "check-quiver", files["single.arr"], "--qvr", str(qvr))
+    assert code == 2 and what in err
+
+
 # -- malformed rationals and sizes in the text formats and options -------------------
 
 @pytest.mark.parametrize("text", ["dim -1\n", "dim -1\nH 0 1\n", "dim 2 2\nH 0 1 0\n",

@@ -331,6 +331,85 @@ def test_adjoint_transport_formula_and_bijection():
     assert basis.dim == hom_space(u, push_star(w, 1)).dim
 
 
+def rebuilt_adjoint_transport(u, phi):
+    """Reference: the adjunction transport with the boundary sum and the
+    kernel of its * constraints rebuilt at every new vertex."""
+    from quiverarr.functors import _boundary
+    from quiverarr.linalg import kernel_basis, solve_matrix
+    v = phi.target
+    w, _ = push_star_step(v)
+    comps = {a: phi.component(a) for a in v.graph.vertices}
+    for beta in u.graph.full.levels(u.level):
+        bd = _boundary(v, beta)
+        blocks = [phi.component(a) * u.map(a, beta) for a in bd.ups]
+        comps[beta] = solve_matrix(kernel_basis(bd.up).basis.transpose(),
+                                   blocks[0].vstack(*blocks[1:]))
+    return QuiverMorphism(u, w, comps)
+
+
+def transport_inputs(g, dim, rng):
+    """(u, phi: restrict(u) -> v) at every level of g: v is the * tower of
+    a rank-dim level-zero quiver one level below u, u either one-step
+    image of v, phi the identity and, on small graphs, a random
+    combination of the hom basis."""
+    values = {j: Fraction(rng.randint(-5, 5), 7) for j in range(1, g.arrangement.size + 1)}
+    v = scalar_family_level0(g, values, dim=dim, seed=None if dim == 1 else rng.randint(0, 99))
+    while v.level < g.max_level:
+        for step in (push_star_step, push_shriek_step):
+            u, _ = step(v)
+            low = restrict(u, v.level)
+            yield u, QuiverMorphism(low, v, {a: Matrix.identity(v.dim(a))
+                                             for a in v.graph.vertices})
+            if len(g.vertices) <= 8:
+                basis = hom_space(low, v)
+                if basis.dim:
+                    c = Matrix(1, basis.dim, [rng.randint(-2, 2) for _ in range(basis.dim)])
+                    yield u, morphism_from_coords(low, v, (c * basis.basis).row(0))
+        v, _ = push_star_step(v)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_adjoint_transport_is_the_rebuilt_reference_on_the_corpus(name):
+    g = graph(name)
+    rng = random.Random(name)
+    for dim in (1, 2):
+        for u, phi in transport_inputs(g, dim, rng):
+            got = adjoint_transport(u, phi)
+            assert got.components == rebuilt_adjoint_transport(u, phi).components
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_arrangements(), st.integers(1, 2), st.integers(0, 99))
+def test_adjoint_transport_is_the_rebuilt_reference_on_random_arrangements(arr, dim, seed):
+    g = build_graph(arr)
+    for u, phi in transport_inputs(g, dim, random.Random(seed)):
+        got = adjoint_transport(u, phi)
+        assert got.components == rebuilt_adjoint_transport(u, phi).components
+
+
+def test_adjoint_transport_reuses_the_step_witness(monkeypatch):
+    """The transport makes no `kernel_basis` or `_boundary` call beyond
+    those of the `push_star_step` it runs: it reads each new vertex's
+    summands and inclusion off the step's witness."""
+    import quiverarr.functors as functors
+    g = graph("c13")
+    v = push_star(scalar_family_level0(g, {j: Fraction(j, 5) for j in range(1, 7)},
+                                       dim=2, seed=4), 1)
+    u, _ = push_shriek_step(v)
+    phi = QuiverMorphism(restrict(u, 1), v, {a: Matrix.identity(v.dim(a))
+                                             for a in v.graph.vertices})
+    calls = []
+    for name in ("kernel_basis", "_boundary"):
+        real = getattr(functors, name)
+        monkeypatch.setattr(functors, name,
+                            lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args))
+    push_star_step(v)
+    in_step = sorted(calls)
+    calls.clear()
+    adjoint_transport(u, phi)
+    assert sorted(calls) == in_step and in_step.count("_boundary") == len(g.levels(2))
+
+
 # -- explicit level-zero direct images ------------------------------------------------
 
 def test_j0_shriek_three_lines_golden():
@@ -553,6 +632,116 @@ def test_s_general_low_part_identity():
     s = s_general(w, 2)
     assert s.component(()) == Matrix.identity(2)
     assert check_quiver(s.source) == [] and check_quiver(s.target) == []
+
+
+def three_elimination_morphism(p, q, k):
+    """Reference: the canonical morphism through the hom basis, a dense
+    system restricted to the low coordinates, its kernel for uniqueness,
+    and the solution expanded over the basis coordinate by coordinate."""
+    from quiverarr.linalg import Q0, kernel_basis, solve_matrix
+    from quiverarr.quiver import hom_offsets
+    basis = hom_space(p, q)
+    g = p.graph
+    offsets, total = hom_offsets(p, q)
+    rows, rhs = [], []
+    for vtx in [vtx for vtx in g.vertices if g.level[vtx] <= k]:
+        if p.dim(vtx) != q.dim(vtx):
+            raise ShapeError("low-level spaces differ; no identity restriction")
+        n = p.dim(vtx)
+        ident = Matrix.identity(n)
+        for i in range(n):
+            for j in range(n):
+                rows.append([basis.basis[bi, offsets[vtx] + i * n + j]
+                             for bi in range(basis.dim)])
+                rhs.append(ident[i, j])
+    system = Matrix.from_rows(rows, cols=basis.dim)
+    sol = solve_matrix(system, Matrix(len(rhs), 1, rhs))
+    if sol is None:
+        raise InternalInconsistencyError("no morphism restricts to the identity")
+    if kernel_basis(system).dim != 0:
+        raise InternalInconsistencyError("identity-restricting morphism is not unique")
+    coords = [Q0] * total
+    for bi in range(basis.dim):
+        c = sol[bi, 0]
+        if c:
+            coords = [x + c * y for x, y in zip(coords, basis.basis.row(bi))]
+    return morphism_from_coords(p, q, coords)
+
+
+def outcome(f, *args):
+    """The components f returns, or the type and message of its error."""
+    try:
+        return f(*args).components
+    except (InternalInconsistencyError, ShapeError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_canonical_morphisms_are_the_reference(g, w, top):
+    for l in range(1, top + 1):
+        p, q = push_shriek(w, l), push_star(w, l)
+        for k in range(l):
+            assert outcome(unique_morphism_restricting_to_identity, p, q, k) == \
+                outcome(three_elimination_morphism, p, q, k)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_canonical_morphism_is_the_three_elimination_reference_on_the_corpus(name):
+    """At every target level (C_{1,4} up to level 2) and every level k
+    below it, ranks 1 and 2: the same morphism, or the same error."""
+    g = graph(name)
+    values = {j: Fraction(j, 9) - Fraction(1, 2) for j in range(1, g.arrangement.size + 1)}
+    top = min(g.max_level, 2 if name == "c14" else g.max_level)
+    for dim, seed in ((1, None), (2, 13)):
+        assert_canonical_morphisms_are_the_reference(
+            g, scalar_family_level0(g, values, dim=dim, seed=seed), top)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_arrangements(), st.integers(1, 2), st.integers(0, 99))
+def test_canonical_morphism_is_the_three_elimination_reference_on_random_arrangements(
+        arr, dim, seed):
+    g = build_graph(arr)
+    rng = random.Random(seed)
+    values = {j: Fraction(rng.randint(-4, 4), 5) for j in range(1, arr.size + 1)}
+    assert_canonical_morphisms_are_the_reference(
+        g, scalar_family_level0(g, values, dim=dim, seed=None if dim == 1 else seed), g.max_level)
+
+
+def test_canonical_morphism_error_paths():
+    """On the single hyperplane, with k = 0: the zero-map quiver to itself
+    (any scalar at (1)), a map (1) -> () into the zero-map quiver (no
+    morphism), and ranks 1 and 2 at the top (no identity)."""
+    g = graph("single")
+    zero = Quiver(g, {(): 1, (1,): 1}, {})
+    onto = Quiver(g, {(): 1, (1,): 1}, {((), (1,)): M([[1]])})
+    cases = [(zero, zero, InternalInconsistencyError,
+              "identity-restricting morphism is not unique"),
+             (onto, zero, InternalInconsistencyError, "no morphism restricts to the identity"),
+             (Quiver(g, {(): 1}, {}), Quiver(g, {(): 2}, {}), ShapeError,
+              "low-level spaces differ; no identity restriction")]
+    for p, q, error, message in cases:
+        with pytest.raises(error, match=f"^{message}$"):
+            unique_morphism_restricting_to_identity(p, q, 0)
+        assert outcome(three_elimination_morphism, p, q, 0) == (error, message)
+
+
+def test_canonical_morphism_is_one_solve_and_one_rank(monkeypatch):
+    """One `solve_matrix` call on the stacked system and one `rank` call,
+    without the hom basis (`kernel_basis`)."""
+    import quiverarr.functors as functors
+    import quiverarr.quiver as quiver
+    g = graph("three_lines")
+    w = three_lines_w(dim=2, seed=16)
+    p, q = push_shriek(w, 2), push_star(w, 2)
+    calls = []
+    for module, name in ((functors, "solve_matrix"), (functors, "rank"),
+                         (functors, "kernel_basis"), (quiver, "kernel_basis")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args))
+    s = unique_morphism_restricting_to_identity(p, q, 0)
+    assert sorted(calls) == ["rank", "solve_matrix"]
+    assert s.component(()) == Matrix.identity(2)
 
 
 # -- specialization --------------------------------------------------------------------

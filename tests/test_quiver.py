@@ -200,6 +200,24 @@ def test_local_ops_zero_quiver():
         assert ops.Tbar.is_zero() and ops.Stilde.is_zero()
 
 
+def test_check_nonresonance_class_leaves_S_unformed(monkeypatch):
+    """The monodromy report reads only the factor pairs of T and Tbar, so
+    no vertex forms S = R C; read afterwards, S is the sum of the round
+    trips through the vertices above."""
+    import quiverarr.quiver as quiver
+    from quiverarr.functors import j0_star
+    from quiverarr.quiver import _through
+    g = graph("c13")
+    v = j0_star(g, scalar_level0(g, {j: Fraction(j, 7) for j in range(1, 7)}, dim=2, seed=3))
+    made = []
+    real = quiver.local_ops
+    monkeypatch.setattr(quiver, "local_ops", lambda v, b: made.append((b, real(v, b))) or made[-1][1])
+    check_nonresonance_class(v)
+    assert len(made) == len(g.vertices) - 1
+    assert all("S" not in ops.__dict__ for _, ops in made)
+    assert all(ops.S == _through(v, b, g.up(b)) for b, ops in made)
+
+
 def test_global_S_block_structure():
     v = one_hyperplane_quiver(Fraction(2), Fraction(3))
     s = global_S(v)

@@ -6,7 +6,8 @@ The building blocks, bottom to top:
 - linalg: matrices over Q stored as sparse canonical integer rows, one
   echelon kernel for kernels and solves, characteristic polynomials,
   finite chain complexes and their Betti numbers;
-- arrangement: the graph of strata of an affine arrangement, its
+- arrangement: the graph of strata of an affine arrangement, each
+  stratum keyed by the tuple of hyperplanes containing it, its
   truncations (with loops), specialization graphs, and the discriminantal
   family;
 - oscomplex: Orlik-Solomon and flag spaces, the duality pairing, the
@@ -26,10 +27,9 @@ The building blocks, bottom to top:
 """
 
 from .arrangement import (Arrangement, ArrangementGraph, Hyperplane,
-                          TruncatedGraph, Vertex, build_graph,
-                          discriminantal, epsilon, leq, parse_arrangement,
-                          specialization_graph, truncated_graph,
-                          verify_graph_properties, wedge)
+                          TruncatedGraph, build_graph, discriminantal,
+                          parse_arrangement, specialization_graph,
+                          truncated_graph, verify_graph_properties)
 from .cohomology import (CohomologyReport, intersection_cohomology,
                          local_system_cohomology, perverse_cohomology,
                          scalar_from_exponents)

@@ -9,10 +9,12 @@ level-n truncation is a graph of the same kind (`TruncatedGraph`, an
 `AdmissibleGraph` on the strata of level <= n and the edges among them)
 that also lists its loops, one per edge from level n to level n+1.
 
-A vertex is identified by its *maximal* set of hyperplane indices: every
-hyperplane containing the stratum is listed.  Hyperplane indices are
-1-based throughout, matching the text file formats; the open stratum is
-the empty tuple ().
+A stratum is its key: the sorted tuple of its *maximal* set of hyperplane
+indices, every hyperplane containing the stratum listed.  The key is the
+vertex in every graph, quiver and functor call; the geometry is
+`ArrangementGraph.equations[key]`, the stratum's RREF equations, whose
+row count is its level.  Hyperplane indices are 1-based throughout,
+matching the text file formats; the open stratum is the empty tuple ().
 
 `build_graph` works on each stratum once, over the integers: it reduces
 every hyperplane outside the stratum's id set against the stratum's
@@ -95,27 +97,6 @@ class Arrangement:
         return f"Arrangement(dim {self.ambient_dim}, {self.size} hyperplanes)"
 
 
-class Vertex:
-    """A closed stratum: maximal id set, codimension, canonical equations.
-
-    `equations` is the RREF of the defining affine system with columns
-    (z_1 .. z_N, 1)."""
-
-    __slots__ = ("id", "codim", "equations")
-
-    def __init__(self, id, codim, equations):
-        self.id = tuple(sorted(id))
-        self.codim = codim
-        self.equations = equations
-
-    def __repr__(self):
-        return f"Vertex{self.id}"
-
-
-def _stack_row(eqs: Matrix, row):
-    return eqs.vstack(Matrix(1, eqs.cols, row))
-
-
 def _canonicalize(eqs: Matrix, ambient_dim):
     """RREF of an affine system; returns (matrix, codim) or None if the
     solution set is empty (a pivot lands in the constant column)."""
@@ -170,24 +151,21 @@ class AdmissibleGraph:
     def max_level(self):
         return max(self.level.values())
 
-    def key(self, v):
-        return v.id if isinstance(v, Vertex) else v
-
     def levels(self, n):
         return [v for v in self.vertices if self.level[v] == n]
 
     def down(self, v):
         """Vertices one level deeper, adjacent to v (v > them)."""
-        return self._down[self.key(v)]
+        return self._down[v]
 
     def up(self, v):
         """Vertices one level shallower, adjacent to v (them > v)."""
-        return self._up[self.key(v)]
+        return self._up[v]
 
     def adjacent(self, a, b):
-        """Whether a and b (keys or Vertex objects) span an edge: one
-        lookup of the ordered pair in the set of both orientations."""
-        return (self.key(a), self.key(b)) in self._pairs
+        """Whether a and b span an edge: one lookup of the ordered pair in
+        the set of both orientations."""
+        return (a, b) in self._pairs
 
     @property
     def edges(self):
@@ -195,14 +173,13 @@ class AdmissibleGraph:
 
     def geq(self, a, b):
         """a >= b: the closure of stratum a contains stratum b."""
-        return self.key(b) in self._descendants[self.key(a)]
+        return b in self._descendants[a]
 
     def leq(self, a, b):
         return self.geq(b, a)
 
     def epsilon(self, a, b):
-        a, b = self.key(a), self.key(b)
-        if self.adjacent(a, b):
+        if (a, b) in self._pairs:
             if self.level[a] < self.level[b]:
                 return 1
             return -1
@@ -210,7 +187,6 @@ class AdmissibleGraph:
 
     def wedge_key(self, a, b):
         """Key of the unique maximal common lower vertex, or None."""
-        a, b = self.key(a), self.key(b)
         if a > b:
             a, b = b, a
         cached = self._wedge_cache.get((a, b), _UNSET)
@@ -247,18 +223,14 @@ def per_graph(fn):
 
 
 class ArrangementGraph(AdmissibleGraph):
-    """AdmissibleGraph plus the geometry: Vertex objects keyed by their
-    maximal id tuples."""
+    """AdmissibleGraph plus the geometry: `equations[key]`, the RREF of a
+    stratum's defining affine system with columns (z_1 .. z_N, 1); its row
+    count is the stratum's level."""
 
-    def __init__(self, arrangement, vertices, edges):
+    def __init__(self, arrangement, equations, edges):
         self.arrangement = arrangement
-        self.vertex_by_key = {v.id: v for v in vertices}
-        super().__init__({v.id: v.codim for v in vertices}, edges)
-
-    def vertex(self, key):
-        if isinstance(key, Vertex):
-            return key
-        return self.vertex_by_key[tuple(key)]
+        self.equations = equations
+        super().__init__({k: m.rows for k, m in equations.items()}, edges)
 
     def is_central(self):
         return self.arrangement.is_central()
@@ -288,7 +260,7 @@ def build_graph(arrangement: Arrangement) -> ArrangementGraph:
     hyps = Matrix.from_rows([h.equation_row() for h in arrangement.hyperplanes],
                             cols=n + 1)._form
     echelon = {(): {}}
-    vertices = [Vertex((), 0, Matrix.zero(0, n + 1))]
+    equations = {(): Matrix.zero(0, n + 1)}
     edges = []
     frontier = [()]
     while frontier:
@@ -318,27 +290,10 @@ def build_graph(arrangement: Arrangement) -> ArrangementGraph:
                             _clear(r, q, res)
                         meet[c] = r
                     echelon[child] = meet
-                    vertices.append(Vertex(child, len(meet), Matrix._raw(
-                        len(meet), n + 1, _rref_rows(meet))))
+                    equations[child] = Matrix._raw(len(meet), n + 1, _rref_rows(meet))
                     nxt.append(child)
         frontier = nxt
-    return ArrangementGraph(arrangement, vertices, edges)
-
-
-def wedge(g: AdmissibleGraph, a, b):
-    """The intersection vertex a ^ b, or None when the closures miss."""
-    k = g.wedge_key(a, b)
-    if k is None:
-        return None
-    return g.vertex(k) if isinstance(g, ArrangementGraph) else k
-
-
-def leq(g: AdmissibleGraph, a, b):
-    return g.leq(a, b)
-
-
-def epsilon(g: AdmissibleGraph, a, b):
-    return g.epsilon(a, b)
+    return ArrangementGraph(arrangement, equations, edges)
 
 
 class TruncatedGraph(AdmissibleGraph):
@@ -384,15 +339,23 @@ class SpecializationGraph:
         raise KeyError(member_key)
 
 
-def specialization_graph(g: ArrangementGraph, alpha) -> SpecializationGraph:
+def specialization_base(g: ArrangementGraph, alpha):
+    """alpha, checked to be the key of a stratum of a central arrangement:
+    the base of a specialization."""
     if not g.is_central():
         raise UnsupportedError("specialization requires a central arrangement")
-    alpha = g.vertex(g.key(alpha))
+    if alpha not in g.level:
+        raise ShapeError(f"vertex {format_vertex_key(alpha)} is not a stratum of the arrangement")
+    return alpha
+
+
+def specialization_graph(g: ArrangementGraph, alpha) -> SpecializationGraph:
+    alpha = specialization_base(g, alpha)
 
     def signature(beta):
         # in a central arrangement every two strata meet, in their wedge
-        upset = frozenset(d for d in g.vertices if g.geq(d, alpha.id) and g.geq(d, beta))
-        return (g.wedge_key(alpha.id, beta), upset)
+        upset = frozenset(d for d in g.vertices if g.geq(d, alpha) and g.geq(d, beta))
+        return (g.wedge_key(alpha, beta), upset)
 
     groups = {}
     for bk in g.vertices:
@@ -400,12 +363,11 @@ def specialization_graph(g: ArrangementGraph, alpha) -> SpecializationGraph:
     classes = {}
     levels = {}
     for members in groups.values():
-        members = tuple(sorted(members))
-        ck = members
-        ls = {g.level[m] for m in members}
+        ck = tuple(sorted(members))
+        ls = {g.level[m] for m in ck}
         if len(ls) != 1:
             raise UnsupportedError("specialization classes mix codimensions")
-        classes[ck] = members
+        classes[ck] = ck
         levels[ck] = ls.pop()
     # two classes are adjacent when some members are: each edge of g
     # joins the classes of its ends, which lie one level apart
@@ -474,13 +436,11 @@ def verify_graph_properties(g: AdmissibleGraph):
                     warnings.warn(f"minimal upper element not unique for {a}, {b}")
     if isinstance(g, ArrangementGraph):
         n = g.arrangement.ambient_dim
-        for v in g.vertex_by_key.values():
-            for j in range(1, g.arrangement.size + 1):
-                row = g.arrangement.hyperplane(j).equation_row()
-                contains = _canonicalize(_stack_row(v.equations, row), n) == \
-                    (v.equations, v.codim)
-                if contains != (j in v.id):
-                    raise ShapeError(f"id of {v.id} is not the maximal containment set")
+        for k, eqs in g.equations.items():
+            for j, h in enumerate(g.arrangement.hyperplanes, start=1):
+                stacked = eqs.vstack(Matrix(1, n + 1, h.equation_row()))
+                if (_canonicalize(stacked, n) == (eqs, g.level[k])) != (j in k):
+                    raise ShapeError(f"id of {k} is not the maximal containment set")
 
 
 # -- text format ----------------------------------------------------------------

@@ -42,7 +42,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .arrangement import (ArrangementGraph, TruncatedGraph, per_graph,
-                          specialization_graph)
+                          specialization_base, specialization_graph)
 from .errors import (InternalInconsistencyError, InvalidQuiverError,
                      ShapeError, UnsupportedError)
 from .linalg import (Matrix, Q0, _canonical, _from_int_rows, block_diag,
@@ -526,8 +526,7 @@ def shapovalov_form(graph: ArrangementGraph, w: LevelQuiver):
         if len(flag1) != len(flag2) or flag1[0] != flag2[0]:
             raise ShapeError("flags must share length and start")
         m = len(flag1) - 1
-        ids1 = [graph.vertex(flag1[k]).id for k in range(1, m + 1)]
-        ids2 = [graph.vertex(flag2[k]).id for k in range(1, m + 1)]
+        ids1, ids2 = flag1[1:], flag2[1:]
         total = Matrix.zero(dw, dw)
         for sigma in permutations(range(m)):
             sign = sort_with_sign(sigma)[1]
@@ -673,9 +672,7 @@ def spec_nonres_ops(v: Quiver, alpha):
     g = v.graph
     if not isinstance(g, ArrangementGraph):
         raise UnsupportedError("specialization needs the arrangement geometry")
-    if not g.is_central():
-        raise UnsupportedError("specialization requires a central arrangement")
-    a = g.vertex(g.key(alpha)).id
+    a = specialization_base(g, alpha)
     return {b: _through(v, b, [c for c in list(g.up(b)) + list(g.down(b))
                                if g.wedge_key(a, c) == g.wedge_key(b, c)])
             for b in g.vertices}

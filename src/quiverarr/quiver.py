@@ -34,8 +34,8 @@ from .arrangement import (AdmissibleGraph, ArrangementGraph, TruncatedGraph,
                           truncated_graph)
 from .errors import (InvalidComplexError, InvalidQuiverError,
                      MissingLoopError, ParseError, ShapeError)
-from .linalg import (_ZERO_ROW, ChainComplex, Matrix, Q0, Subspace, _int_product,
-                     _joined, _shifted, block_diag, block_offsets,
+from .linalg import (_ZERO_ROW, ChainComplex, Matrix, Q0, Subspace, _cleared,
+                     _int_product, _joined, _shifted, block_diag, block_offsets,
                      char_poly_roots, frac, kernel_basis, parse_rational,
                      poly_format, products_equal)
 
@@ -46,7 +46,7 @@ class Quiver:
 
     def __init__(self, graph: AdmissibleGraph, spaces, maps):
         self.graph = graph
-        self.spaces = {graph.key(v): int(d) for v, d in spaces.items()}
+        self.spaces = dict(spaces)
         for v in graph.vertices:
             self.spaces.setdefault(v, 0)
             if self.spaces[v] < 0:
@@ -58,9 +58,7 @@ class Quiver:
         pairs = graph._pairs
         for (a, b), m in maps.items():
             if (a, b) not in pairs:
-                a, b = graph.key(a), graph.key(b)
-                if (a, b) not in pairs:
-                    raise ShapeError(f"map on non-adjacent pair {a}, {b}")
+                raise ShapeError(f"map on non-adjacent pair {a}, {b}")
             if (m.rows, m.cols) != (self.spaces[a], self.spaces[b]):
                 raise ShapeError(f"map {a},{b} has shape {m.rows}x{m.cols}, "
                                  f"expected {self.spaces[a]}x{self.spaces[b]}")
@@ -73,11 +71,10 @@ class Quiver:
         return None
 
     def dim(self, v):
-        return self.spaces[self.graph.key(v)]
+        return self.spaces[v]
 
     def map(self, a, b) -> Matrix:
         """A_{a,b}: V_b -> V_a (zero when absent)."""
-        a, b = self.graph.key(a), self.graph.key(b)
         m = self.maps.get((a, b))
         if m is None:
             return Matrix.zero(self.spaces[a], self.spaces[b])
@@ -107,7 +104,6 @@ class LevelQuiver(Quiver):
         # the Quiver checks, against the truncated adjacency
         super().__init__(graph, spaces, maps)
         for (at, via), m in (loop_ops or {}).items():
-            at, via = graph.key(at), graph.key(via)
             if (at, via) not in graph.loops:
                 raise MissingLoopError(f"no loop ({at},{at})^{via} in the level-"
                                        f"{graph.n} graph")
@@ -121,7 +117,6 @@ class LevelQuiver(Quiver):
         return self.graph.n
 
     def loop(self, at, via) -> Matrix:
-        at, via = self.graph.key(at), self.graph.key(via)
         if (at, via) not in self.graph.loops:
             raise MissingLoopError(f"no loop ({at},{at})^{via}")
         m = self.loop_ops.get((at, via))
@@ -187,7 +182,7 @@ class QuiverMorphism:
         return out
 
     def component(self, v):
-        return self.components[self.source.graph.key(v)]
+        return self.components[v]
 
     def is_identity(self):
         return all(f == Matrix.identity(f.rows) for f in self.components.values())
@@ -424,12 +419,11 @@ def local_ops(v: Quiver, beta) -> LocalOps:
     C those into them, S = R C and T = C R; Tbar is the same product taken
     through the spaces two levels up."""
     g = v.graph
-    b = g.key(beta)
-    ups = g.up(b)
+    ups = g.up(beta)
     tops = sorted({d for a in ups for d in g.up(a)})
-    r, c = _level_map(v, [b], ups), _level_map(v, ups, [b])
+    r, c = _level_map(v, [beta], ups), _level_map(v, ups, [beta])
     tbar = (_level_map(v, ups, tops), _level_map(v, tops, ups))
-    return LocalOps((c, r), tbar, lambda: _stilde(v, b))
+    return LocalOps((c, r), tbar, lambda: _stilde(v, beta))
 
 
 def _through(v: Quiver, b, keys):
@@ -475,8 +469,7 @@ class Spectrum:
 
 def spectrum_lambda(g: ArrangementGraph, s: Spectrum, alpha) -> Fraction:
     """lambda_alpha = sum of lambda_i over hyperplanes containing the stratum."""
-    key = g.key(alpha)
-    return sum((s.of(j) for j in key), Q0)
+    return sum((s.of(j) for j in alpha), Q0)
 
 
 def is_nonresonant_spectrum(g: ArrangementGraph, s: Spectrum) -> bool:
@@ -534,7 +527,9 @@ def hom_offsets(v: Quiver, w: Quiver):
 def hom_equations(v: Quiver, w: Quiver) -> Matrix:
     """The intertwining equations of morphisms v -> w, one row per scalar
     equation of f_a A_{a,b} = B_{a,b} f_b over the edges (and of the
-    loops, at level), in the coordinates of `hom_offsets`."""
+    loops, at level), in the coordinates of `hom_offsets`.  Each row is
+    its nonzero terms summed by column (for a loop, a == b, two terms can
+    share one) and cleared once into canonical form."""
     g = v.graph
     if w.graph is not g and w.graph.vertices != g.vertices:
         raise ShapeError("hom between quivers on different graphs")
@@ -547,14 +542,20 @@ def hom_equations(v: Quiver, w: Quiver) -> Matrix:
 
     def add_equations(A, Ap, a, b):
         # f_a * A = A' * f_b, one scalar equation per (i, j)
+        va, vb, wb = v.dim(a), v.dim(b), w.dim(b)
+        ea, ep = A.entries, Ap.entries
         for i in range(w.dim(a)):
-            for j in range(v.dim(b)):
-                row = [Q0] * total
-                for k2 in range(v.dim(a)):
-                    row[offsets[a] + i * v.dim(a) + k2] += A[k2, j]
-                for k2 in range(w.dim(b)):
-                    row[offsets[b] + k2 * v.dim(b) + j] -= Ap[i, k2]
-                rows.append(row)
+            for j in range(vb):
+                terms = {}
+                for k2 in range(va):
+                    if ea[k2 * vb + j]:
+                        c = offsets[a] + i * va + k2
+                        terms[c] = terms.get(c, 0) + ea[k2 * vb + j]
+                for k2 in range(wb):
+                    if ep[i * wb + k2]:
+                        c = offsets[b] + k2 * vb + j
+                        terms[c] = terms.get(c, 0) - ep[i * wb + k2]
+                rows.append(_cleared(sorted(terms.items())))
 
     for a in g.vertices:
         for b in _neighbors(g, a):
@@ -562,7 +563,7 @@ def hom_equations(v: Quiver, w: Quiver) -> Matrix:
     if isinstance(v, LevelQuiver):
         for (at, via) in g.loops:
             add_equations(v.loop(at, via), w.loop(at, via), at, at)
-    return Matrix.from_rows(rows, cols=total)
+    return Matrix._raw(len(rows), total, rows)
 
 
 def hom_space(v: Quiver, w: Quiver) -> Subspace:

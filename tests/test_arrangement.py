@@ -5,10 +5,10 @@ from hypothesis import given, settings
 
 from quiverarr import arrangement, corpus, linalg
 from quiverarr.arrangement import (
-    Arrangement, Hyperplane, Vertex, build_graph, discriminantal, epsilon,
-    format_arrangement, format_vertex_key, leq, parse_arrangement,
+    Arrangement, Hyperplane, build_graph, discriminantal,
+    format_arrangement, format_vertex_key, parse_arrangement,
     TruncatedGraph, parse_vertex_key, specialization_graph, truncated_graph,
-    verify_graph_properties, wedge, _canonicalize,
+    verify_graph_properties, _canonicalize,
 )
 from quiverarr.errors import ParseError, ShapeError, UnsupportedError
 from quiverarr.linalg import Matrix
@@ -16,10 +16,10 @@ from quiverarr.linalg import Matrix
 from test_random_arrangements import affine_arrangements, random_arrangements
 
 
-def graph_signature(vertices, edges):
+def graph_signature(equations, edges):
     """Every vertex's ids, codim and equation entries, and the edges as
     sets of two id tuples."""
-    return ({v.id: (v.codim, v.equations.entries) for v in vertices},
+    return ({k: (m.rows, m.entries) for k, m in equations.items()},
             {frozenset(e) for e in edges})
 
 
@@ -37,15 +37,14 @@ def brute_force_graph(arr):
             canon = _canonicalize(mat, n)
             if canon is not None:
                 strata[canon[0].entries] = canon
-    vertices = []
+    equations = {}
     for mat, codim in strata.values():
-        ids = [j + 1 for j, row in enumerate(rows)
-               if _canonicalize(mat.vstack(Matrix.from_rows([row])), n) == (mat, codim)]
-        vertices.append(Vertex(ids, codim, mat))
-    edges = [(a.id, b.id) for a in vertices for b in vertices
-             if a.codim + 1 == b.codim
-             and _canonicalize(a.equations.vstack(b.equations), n) == (b.equations, b.codim)]
-    return graph_signature(vertices, edges)
+        ids = tuple(j + 1 for j, row in enumerate(rows)
+                    if _canonicalize(mat.vstack(Matrix.from_rows([row])), n) == (mat, codim))
+        equations[ids] = mat
+    edges = [(a, b) for a, x in equations.items() for b, y in equations.items()
+             if x.rows + 1 == y.rows and _canonicalize(x.vstack(y), n) == (y, y.rows)]
+    return graph_signature(equations, edges)
 
 
 def two_pass_graph(arr):
@@ -66,20 +65,20 @@ def two_pass_graph(arr):
                     seen[canon[0].entries] = canon
                     nxt.append(canon[0])
         frontier = nxt
-    vertices = []
+    equations = {}
     for mat, codim in seen.values():
-        ids = [j for j in range(1, arr.size + 1)
-               if _canonicalize(mat.vstack(Matrix.from_rows([arr.hyperplane(j).equation_row()])), n)
-               == (mat, codim)]
-        vertices.append(Vertex(ids, codim, mat))
-    edges = [(a.id, b.id) for a in vertices for b in vertices
-             if a.codim + 1 == b.codim and set(a.id) <= set(b.id)]
-    return graph_signature(vertices, edges)
+        ids = tuple(j for j in range(1, arr.size + 1)
+                    if _canonicalize(mat.vstack(Matrix.from_rows([arr.hyperplane(j).equation_row()])), n)
+                    == (mat, codim))
+        equations[ids] = mat
+    edges = [(a, b) for a in equations for b in equations
+             if equations[a].rows + 1 == equations[b].rows and set(a) <= set(b)]
+    return graph_signature(equations, edges)
 
 
 def built_signature(arr):
     g = build_graph(arr)
-    return graph_signature(g.vertex_by_key.values(), g.edges)
+    return graph_signature(g.equations, g.edges)
 
 
 def test_three_lines_graph():
@@ -142,17 +141,17 @@ def test_graph_properties_hold(name):
 
 def test_wedge_three_lines():
     g = build_graph(corpus.three_lines())
-    assert wedge(g, (1,), (2,)).id == (1, 2, 3)
-    assert wedge(g, (1,), (1,)).id == (1,)
-    assert leq(g, (1, 2, 3), (1,))
-    assert epsilon(g, (), (1,)) == 1
-    assert epsilon(g, (1,), ()) == -1
-    assert epsilon(g, (1,), (2,)) == 0
+    assert g.wedge_key((1,), (2,)) == (1, 2, 3)
+    assert g.wedge_key((1,), (1,)) == (1,)
+    assert g.leq((1, 2, 3), (1,))
+    assert g.epsilon((), (1,)) == 1
+    assert g.epsilon((1,), ()) == -1
+    assert g.epsilon((1,), (2,)) == 0
 
 
 def test_wedge_parallel_lines_absent():
     g = build_graph(corpus.parallel_lines())
-    assert wedge(g, (1,), (2,)) is None
+    assert g.wedge_key((1,), (2,)) is None
 
 
 def test_truncated_graph_levels():
@@ -273,8 +272,8 @@ def assert_elimination_meets_are_wedges(g):
     n = g.arrangement.ambient_dim
     for a in g.vertices:
         for b in g.vertices:
-            eqs, _ = _canonicalize(g.vertex(a).equations.vstack(g.vertex(b).equations), n)
-            assert eqs.entries == g.vertex(g.wedge_key(a, b)).equations.entries
+            eqs, _ = _canonicalize(g.equations[a].vstack(g.equations[b]), n)
+            assert eqs.entries == g.equations[g.wedge_key(a, b)].entries
 
 
 @pytest.mark.parametrize("name", sorted(n for n, f in corpus.CORPUS.items()
@@ -310,6 +309,17 @@ def test_specialization_requires_central():
     g = build_graph(corpus.parallel_lines())
     with pytest.raises(UnsupportedError):
         specialization_graph(g, (1,))
+
+
+@pytest.mark.parametrize("alpha", [(9,), (1, 2), (2, 1), (1, 1)])
+def test_specialization_at_a_non_stratum_is_a_shape_error(alpha):
+    from quiverarr.functors import spec_nonres_ops
+    from quiverarr.quiver import Quiver
+    g = build_graph(corpus.three_lines())
+    with pytest.raises(ShapeError, match="is not a stratum"):
+        specialization_graph(g, alpha)
+    with pytest.raises(ShapeError, match="is not a stratum"):
+        spec_nonres_ops(Quiver(g, {}, {}), alpha)
 
 
 def test_discriminantal_weights_2_matches_three_lines():

@@ -304,6 +304,68 @@ def test_specialize_command(files, capsys, tmp_path):
     assert code == 2
 
 
+@pytest.fixture(scope="module")
+def full_quivers(tmp_path_factory):
+    """Three lines and C_{1,3}: per name, its .arr file, a valid full .qvr
+    on it (the j0_star image of the rank-1 level-zero quiver with every
+    loop 1/2) and its set of vertex keys."""
+    from quiverarr.arrangement import build_graph
+    from quiverarr.functors import j0_star
+    from quiverarr.linalg import Matrix
+    from quiverarr.quiver import level_zero_quiver, quiver_to_json
+    d = tmp_path_factory.mktemp("full_quivers")
+    out = {}
+    for name in ("three_lines", "c13"):
+        arr = CORPUS[name]()
+        g = build_graph(arr)
+        w = level_zero_quiver(g, 1, {j: Matrix(1, 1, [Fraction(1, 2)])
+                                     for j in range(1, arr.size + 1)})
+        (d / f"{name}.arr").write_text(format_arrangement(arr))
+        (d / f"{name}.qvr").write_text(json.dumps(quiver_to_json(j0_star(g, w))))
+        out[name] = (str(d / f"{name}.arr"), str(d / f"{name}.qvr"), set(g.vertices))
+    return out
+
+
+@pytest.mark.parametrize("vertex", ["(9)", "(1,2)", "(2,1)", "(1,1)"])
+def test_specialize_at_a_non_stratum_exits_2(full_quivers, capsys, vertex):
+    """No stratum of three lines is named by an absent hyperplane, by
+    (1,2) (lines 1 and 2 meet in the stratum (1,2,3)), by the unsorted
+    (2,1) or by the repeated (1,1)."""
+    arr, qvr, _ = full_quivers["three_lines"]
+    code, err = run_failing(capsys, "specialize", arr, "--qvr", qvr, "--vertex", vertex)
+    assert (code, err) == (2, f"error: vertex {vertex} is not a stratum of the arrangement\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_specialize_exits_2_exactly_at_a_non_stratum(full_quivers, data):
+    """A --vertex spelling, a tuple of 0-6 with at most three entries,
+    sorted or not, or a stratum's key in any order: specialize exits 2
+    exactly when it is not a vertex key, and never with a traceback.  At a
+    vertex key it exits 0, except at the three strata of C_{1,3} cut out
+    by two hyperplanes alone, (1,6), (2,5) and (3,4), whose specialization
+    classes mix codimensions, an unsupported case (exit 3)."""
+    from quiverarr.arrangement import format_vertex_key
+    name = data.draw(st.sampled_from(["three_lines", "c13"]))
+    arr, qvr, keys = full_quivers[name]
+    unsupported = {(1, 6), (2, 5), (3, 4)} if name == "c13" else set()
+    key = data.draw(st.one_of(
+        st.lists(st.integers(0, 6), max_size=3).map(tuple),
+        st.sampled_from(sorted(k for k in keys if len(k) <= 3))
+        .flatmap(st.permutations).map(tuple)))
+    event("stratum" if key in keys else "not a stratum")
+    code, out, err = capture("specialize", arr, "--qvr", qvr, "--vertex", format_vertex_key(key))
+    if key not in keys:
+        assert (code, err) == (2, f"error: vertex {format_vertex_key(key)} is not a "
+                                  "stratum of the arrangement\n")
+    elif key in unsupported:
+        assert (code, err) == (3, "hypothesis violation: specialization classes "
+                                  "mix codimensions\n")
+    else:
+        assert (code, err) == (0, "")
+    assert (out != "") == (code == 0)
+
+
 def test_perverse_takes_a_full_quiver(files, capsys, tmp_path):
     """A level quiver, the scalar one of an exponent assignment or a
     stored level-1 one, is a usage error, not a non-central arrangement;

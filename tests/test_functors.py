@@ -1303,8 +1303,7 @@ def per_term_shapovalov_form(g, w, flag1, flag2):
     top = g.top()
     dw = w.dim(top)
     m = len(flag1) - 1
-    ids1 = [g.vertex(flag1[k]).id for k in range(1, m + 1)]
-    ids2 = [g.vertex(flag2[k]).id for k in range(1, m + 1)]
+    ids1, ids2 = flag1[1:], flag2[1:]
     total = Matrix.zero(dw, dw)
     for sigma in permutations(range(m)):
         sign = sort_with_sign(sigma)[1]

@@ -7,7 +7,11 @@ module builds that graph, its truncations, the specialization graph at a
 stratum of a central arrangement, and the discriminantal family.  The
 level-n truncation is a graph of the same kind (`TruncatedGraph`, an
 `AdmissibleGraph` on the strata of level <= n and the edges among them)
-that also lists its loops, one per edge from level n to level n+1.
+that also lists its loops, one per edge from level n to level n+1, and
+keeps the graph it was cut from as `full`.  Every graph is its own top
+truncation: its level is its `max_level`, `full` is the graph itself and
+it has no loops, so `truncated_graph`, the one place a truncation is
+made, returns the graph itself at its top level.
 
 A stratum is its key: the sorted tuple of its *maximal* set of hyperplane
 indices, every hyperplane containing the stratum listed.  The key is the
@@ -144,12 +148,16 @@ class AdmissibleGraph:
             for w in self._down[v]:
                 acc |= self._descendants[w]
             self._descendants[v] = frozenset(acc)
+        self.max_level = max(self.level.values())
+        self.loops = {}
         self._wedge_cache = {}
         self.memo = {}  # see `per_graph`
 
     @property
-    def max_level(self):
-        return max(self.level.values())
+    def full(self):
+        """The graph this one truncates: itself, its own top truncation (a
+        property, so the graph holds no reference to itself)."""
+        return self
 
     def levels(self, n):
         return [v for v in self.vertices if self.level[v] == n]
@@ -297,44 +305,48 @@ def build_graph(arrangement: Arrangement) -> ArrangementGraph:
 
 
 class TruncatedGraph(AdmissibleGraph):
-    """The level-n truncation: the vertices of level <= n of a full graph
-    and the edges among them, plus one loop (a, a)^b per pair a > b with
-    level(a) = n.  `loops` lists them in the order of the full graph's
-    levels and `down`, as the keys of a dict.
+    """The level-n truncation, n below the top: the vertices of level <= n
+    of a full graph and the edges among them, plus one loop (a, a)^b per
+    pair a > b with level(a) = n.  `loops` lists them in the order of the
+    full graph's levels and `down`, as the keys of a dict; n is the
+    truncation's `max_level`.
 
     Keeps the full graph around: the defining relations of level-n quivers
     read the adjacency of levels n+1 and n+2."""
 
     def __init__(self, full: AdmissibleGraph, n):
-        self.full = full
-        self.n = n
+        self._full = full
         super().__init__({v: l for v, l in full.level.items() if l <= n},
                          [e for e in full.edges if all(full.level[v] <= n for v in e)])
         self.loops = dict.fromkeys((a, b) for a in full.levels(n) for b in full.down(a))
 
+    @property
+    def full(self):
+        return self._full
+
     def __repr__(self):
-        return (f"TruncatedGraph(level {self.n}: {len(self.vertices)} vertices, "
+        return (f"TruncatedGraph(level {self.max_level}: {len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges, {len(self.loops)} loops)")
 
 
-def truncated_graph(g: AdmissibleGraph, n) -> TruncatedGraph:
-    if not 0 <= n <= max(g.max_level, 0):
+def truncated_graph(g: AdmissibleGraph, n) -> AdmissibleGraph:
+    """The level-n truncation of g: g itself at its top level."""
+    if not 0 <= n <= g.max_level:
         raise ShapeError(f"truncation level {n} out of range 0..{g.max_level}")
-    return TruncatedGraph(g, n)
+    return g if n == g.max_level else TruncatedGraph(g, n)
 
 
 class SpecializationGraph:
     """Vertices of the base graph merged along the specialization
     equivalence at a fixed vertex of a central arrangement."""
 
-    def __init__(self, base_vertex, classes, graph):
-        self.base_vertex = base_vertex
-        self.classes = classes          # class key (tuple of member ids) -> member ids
+    def __init__(self, classes, graph):
+        self.classes = classes          # class keys, each the sorted tuple of its members
         self.graph = graph              # AdmissibleGraph on class keys
 
     def class_of(self, member_key):
-        for ck, members in self.classes.items():
-            if member_key in members:
+        for ck in self.classes:
+            if member_key in ck:
                 return ck
         raise KeyError(member_key)
 
@@ -360,20 +372,18 @@ def specialization_graph(g: ArrangementGraph, alpha) -> SpecializationGraph:
     groups = {}
     for bk in g.vertices:
         groups.setdefault(signature(bk), []).append(bk)
-    classes = {}
     levels = {}
     for members in groups.values():
         ck = tuple(sorted(members))
         ls = {g.level[m] for m in ck}
         if len(ls) != 1:
             raise UnsupportedError("specialization classes mix codimensions")
-        classes[ck] = ck
         levels[ck] = ls.pop()
     # two classes are adjacent when some members are: each edge of g
     # joins the classes of its ends, which lie one level apart
-    owner = {m: ck for ck, members in classes.items() for m in members}
+    owner = {m: ck for ck in levels for m in ck}
     edges = {(owner[x], owner[y]) for x, y in g.edges}
-    return SpecializationGraph(alpha, classes, AdmissibleGraph(levels, edges))
+    return SpecializationGraph(tuple(levels), AdmissibleGraph(levels, edges))
 
 
 def discriminantal(weights):

@@ -209,11 +209,8 @@ def cmd_specialize(args):
     v = _quiver(args, g)
     spq, sp = specialize(v, parse_vertex_key(args.vertex))
     out = quiver_to_json(spq)
-    out["classes"] = {
-        "|".join(format_vertex_key(m) for m in members):
-            [format_vertex_key(m) for m in members]
-        for members in sp.classes.values()
-    }
+    out["classes"] = {"|".join(names): names for names in
+                      ([format_vertex_key(m) for m in ck] for ck in sp.classes)}
     return out
 
 

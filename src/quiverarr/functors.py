@@ -8,7 +8,10 @@ MacPherson extension, specialization at a stratum, and the Fourier dual.
 Subspaces and quotients are carried as explicit inclusion / projection
 matrices over the canonical bases (kernel bases in RREF, non-pivot
 coordinates for quotients), so induced maps reduce to exact solves.
-Each one-step image builds a new vertex's boundary sum, space, witness
+A full graph is its own top truncation (`arrangement.truncated_graph`,
+which makes every truncation here), so `restrict` and `_push` read a
+full quiver in place, at the top level, and a push to the top ends on
+the full graph itself.  Each one-step image builds a new vertex's boundary sum, space, witness
 entry, maps and loops in one pass, and one driver (`_push`) iterates
 either step.  The adjunction reuses the witness of the * step, and the
 canonical morphism from the ! image to the * image is one solve of the
@@ -41,8 +44,8 @@ from itertools import permutations, product
 from math import lcm
 from typing import NamedTuple
 
-from .arrangement import (ArrangementGraph, TruncatedGraph, per_graph,
-                          specialization_base, specialization_graph)
+from .arrangement import (ArrangementGraph, per_graph, specialization_base,
+                          specialization_graph, truncated_graph)
 from .errors import (InternalInconsistencyError, InvalidQuiverError,
                      ShapeError, UnsupportedError)
 from .linalg import (Matrix, Q0, _canonical, _from_int_rows, block_diag,
@@ -79,26 +82,25 @@ class SubquotientWitness:
 
 # -- restriction -------------------------------------------------------------------
 
-def restrict(v, k) -> LevelQuiver:
-    """The level-k restriction: spaces and maps survive unchanged, and
-    each forgotten adjacency leaves the composite loop A_{a,b} A_{b,a}."""
-    v = as_level_quiver(v)
-    if not 0 <= k < v.level:
-        raise ShapeError(f"restriction level {k} must be below {v.level}")
-    t = TruncatedGraph(v.graph.full, k)
+def restrict(v: Quiver, k) -> LevelQuiver:
+    """The level-k restriction of a level quiver, or of a full one at the
+    top level: spaces and maps survive unchanged, and each forgotten
+    adjacency leaves the composite loop A_{a,b} A_{b,a}."""
+    g = v.graph
+    if not 0 <= k < g.max_level:
+        raise ShapeError(f"restriction level {k} must be below {g.max_level}")
+    t = truncated_graph(g.full, k)
     spaces = {a: v.dim(a) for a in t.vertices}
     maps = {(a, b): m for (a, b), m in v.maps.items() if a in spaces and b in spaces}
     loops = {(at, via): v.map(at, via) * v.map(via, at) for (at, via) in t.loops}
     return LevelQuiver(t, spaces, maps, loops)
 
 
-def as_level_quiver(v) -> LevelQuiver:
-    """View a plain quiver as a level quiver at the top level (no loops)."""
-    if isinstance(v, LevelQuiver):
-        return v
-    full = v.graph
-    t = TruncatedGraph(full, full.max_level)
-    return LevelQuiver(t, dict(v.spaces), dict(v.maps), {})
+def as_level_quiver(v: Quiver) -> LevelQuiver:
+    """v as a level quiver on its own graph, its own top truncation: a full
+    quiver at the top level, without loops."""
+    g = v.graph
+    return LevelQuiver(truncated_graph(g, g.max_level), v.spaces, v.maps, v.loop_ops)
 
 
 # -- one-step direct images -----------------------------------------------------------
@@ -157,12 +159,10 @@ def _loop_sum_ambient(v, bd: _Boundary, beta, c):
 
 def _next_level(v: LevelQuiver):
     """What both one-step direct images start from: the full graph, the
-    truncation one level deeper, copies of v's spaces and maps, and an
-    empty witness."""
+    truncation one level deeper (the full graph itself at the top), copies
+    of v's spaces and maps, and an empty witness."""
     full = v.graph.full
-    if v.level + 1 > full.max_level:
-        raise ShapeError("no deeper level to push to")
-    t = TruncatedGraph(full, v.level + 1)
+    t = truncated_graph(full, v.level + 1)
     return full, t, dict(v.spaces), dict(v.maps), SubquotientWitness()
 
 
@@ -175,7 +175,7 @@ def push_star_step(v: LevelQuiver):
     Returns (level quiver, witness)."""
     full, t, spaces, maps, witness = _next_level(v)
     loops = {}
-    for beta in full.levels(t.n):
+    for beta in full.levels(t.max_level):
         bd = _boundary(v, beta)
         inc = kernel_basis(bd.up).basis.transpose()
         spaces[beta] = inc.cols
@@ -206,7 +206,7 @@ def push_shriek_step(v: LevelQuiver):
     witness)."""
     full, t, spaces, maps, witness = _next_level(v)
     loops = {}
-    for beta in full.levels(t.n):
+    for beta in full.levels(t.max_level):
         bd = _boundary(v, beta)
         for a, a2 in permutations(bd.ups, 2):
             if len(set(full.up(a)) & set(full.up(a2))) > 1:
@@ -236,11 +236,10 @@ def push_shriek_step(v: LevelQuiver):
 
 
 def _push(v, l, step):
-    """Iterate the one-step direct image `step` from v (a level quiver, or
-    a full one read at the top level) up to level l, above v's level.
+    """Iterate the one-step direct image `step` from v up to level l, above
+    v's level (a full quiver is at the top, with no level above it).
     Returns (level quiver, witness of the last step)."""
-    v = as_level_quiver(v)
-    if not v.level < l <= v.graph.full.max_level:
+    if not v.graph.max_level < l <= v.graph.full.max_level:
         raise ShapeError(f"bad target level {l}")
     while v.level < l:
         v, witness = step(v)
@@ -657,11 +656,11 @@ def specialize(v: Quiver, alpha):
         raise UnsupportedError("specialization needs the arrangement geometry")
     sp = specialization_graph(g, alpha)
     cg = sp.graph
-    spaces = {ck: sum(v.dim(m) for m in members) for ck, members in sp.classes.items()}
+    spaces = {ck: sum(v.dim(m) for m in ck) for ck in sp.classes}
     maps = {}
     for ck in cg.vertices:
         for ck2 in list(cg.up(ck)) + list(cg.down(ck)):
-            maps[(ck, ck2)] = _level_map(v, sp.classes[ck], sp.classes[ck2])
+            maps[(ck, ck2)] = _level_map(v, ck, ck2)
     return Quiver(cg, spaces, maps), sp
 
 
@@ -670,7 +669,7 @@ def spec_nonres_ops(v: Quiver, alpha):
     b, the sum of the round trips through neighbors g whose intersection
     with the base stratum agrees with that of b."""
     g = v.graph
-    if not isinstance(g, ArrangementGraph):
+    if isinstance(v, LevelQuiver) or not isinstance(g, ArrangementGraph):
         raise UnsupportedError("specialization needs the arrangement geometry")
     a = specialization_base(g, alpha)
     return {b: _through(v, b, [c for c in list(g.up(b)) + list(g.down(b))

@@ -3,14 +3,18 @@
 A quiver attaches a finite-dimensional Q-vector space to every vertex and
 a matrix to every oriented edge, subject to quadratic relations; a level-n
 quiver lives on the truncated graph and carries an extra loop operator per
-forgotten adjacency.  The truncated graph is a graph like the full one, so
-both kinds share one code path: a full quiver carries an empty
-`loop_ops`, the duality tau and the sign conjugation rebuild a quiver of
-the input's kind, every sum of round trips A_{b,a} A_{a,b} at a vertex is
-one product (`_through`) and every sum of loops at a vertex is
-`_loop_sum`.  This module owns the relation checker, the duality tau, the
-complexes C+ and C-, the local and monodromy operators with their spectra,
-non-resonance reports, and Hom spaces.
+forgotten adjacency.  A full graph is its own top truncation, without
+loops, so both kinds share one code path: `Quiver` holds the loop
+operators of its graph's loops (none on a full graph), the relation
+checker, the morphism check and the Hom equations read the graph's
+loops, and a top-level quiver is a `LevelQuiver` on the full graph
+itself; `LevelQuiver` only names the level.  The duality tau and the sign
+conjugation rebuild a quiver of the input's class, every sum of round
+trips A_{b,a} A_{a,b} at a vertex is one product (`_through`) and every
+sum of loops at a vertex is `_loop_sum`.  This module owns the relation
+checker, the duality tau, the complexes C+ and C-, the local and
+monodromy operators with their spectra, non-resonance reports, and Hom
+spaces.
 
 All of them work on level-to-level block matrices of the maps
 (`_level_map`), where a target with one map takes that map's stored rows.
@@ -29,9 +33,8 @@ from functools import cached_property
 from itertools import compress, repeat
 from operator import add
 
-from .arrangement import (AdmissibleGraph, ArrangementGraph, TruncatedGraph,
-                          format_vertex_key, parse_vertex_key, per_graph,
-                          truncated_graph)
+from .arrangement import (AdmissibleGraph, ArrangementGraph, format_vertex_key,
+                          parse_vertex_key, per_graph, truncated_graph)
 from .errors import (InvalidComplexError, InvalidQuiverError,
                      MissingLoopError, ParseError, ShapeError)
 from .linalg import (_ZERO_ROW, ChainComplex, Matrix, Q0, Subspace, _cleared,
@@ -42,9 +45,10 @@ from .linalg import (_ZERO_ROW, ChainComplex, Matrix, Q0, Subspace, _cleared,
 
 class Quiver:
     """Spaces V_alpha and maps A_{alpha,beta}: V_beta -> V_alpha on
-    adjacent ordered pairs of an admissible graph."""
+    adjacent ordered pairs of an admissible graph, and a loop operator
+    A_at^via on V_at per loop (at, via) of the graph (a truncation's)."""
 
-    def __init__(self, graph: AdmissibleGraph, spaces, maps):
+    def __init__(self, graph: AdmissibleGraph, spaces, maps, loop_ops=None):
         self.graph = graph
         self.spaces = dict(spaces)
         for v in graph.vertices:
@@ -65,6 +69,14 @@ class Quiver:
             if not m.is_zero():
                 self.maps[(a, b)] = m
         self.loop_ops = {}
+        for (at, via), m in (loop_ops or {}).items():
+            if (at, via) not in graph.loops:
+                raise MissingLoopError(f"no loop ({at},{at})^{via} in the level-"
+                                       f"{graph.max_level} graph")
+            if (m.rows, m.cols) != (self.spaces[at], self.spaces[at]):
+                raise ShapeError(f"loop {at}^{via} shape mismatch")
+            if not m.is_zero():
+                self.loop_ops[(at, via)] = m
 
     @property
     def level(self):
@@ -78,6 +90,14 @@ class Quiver:
         m = self.maps.get((a, b))
         if m is None:
             return Matrix.zero(self.spaces[a], self.spaces[b])
+        return m
+
+    def loop(self, at, via) -> Matrix:
+        if (at, via) not in self.graph.loops:
+            raise MissingLoopError(f"no loop ({at},{at})^{via}")
+        m = self.loop_ops.get((at, via))
+        if m is None:
+            return Matrix.zero(self.spaces[at], self.spaces[at])
         return m
 
     def total_dim(self):
@@ -97,32 +117,13 @@ class Quiver:
 
 
 class LevelQuiver(Quiver):
-    """A quiver of a truncated graph, with loop operators at the boundary
-    level."""
-
-    def __init__(self, graph: TruncatedGraph, spaces, maps, loop_ops=None):
-        # the Quiver checks, against the truncated adjacency
-        super().__init__(graph, spaces, maps)
-        for (at, via), m in (loop_ops or {}).items():
-            if (at, via) not in graph.loops:
-                raise MissingLoopError(f"no loop ({at},{at})^{via} in the level-"
-                                       f"{graph.n} graph")
-            if (m.rows, m.cols) != (self.spaces[at], self.spaces[at]):
-                raise ShapeError(f"loop {at}^{via} shape mismatch")
-            if not m.is_zero():
-                self.loop_ops[(at, via)] = m
+    """A quiver of a truncation (`arrangement.truncated_graph`), whose
+    level is the truncation's top level: at the top of the full graph, the
+    full graph itself."""
 
     @property
     def level(self):
-        return self.graph.n
-
-    def loop(self, at, via) -> Matrix:
-        if (at, via) not in self.graph.loops:
-            raise MissingLoopError(f"no loop ({at},{at})^{via}")
-        m = self.loop_ops.get((at, via))
-        if m is None:
-            return Matrix.zero(self.spaces[at], self.spaces[at])
-        return m
+        return self.graph.max_level
 
     def __repr__(self):
         return (f"LevelQuiver(level {self.level}, "
@@ -132,7 +133,7 @@ class LevelQuiver(Quiver):
 def level_zero_quiver(graph, dim, operators) -> LevelQuiver:
     """Convenience: the level-0 quiver with one space of dimension `dim`
     and loop operator `operators[j]` on the loop through hyperplane j."""
-    t = TruncatedGraph(graph, 0)
+    t = truncated_graph(graph, 0)
     top = graph.top()
     loops = {}
     for via, m in operators.items():
@@ -163,9 +164,9 @@ class QuiverMorphism:
             raise InvalidQuiverError(f"not a morphism: fails at {bad[:3]}")
 
     def violations(self):
-        """The edges (a, b) where f_a A_ab != B_ab f_b, and at level the
-        loops where f_a A_a^via != B_a^via f_a, compared on integer
-        numerators (`linalg.products_equal`)."""
+        """The edges (a, b) where f_a A_ab != B_ab f_b, and the loops where
+        f_a A_a^via != B_a^via f_a, compared on integer numerators
+        (`linalg.products_equal`)."""
         out = []
         g = self.source.graph
         f = self.components
@@ -174,11 +175,10 @@ class QuiverMorphism:
                 if not products_equal(f[a], self.source.map(a, b),
                                       self.target.map(a, b), f[b]):
                     out.append((a, b))
-        if isinstance(self.source, LevelQuiver):
-            for (at, via) in g.loops:
-                if not products_equal(f[at], self.source.loop(at, via),
-                                      self.target.loop(at, via), f[at]):
-                    out.append((at, at, via))
+        for (at, via) in g.loops:
+            if not products_equal(f[at], self.source.loop(at, via),
+                                  self.target.loop(at, via), f[at]):
+                out.append((at, at, via))
         return out
 
     def component(self, v):
@@ -209,8 +209,8 @@ def check_quiver(v: Quiver):
     level it violates (c) when its two vertices are distinct and lie above
     a shared vertex (`_shared_below`), and a level with no such pair forms
     no product.  The pairs come out in the graph's vertex order, first
-    vertex first, followed by the loop relations of a level quiver
-    (`_check_loops`)."""
+    vertex first, followed by the loop relations (`_check_loops`), which
+    a full graph, without loops, does not reach."""
     g = v.graph
     lv = g.level
     by_level = _level_blocks(v)
@@ -231,8 +231,7 @@ def check_quiver(v: Quiver):
     pos = {k: i for i, k in enumerate(g.vertices)}
     out = [("(b)" if lv[a] != lv[c] else "(c)", (a, c))
            for a, c in sorted(hits, key=lambda h: (pos[h[0]], pos[h[1]]))]
-    if isinstance(v, LevelQuiver):
-        out.extend(_check_loops(v))
+    out.extend(_check_loops(v))
     return out
 
 
@@ -265,10 +264,10 @@ def _nonzero_pairs(row_owner, col_owner, products):
     return out
 
 
-def _check_loops(v: LevelQuiver):
-    """Relations (iv) and (v) of the loops.  A loop's via and the c of (v)
-    lie one and two levels past the truncation, so their adjacency is
-    read off the full graph."""
+def _check_loops(v: Quiver):
+    """Relations (iv) and (v) of the loops, at the vertices that carry
+    them.  A loop's via and the c of (v) lie one and two levels past the
+    truncation, so their adjacency is read off the full graph."""
     out = []
     g = v.graph
     full = g.full
@@ -280,7 +279,7 @@ def _check_loops(v: LevelQuiver):
                 out.append(("(iv)", (at, via, d)))
             if not products_equal(da, loop, s, da):
                 out.append(("(iv)*", (at, via, d)))
-    for at in g.levels(g.n):
+    for at in dict.fromkeys(at for at, _ in g.loops):
         deep = {c for b in full.down(at) for c in full.down(b)}
         for c in deep:
             betas = [b for b in full.down(at) if full.adjacent(b, c)]
@@ -295,26 +294,19 @@ def _check_loops(v: LevelQuiver):
 # -- duality -----------------------------------------------------------------------
 
 def dual(v: Quiver) -> Quiver:
-    """tau: V_alpha -> V_alpha^*, A_{a,b} -> eps(b,a) A_{b,a}^t, and at
-    level each loop A -> -A^t."""
+    """tau: V_alpha -> V_alpha^*, A_{a,b} -> eps(b,a) A_{b,a}^t, and each
+    loop A -> -A^t."""
     eps = v.graph.epsilon
     maps = {(b, a): m.transpose().scale(eps(a, b)) for (a, b), m in v.maps.items()}
-    return _same_kind(v, maps, {k: -m.transpose() for k, m in v.loop_ops.items()})
+    return type(v)(v.graph, dict(v.spaces), maps,
+                   {k: -m.transpose() for k, m in v.loop_ops.items()})
 
 
 def sign_conjugate(v):
     """Conjugation by diag((-1)^level): recovers v from tau(tau(v))."""
     lv = v.graph.level
     maps = {(a, b): m.scale(Fraction((-1) ** (lv[a] + lv[b]))) for (a, b), m in v.maps.items()}
-    return _same_kind(v, maps, dict(v.loop_ops))
-
-
-def _same_kind(v, maps, loop_ops):
-    """A quiver of v's kind on v's graph and spaces, with these maps (and
-    loop operators, at level)."""
-    if isinstance(v, LevelQuiver):
-        return LevelQuiver(v.graph, dict(v.spaces), maps, loop_ops)
-    return Quiver(v.graph, dict(v.spaces), maps)
+    return type(v)(v.graph, dict(v.spaces), maps, dict(v.loop_ops))
 
 
 # -- complexes --------------------------------------------------------------------
@@ -431,7 +423,7 @@ def _through(v: Quiver, b, keys):
     return _level_map(v, [b], keys) * _level_map(v, keys, [b])
 
 
-def _loop_sum(v: LevelQuiver, at, vias):
+def _loop_sum(v: Quiver, at, vias):
     """Sum over via in `vias` of the loop A_at^via."""
     out = Matrix.zero(v.dim(at), v.dim(at))
     for via in vias:
@@ -441,7 +433,7 @@ def _loop_sum(v: LevelQuiver, at, vias):
 
 def _stilde(v: Quiver, b):
     g = v.graph
-    if isinstance(v, LevelQuiver) and g.level[b] == v.level:
+    if g.level[b] == g.max_level:
         return _loop_sum(v, b, g.full.down(b))
     return _through(v, b, g.down(b))
 
@@ -526,8 +518,8 @@ def hom_offsets(v: Quiver, w: Quiver):
 
 def hom_equations(v: Quiver, w: Quiver) -> Matrix:
     """The intertwining equations of morphisms v -> w, one row per scalar
-    equation of f_a A_{a,b} = B_{a,b} f_b over the edges (and of the
-    loops, at level), in the coordinates of `hom_offsets`.  Each row is
+    equation of f_a A_{a,b} = B_{a,b} f_b over the edges and the loops,
+    in the coordinates of `hom_offsets`.  Each row is
     its nonzero terms summed by column (for a loop, a == b, two terms can
     share one) and cleared once into canonical form."""
     g = v.graph
@@ -535,7 +527,7 @@ def hom_equations(v: Quiver, w: Quiver) -> Matrix:
         raise ShapeError("hom between quivers on different graphs")
     if isinstance(v, LevelQuiver) != isinstance(w, LevelQuiver):
         raise ShapeError("hom between quivers of different kinds")
-    if isinstance(v, LevelQuiver) and v.level != w.level:
+    if v.level != w.level:
         raise ShapeError("hom between quivers of different levels")
     offsets, total = hom_offsets(v, w)
     rows = []
@@ -560,9 +552,8 @@ def hom_equations(v: Quiver, w: Quiver) -> Matrix:
     for a in g.vertices:
         for b in _neighbors(g, a):
             add_equations(v.map(a, b), w.map(a, b), a, b)
-    if isinstance(v, LevelQuiver):
-        for (at, via) in g.loops:
-            add_equations(v.loop(at, via), w.loop(at, via), at, at)
+    for (at, via) in g.loops:
+        add_equations(v.loop(at, via), w.loop(at, via), at, at)
     return Matrix._raw(len(rows), total, rows)
 
 

@@ -20,7 +20,7 @@ from quiverarr.functors import (as_level_quiver, fourier_dual, j0_shriek,
                                 push_shriek_step, push_star, push_star_step,
                                 restrict, s0, specialize)
 from quiverarr.liecheck import KZInstance, kz_check
-from quiverarr.linalg import Matrix, char_poly, poly_mul, rational_roots
+from quiverarr.linalg import Matrix, char_poly, char_poly_roots, poly_mul
 from quiverarr.oscomplex import (ExponentAssignment, aomoto_complex,
                                  flag_complex, os_space, shapovalov_scalar)
 from quiverarr.quiver import (LevelQuiver, QuiverMorphism, Spectrum, c_plus,
@@ -194,26 +194,6 @@ def test_criterion_02_golden_intro_examples():
     report(2, "single-hyperplane golden examples reproduced", t0, budget=1)
 
 
-def exact_char_poly(m, lam):
-    """Characteristic polynomial of m, exact.  When m^2 = lam m holds on
-    the built matrix the polynomial is x^(n-r) (x-lam)^r outright (m/lam
-    is idempotent, or m is square-zero); otherwise fall back to the
-    general routine."""
-    from quiverarr.linalg import rank
-    n = m.rows
-    if m * m == m.scale(lam):
-        if lam == 0:
-            return tuple([Fraction(0)] * n + [Fraction(1)])
-        r = rank(m)
-        p = (Fraction(1),)
-        for _ in range(n - r):
-            p = poly_mul(p, (Fraction(0), Fraction(1)))
-        for _ in range(r):
-            p = poly_mul(p, (-lam, Fraction(1)))
-        return p
-    return char_poly(m)
-
-
 def test_criterion_03_spectrum_laws():
     t0 = time.perf_counter()
     checked = 0
@@ -237,12 +217,8 @@ def test_criterion_03_spectrum_laws():
                     for down in g.down(k):
                         comp = v.map(k, down) * v.map(down, k)
                         assert comp == ident.scale(lam[down] - lam[k])
-                    for t_op in (ops.T, ops.Tbar):
-                        if t_op.rows <= 12:
-                            p = char_poly(t_op)
-                        else:
-                            p = exact_char_poly(t_op, lam[k])
-                        roots, split = rational_roots(p)
+                    for factors in (ops.T_factors, ops.Tbar_factors):
+                        _, roots, split = char_poly_roots(*factors)
                         assert split
                         assert set(roots) <= {Fraction(0), lam[k]}
                 expect = (Fraction(1),)

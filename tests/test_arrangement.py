@@ -7,7 +7,7 @@ from quiverarr import arrangement, corpus, linalg
 from quiverarr.arrangement import (
     Arrangement, Hyperplane, build_graph, discriminantal,
     format_arrangement, format_vertex_key, parse_arrangement,
-    TruncatedGraph, parse_vertex_key, specialization_graph, truncated_graph,
+    parse_vertex_key, specialization_graph, truncated_graph,
     verify_graph_properties, _canonicalize,
 )
 from quiverarr.errors import ParseError, ShapeError, UnsupportedError
@@ -180,12 +180,14 @@ def test_truncation_of_any_graph_at_zero_has_loops_per_hyperplane():
 
 
 def assert_truncation_is_the_filtered_graph(g):
-    """For every n, TruncatedGraph(g, n) is g filtered to the levels <= n,
-    and its loops are listed as the tuple they were first kept as."""
+    """For every n, truncated_graph(g, n) is g filtered to the levels <= n,
+    and its loops are listed as the tuple they were first kept as; at the
+    top level it is g itself."""
     for n in range(g.max_level + 1):
-        t = TruncatedGraph(g, n)
+        t = truncated_graph(g, n)
         keep = [v for v in g.vertices if g.level[v] <= n]
-        assert t.full is g and t.n == n == t.max_level
+        assert t.full is g and n == t.max_level
+        assert (t is g) == (n == g.max_level)
         assert t.vertices == tuple(keep)
         assert t.level == {v: g.level[v] for v in keep}
         assert t.edges == {e for e in g.edges if all(g.level[v] <= n for v in e)}
@@ -219,7 +221,7 @@ def test_specialization_single_hyperplane_identity():
     g = build_graph(corpus.single_hyperplane())
     sp = specialization_graph(g, (1,))
     assert len(sp.classes) == 2
-    assert all(len(m) == 1 for m in sp.classes.values())
+    assert all(len(ck) == 1 for ck in sp.classes)
     assert len(sp.graph.edges) == 1
 
 
@@ -233,8 +235,8 @@ def test_specialization_at_top_is_identity():
 def test_specialization_three_lines_merges_other_lines():
     g = build_graph(corpus.three_lines())
     sp = specialization_graph(g, (1,))
-    members = sorted(tuple(sorted(m)) for m in sp.classes.values())
-    assert members == [((),), ((1,),), ((1, 2, 3),), ((2,), (3,))]
+    assert sorted(sp.classes) == [((),), ((1,),), ((1, 2, 3),), ((2,), (3,))]
+    assert all(ck == tuple(sorted(ck)) for ck in sp.classes)
     assert len(sp.graph.edges) == 4
     assert sp.graph.level[sp.class_of((2,))] == 1
 
@@ -252,7 +254,7 @@ def assert_specialization_edges_are_the_pairwise_scan(g):
         assert sp.graph.edges == {
             frozenset((a, b)) for a in classes for b in classes
             if level[a] + 1 == level[b]
-            and any(g.adjacent(x, y) for x in classes[a] for y in classes[b])}
+            and any(g.adjacent(x, y) for x in a for y in b)}
 
 
 @pytest.mark.parametrize("name", corpus.CENTRAL)

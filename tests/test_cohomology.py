@@ -12,7 +12,7 @@ from quiverarr.cohomology import (
     smallness_status, spectrum_of_level_zero,
 )
 from quiverarr.errors import UnsupportedError
-from quiverarr.functors import j0_star
+from quiverarr.functors import j0_star, push_star, restrict
 from quiverarr.linalg import Matrix, betti
 from quiverarr.oscomplex import (ExponentAssignment, aomoto_complex, flag_degree,
                                  os_space)
@@ -190,11 +190,12 @@ def test_aomoto_and_flag_reports():
 
 
 @pytest.mark.parametrize("name", ["three_lines", "c13"])
-@pytest.mark.parametrize("work", ["spaces", "j0_star", "ih"])
+@pytest.mark.parametrize("work", ["spaces", "j0_star", "ih", "push"])
 def test_dropped_graph_is_freed_without_the_cycle_collector(name, work):
-    """No reference cycle runs through a graph, its memoized spaces or the
-    word table of a level-zero quiver: all are freed on the last `del`,
-    with the cyclic garbage collector off."""
+    """No reference cycle runs through a graph, its memoized spaces, the
+    word table of a level-zero quiver or the truncations of a tower pushed
+    to the top (the graph itself there) and restricted back: all are freed
+    on the last `del`, with the cyclic garbage collector off."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -203,8 +204,15 @@ def test_dropped_graph_is_freed_without_the_cycle_collector(name, work):
         if work != "spaces":
             w = scalar_from_exponents(g, exponents(
                 g, [Fraction(1, 7 * j + 3) for j in range(g.arrangement.size)]))
-            (j0_star if work == "j0_star" else intersection_cohomology)(g, w)
-            refs.append(weakref.ref(g.memo["word_table"][1][0]))
+            if work == "push":
+                top = push_star(w, g.max_level)
+                back = restrict(top, 0)
+                assert top.graph is g and back == w
+                refs += [weakref.ref(x) for x in (w.graph, top, back, back.graph)]
+                del top, back
+            else:
+                (j0_star if work == "j0_star" else intersection_cohomology)(g, w)
+                refs.append(weakref.ref(g.memo["word_table"][1][0]))
             del w
         del g
         assert [r() for r in refs] == [None] * len(refs)

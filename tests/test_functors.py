@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverarr import corpus
-from quiverarr.arrangement import build_graph
-from quiverarr.errors import InternalInconsistencyError, ShapeError, UnsupportedError
+from quiverarr.arrangement import TruncatedGraph, build_graph, truncated_graph
+from quiverarr.errors import (InternalInconsistencyError, MissingLoopError, ShapeError,
+                              UnsupportedError)
 from quiverarr.functors import (
     _cutoff_candidates, _s0_structure, _shriek_structure, adjoint_transport, as_level_quiver, fourier_dual, j0_shriek, j0_star,
     macpherson, push_shriek, push_shriek_step, push_star, push_star_step,
@@ -20,7 +21,7 @@ from quiverarr.oscomplex import (ExponentAssignment, aomoto_complex, flag_comple
                                  flag_degree, flag_space, os_space, shapovalov_scalar)
 from quiverarr.quiver import (
     LevelQuiver, Quiver, QuiverMorphism, _level_blocks, c_plus, check_quiver,
-    dual, hom_space, level_zero_quiver, local_ops,
+    dual, hom_equations, hom_space, level_zero_quiver, local_ops,
     morphism_from_coords, quiver_to_json,
 )
 
@@ -89,6 +90,84 @@ def test_restrict_level_errors():
         restrict(v, 2)
     with pytest.raises(ShapeError):
         restrict(restrict(v, 1), 1)
+
+
+# -- a graph is its own top truncation ---------------------------------------------
+
+def full_outputs(g, rank):
+    """The full * and ! images and the MacPherson extension of a rank-1 or
+    rank-2 level-zero quiver with generic loops."""
+    m = Matrix.identity(1) if rank == 1 else M([[1, 1], [0, 1]])
+    w = level_zero_quiver(g, rank, {j: m.scale(Fraction(j, 7 * j + 3))
+                                    for j in range(1, g.arrangement.size + 1)})
+    return w, [j0_star(g, w), j0_shriek(g, w), macpherson(g, w).quiver]
+
+
+@pytest.mark.parametrize("name", corpus.CENTRAL)
+def test_full_quiver_is_its_top_level_quiver(name):
+    """A full quiver and the level quiver on its own graph, at the top
+    level, agree on the relations, the Hom equations, C+, the duality and
+    every restriction; the graph is its own top truncation.  The Hom
+    dimensions are compared on every quiver but the rank-2 C_{1,4} ones,
+    whose kernels take about 14 s a side: their equations are the same
+    matrix."""
+    g = graph(name)
+    top = g.max_level
+    assert g.full is g and not g.loops and truncated_graph(g, top) is g
+    for rank in (1, 2):
+        w, outputs = full_outputs(g, rank)
+        if top:
+            assert push_star(w, top).graph is g and push_shriek(w, top).graph is g
+        else:
+            assert w.graph is g
+        for v in outputs:
+            lv = as_level_quiver(v)
+            assert isinstance(lv, LevelQuiver) and lv.level == top
+            assert lv.graph is v.graph and lv.spaces == v.spaces and lv.maps == v.maps
+            assert check_quiver(lv) == check_quiver(v) == []
+            assert hom_equations(lv, lv) == hom_equations(v, v)
+            if (name, rank) != ("c14", 2):
+                assert hom_space(lv, lv).dim == hom_space(v, v).dim
+            cl, cv = c_plus(lv), c_plus(v)
+            assert (cl.min_degree, cl.dims, cl.differentials) == \
+                (cv.min_degree, cv.dims, cv.differentials)
+            assert dual(lv) == as_level_quiver(dual(v))
+            for k in range(top):
+                assert restrict(lv, k) == restrict(v, k)
+
+
+def test_restrict_of_a_full_quiver_truncates_once(monkeypatch):
+    """Restricting a full quiver constructs only its level-k truncation,
+    not a copy of the whole graph at the top."""
+    g = graph("c13")
+    v = j0_star(g, full_outputs(g, 2)[0])
+    made = []
+    real = TruncatedGraph.__init__
+    monkeypatch.setattr(TruncatedGraph, "__init__",
+                        lambda self, full, n: made.append((full, n)) or real(self, full, n))
+    for k in range(g.max_level):
+        made.clear()
+        r = restrict(v, k)
+        assert made == [(g, k)] and r.graph.full is g and r.level == k
+
+
+def test_spec_nonres_ops_refuses_a_top_level_quiver():
+    g = graph("three_lines")
+    v = as_level_quiver(j0_star(g, three_lines_w()))
+    assert v.graph is g
+    with pytest.raises(UnsupportedError):
+        spec_nonres_ops(v, (1,))
+
+
+def test_a_full_graph_refuses_loops():
+    g = graph("three_lines")
+    v = j0_star(g, three_lines_w())
+    with pytest.raises(MissingLoopError):
+        LevelQuiver(g, dict(v.spaces), dict(v.maps), {((1, 2, 3), (1,)): M([[0]])})
+    with pytest.raises(MissingLoopError):
+        Quiver(g, dict(v.spaces), dict(v.maps), {((), (1,)): M([[1]])})
+    with pytest.raises(MissingLoopError):
+        v.loop((), (1,))
 
 
 def dual_level(v):

@@ -585,3 +585,36 @@ def test_check_quiver_sees_a_shared_vertex_with_a_falsy_key():
     w = Quiver(g, dict.fromkeys(g.vertices, 1), {(1, 0): one, (0, 2): one, (1, 3): one,
                                                    (3, 2): -one})
     assert check_quiver(w) == []
+
+
+def test_truncations_and_quiver_kinds_are_decided_in_one_place_each():
+    """`truncated_graph` is the only caller of `TruncatedGraph(`, and an
+    `isinstance(..., LevelQuiver)` test appears only where the kind carries
+    meaning: the CLI's input requirements, the `.qvr` output, the
+    refusals of specialization, the Fourier dual and the perverse model,
+    and the kind check of the Hom equations.  Loops, the top level and
+    the full graph are read off the graph everywhere else."""
+    import ast
+    from pathlib import Path
+
+    import quiverarr
+    truncators, kind_tests = set(), set()
+    for path in Path(quiverarr.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for n in ast.walk(fn):
+                if not isinstance(n, ast.Call):
+                    continue
+                name = getattr(n.func, "id", None)
+                if name == "TruncatedGraph":
+                    truncators.add((path.name, fn.name))
+                if name == "isinstance" and "LevelQuiver" in {
+                        getattr(x, "id", None) for x in ast.walk(n.args[1])}:
+                    kind_tests.add((path.name, fn.name))
+    assert truncators == {("arrangement.py", "truncated_graph")}
+    assert kind_tests == {
+        ("cli.py", "_level_zero"), ("cli.py", "cmd_push"),
+        ("quiver.py", "quiver_to_json"), ("quiver.py", "hom_equations"),
+        ("functors.py", "specialize"), ("functors.py", "spec_nonres_ops"),
+        ("functors.py", "fourier_dual"), ("cohomology.py", "perverse_cohomology")}

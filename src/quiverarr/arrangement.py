@@ -330,10 +330,12 @@ class TruncatedGraph(AdmissibleGraph):
 
 
 def truncated_graph(g: AdmissibleGraph, n) -> AdmissibleGraph:
-    """The level-n truncation of g: g itself at its top level."""
+    """The level-n truncation of g: g itself at its top level, and
+    otherwise cut from the full graph, so that a truncation of a
+    truncation still reads levels n+1 and n+2 off the full graph."""
     if not 0 <= n <= g.max_level:
         raise ShapeError(f"truncation level {n} out of range 0..{g.max_level}")
-    return g if n == g.max_level else TruncatedGraph(g, n)
+    return g if n == g.max_level else TruncatedGraph(g.full, n)
 
 
 class SpecializationGraph:

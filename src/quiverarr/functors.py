@@ -25,11 +25,17 @@ a list of (word, sparse coordinates) terms, a word being a tuple of
 hyperplane indices.  `_word_table` turns a word into its product of loop
 operators on W, each word once, and `_tensor_map` assembles any such
 matrix as the sum of coordinates tensor word, on integer numerators over
-one denominator, one Fraction per nonzero entry; the group actions of
-`equivariant` are assembled by it too.  The skeletons are memoized on
-their graph (`arrangement.per_graph`); the word table keeps only the
-last quiver asked for.  The MacPherson extension solves, at each vertex,
-for all its induced maps and its projection in one elimination.
+one denominator; the group actions of `equivariant` are assembled by it
+too.  The skeletons are memoized on their graph (`arrangement.per_graph`);
+the word table keeps only the last quiver asked for.  A skeleton also
+marks its word-free edges, whose every term has the empty word: the
+upward maps of J_{0,*} and the downward maps of J_{0,!}, the same for
+every W of one dimension.  `_direct_image`, the one builder of both
+images, keeps their maps with the graph per dimension of W
+(`_word_free_maps`), so the local systems that share a graph assemble
+them once.  The MacPherson extension solves, at each vertex, for all its
+induced maps and its projection in one solve against the inclusion of
+an RREF basis, which `linalg.solve_matrix` reads off its unit rows.
 
 Every sum of vertex spaces here (the ambient sum at a new vertex, the
 hom coordinates) lists its vertices in the graph's sorted order, each
@@ -344,23 +350,41 @@ def _tensor_map(entries, rows, dw, word):
                                              for r in range(rows * dw)])
 
 
-def _direct_image(graph, edges, dims, word, dw) -> Quiver:
+@per_graph
+def _word_free_maps(graph, skeleton, dw):
+    """The maps of a skeleton's word-free edges on W of dimension dw, the
+    same for every such W, kept with the graph: {edge: matrix}, filled by
+    `_direct_image` on first use."""
+    return {}
+
+
+def _direct_image(graph, skeleton, word, dw) -> Quiver:
     """The quiver with spaces dims[a] tensor W and, per edge, the map
-    assembled from its terms (`edges`, a skeleton's terms per edge)."""
-    return Quiver(graph, {a: dims[a] * dw for a in graph.vertices},
-                  {e: _tensor_map(entries, dims[e[0]], dw, word)
-                   for e, entries in edges.items()})
+    assembled from its terms (the skeleton's (terms per edge, dims,
+    word-free edges)).  A word-free edge's map is assembled once per graph
+    and dw."""
+    edges, dims, free = skeleton(graph)
+    kept = _word_free_maps(graph, skeleton, dw)
+    maps = {}
+    for e, entries in edges.items():
+        m = kept.get(e)
+        if m is None:
+            m = _tensor_map(entries, dims[e[0]], dw, word)
+            if e in free:
+                kept[e] = m
+        maps[e] = m
+    return Quiver(graph, {a: dims[a] * dw for a in graph.vertices}, maps)
 
 
 @per_graph
 def _shriek_structure(graph):
     """Per-graph skeleton of the flag-coordinate direct image: (terms,
-    dims).  terms[(target, source)] lists, per basis flag of the source,
-    its (word, sparse target coordinates) terms; dims are the flag space
-    dimensions.  A downward edge has the one term ((), coords of the
-    extended flag, signed); an upward edge has one term ((j,), coords of
-    the cutoff flag, signed) per live hyperplane j of the single live
-    cutoff.  For a basis flag f of level m and a cutoff flag cut that
+    dims, word-free edges).  terms[(target, source)] lists, per basis flag
+    of the source, its (word, sparse target coordinates) terms; dims are
+    the flag space dimensions.  A downward edge, word-free, has the one
+    term ((), coords of the extended flag, signed); an upward edge has one
+    term ((j,), coords of the cutoff flag, signed) per live hyperplane j
+    of the single live cutoff.  For a basis flag f of level m and a cutoff flag cut that
     agrees with it up to member k, j is live when j ^ f[k] = f[k+1] and
     j ^ cut[t] = f[t+1] for t = k+1 .. m-1.  Flag members are vertex keys,
     the sets of hyperplanes through their strata, and each of these pairs
@@ -402,14 +426,15 @@ def _shriek_structure(graph):
                     live = [(words[j - 1], vec) for j in sorted(hits)]
                 entries.append(live)
             up[(a, b)] = entries
-    return {**down, **up}, {a: flag_space(graph, a).dim for a in graph.vertices}
+    return ({**down, **up}, {a: flag_space(graph, a).dim for a in graph.vertices},
+            frozenset(down))
 
 
 def j0_shriek(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
     """The full direct image of the ! kind in flag coordinates: spaces
     F_alpha tensor W, downward maps extend the flag with sign (-1)^level,
     upward maps are the cutoff rule."""
-    return _direct_image(graph, *_shriek_structure(graph), *_word_table(graph, w))
+    return _direct_image(graph, _shriek_structure, *_word_table(graph, w))
 
 
 def _signed(sign, coords):
@@ -431,11 +456,12 @@ def _cutoff_candidates(graph, flag, a):
 @per_graph
 def _star_structure(graph):
     """Per-graph skeleton of the Orlik-Solomon direct image: (terms,
-    dims).  terms[(target, source)] lists, per basis generator t of the
-    source, its (word, sparse target coordinates) terms; dims are the OS
-    space dimensions.  A downward edge has one term ((j,), coords of
-    (j,) + t) per hyperplane j whose insertion lands there; an upward edge
-    has the one term ((), coords of the signed deletion sum)."""
+    dims, word-free edges).  terms[(target, source)] lists, per basis
+    generator t of the source, its (word, sparse target coordinates)
+    terms; dims are the OS space dimensions.  A downward edge has one term
+    ((j,), coords of (j,) + t) per hyperplane j whose insertion lands
+    there; an upward edge, word-free, has the one term ((), coords of the
+    signed deletion sum)."""
     os_by_level = {p: os_space(graph, p) for p in range(graph.max_level + 1)}
     words = [(j,) for j in range(1, graph.arrangement.size + 1)]
     down = {}
@@ -463,15 +489,15 @@ def _star_structure(graph):
         for a, entries in above.items():
             up[(a, b)] = [[((), tuple(sorted((i, c) for i, c in acc.items() if c)))]
                           for acc in entries]
-    return {**down, **up}, {a: os_by_level[graph.level[a]].spaces[a].dim
-                            for a in graph.vertices}
+    return ({**down, **up}, {a: os_by_level[graph.level[a]].spaces[a].dim
+                             for a in graph.vertices}, frozenset(up))
 
 
 def j0_star(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
     """The full direct image of the * kind in Orlik-Solomon coordinates:
     spaces P_alpha(A) tensor W, downward maps insert a hyperplane symbol
     against its loop operator, upward maps delete with alternating signs."""
-    return _direct_image(graph, *_star_structure(graph), *_word_table(graph, w))
+    return _direct_image(graph, _star_structure, *_word_table(graph, w))
 
 
 @per_graph

@@ -22,6 +22,10 @@ descending pivot order.  A step divides exactly when the pivot divides the
 row's entry; otherwise it is fraction-free in the manner of Bareiss
 (1968), and the new row is divided by its content, so the integers stay
 small.  A reduced row read over its pivot entry is a canonical row again.
+`solve_matrix` eliminates the augmented matrix, except when every column
+of m has a unit row, as the inclusion of an RREF basis does: then the
+one candidate solution is read off those rows of the right-hand side and
+checked by one product.
 
 The matrix product (`_int_product`) sums integer numerators over one
 denominator per output row; its integer core also serves zero and
@@ -310,6 +314,12 @@ class Matrix:
                            [(d, [(j, -x) for j, x in nz]) for d, nz in self._form])
 
     def scale(self, c):
+        """c times the matrix: itself at c = 1 and its negation at c = -1,
+        whose rows stay canonical."""
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         c = frac(c)
         if not c:
             return Matrix.zero(self.rows, self.cols)
@@ -635,10 +645,22 @@ def solve(m: Matrix, rhs):
 
 def solve_matrix(m: Matrix, rhs: Matrix):
     """One solution X of m X = rhs, or None if any column is inconsistent;
-    a single elimination of the block-augmented matrix solves all columns."""
+    a single elimination of the block-augmented matrix solves all columns.
+
+    When every column j of m has a unit row e_j, as the inclusion of an
+    RREF basis has at each pivot, m has full column rank and X can only be
+    rhs read at those rows: it is returned when m X = rhs, without an
+    elimination."""
     if rhs.rows != m.rows:
         raise ShapeError("rhs row count mismatch")
     n = m.cols
+    unit = {}
+    for i, (d, nz) in enumerate(m._form):
+        if d == 1 and len(nz) == 1 and nz[0][1] == 1:
+            unit.setdefault(nz[0][0], i)
+    if len(unit) == n:
+        x = Matrix._raw(n, rhs.cols, [rhs._form[unit[j]] for j in range(n)])
+        return x if m * x == rhs else None
     r, pivots = rref(m.hstack(rhs))
     if any(p >= n for p in pivots):
         return None

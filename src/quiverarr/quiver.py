@@ -11,7 +11,8 @@ loops, and a top-level quiver is a `LevelQuiver` on the full graph
 itself; `LevelQuiver` only names the level.  The duality tau and the sign
 conjugation rebuild a quiver of the input's class, every sum of round
 trips A_{b,a} A_{a,b} at a vertex is one product (`_through`) and every
-sum of loops at a vertex is `_loop_sum`.  This module owns the relation
+sum of loops at a vertex is `_loop_sum`, one integer pass over the
+loops' rows.  This module owns the relation
 checker, the duality tau, the complexes C+ and C-, the local and
 monodromy operators with their spectra, non-resonance reports, and Hom
 spaces.
@@ -31,6 +32,7 @@ import json
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
+from math import lcm
 from operator import add
 
 from .arrangement import (AdmissibleGraph, ArrangementGraph, format_vertex_key,
@@ -38,9 +40,9 @@ from .arrangement import (AdmissibleGraph, ArrangementGraph, format_vertex_key,
 from .errors import (InvalidComplexError, InvalidQuiverError,
                      MissingLoopError, ParseError, ShapeError)
 from .linalg import (_ZERO_ROW, ChainComplex, Matrix, Q0, Subspace, _cleared,
-                     _int_product, _joined, _shifted, block_diag, block_offsets,
-                     char_poly_roots, frac, kernel_basis, parse_rational,
-                     poly_format, products_equal)
+                     _from_int_rows, _int_product, _joined, _shifted, block_diag,
+                     block_offsets, char_poly_roots, frac, kernel_basis,
+                     parse_rational, poly_format, products_equal)
 
 
 class Quiver:
@@ -424,11 +426,23 @@ def _through(v: Quiver, b, keys):
 
 
 def _loop_sum(v: Quiver, at, vias):
-    """Sum over via in `vias` of the loop A_at^via."""
-    out = Matrix.zero(v.dim(at), v.dim(at))
-    for via in vias:
-        out = out + v.loop(at, via)
-    return out
+    """Sum over via in `vias` of the loop A_at^via, in one integer pass
+    over the loops' canonical rows, each row over the lcm of its
+    denominators; a single nonzero loop is the sum itself."""
+    n = v.dim(at)
+    loops = [m for m in (v.loop(at, via) for via in vias) if not m.is_zero()]
+    if len(loops) < 2:
+        return loops[0] if loops else Matrix.zero(n, n)
+    rows = []
+    for parts in zip(*[m._form for m in loops]):
+        d = lcm(*[r for r, _ in parts])
+        acc = [0] * n
+        for r, nz in parts:
+            f = d // r
+            for j, x in nz:
+                acc[j] += x * f
+        rows.append((acc, d))
+    return _from_int_rows(n, n, rows)
 
 
 def _stilde(v: Quiver, b):

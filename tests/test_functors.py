@@ -1183,6 +1183,36 @@ def test_word_table_follows_the_quiver():
         j0_shriek(g, bad)
 
 
+def test_word_free_maps_are_shared_per_graph_and_dimension(monkeypatch):
+    """The skeletons mark their word-free edges (the upward maps of
+    j0_star, the downward maps of j0_shriek): two level-zero quivers of
+    one dimension on one graph share those maps as objects, the second
+    assembles none of them, and every map equals a fresh graph's."""
+    import quiverarr.functors as functors
+    g = graph("c13")
+    values = {j: Fraction(j, 17) for j in range(1, g.arrangement.size + 1)}
+    w1, w2 = (scalar_family_level0(g, values, dim=2, seed=s) for s in (3, 8))
+    assembled = []
+    real = functors._tensor_map
+    monkeypatch.setattr(functors, "_tensor_map",
+                        lambda entries, *args: assembled.append(entries) or real(entries, *args))
+    for image, skeleton in ((j0_star, functors._star_structure),
+                            (j0_shriek, functors._shriek_structure)):
+        terms, _, free = skeleton(g)
+        assert free and free < set(terms)
+        assert all(not key for e in free for ts in terms[e] for key, _ in ts)
+        first = image(g, w1)
+        assembled.clear()
+        second = image(g, w2)
+        assert len(assembled) == len(terms) - len(free)
+        assert not any(entries is terms[e] for entries in assembled for e in free)
+        assert any(e in first.maps for e in free)
+        assert all(second.maps[e] is first.maps[e] for e in free if e in first.maps)
+        assert second != first
+        fresh = graph("c13")
+        assert second == image(fresh, w2) and first == image(fresh, w1)
+
+
 def test_only_tensor_map_assembles_columns():
     """Every direct-image matrix is assembled in `functors._tensor_map`:
     no function of `functors` or `equivariant` fills columns

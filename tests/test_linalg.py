@@ -14,7 +14,8 @@ from quiverarr.linalg import (
     kernel_basis, kernel_rows, poly_eval, poly_format, poly_mul, poly_sub,
     poly_trim, rank, rational_roots, rref, solve, solve_matrix,
 )
-from quiverarr.linalg import _cleared, block_diag
+from quiverarr import linalg
+from quiverarr.linalg import _canonical, _cleared, block_diag
 
 
 def M(rows):
@@ -888,3 +889,75 @@ def test_form_built_and_fraction_built_matrices_are_equal():
     assert prod == same and hash(prod) == hash(same)
     assert prod._entries is None and not prod != same
     assert prod != same.scale(2) and prod != Matrix.zero(2, 2)
+
+
+def augmented_solution(m, rhs):
+    """Reference: the solution read off the Fraction elimination of the
+    augmented matrix [m | rhs], None when a pivot falls in rhs's columns,
+    free unknowns 0."""
+    rows, piv = fraction_rref(m.hstack(rhs))
+    n = m.cols
+    if any(p >= n for p in piv):
+        return None
+    x = [[Fraction(0)] * rhs.cols for _ in range(n)]
+    for r, p in zip(rows, piv):
+        x[p] = r[n:]
+    return Matrix.from_rows(x, cols=rhs.cols)
+
+
+@st.composite
+def unit_row_systems(draw):
+    """(m, rhs): m the transpose of a random RREF basis, so every column
+    has a unit row, rhs inside its span or drawn freely, and some unit
+    rows repeated below with rhs rows of their own."""
+    ambient = draw(st.integers(1, 6))
+    basis = image_basis(draw(matrices(rows=ambient, cols=draw(st.integers(1, 4))))).basis
+    m = basis.transpose()
+    n, k = m.cols, draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        rhs = m * draw(matrices(rows=n, cols=k))
+    else:
+        rhs = draw(matrices(rows=ambient, cols=k))
+    pivots = rref(basis)[1]
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []:
+        again = rhs.submatrix([pivots[j]], range(k))
+        m = m.vstack(m.submatrix([pivots[j]], range(n)))
+        rhs = rhs.vstack(again if draw(st.booleans()) else draw(matrices(rows=1, cols=k)))
+    return m, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_row_systems())
+@example((Matrix.zero(3, 0), M([[1], [0], [0]])))
+@example((Matrix.zero(2, 0), Matrix.zero(2, 2)))
+@example((M([[1], [1]]), M([[2], [3]])))
+@example((M([[1], [Fraction(1, 2)], [1]]), M([[2], [1], [2]])))
+def test_unit_row_solve_is_the_augmented_elimination(system):
+    """When every column of m has a unit row, `solve_matrix` runs no
+    elimination and gives what the elimination of [m | rhs] gives: the
+    unique solution, or None, also for conflicting repeated unit rows and
+    for m without columns."""
+    m, rhs = system
+
+    def no_rref(_):
+        raise AssertionError("the unit-row solve eliminated")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rref", no_rref)
+        got = solve_matrix(m, rhs)
+    assert got == augmented_solution(m, rhs)
+    if got is not None:
+        assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices() | sparse_matrices())
+def test_scale_by_one_and_minus_one_is_the_general_path(m):
+    """scale(1) is the matrix itself and scale(-1) its negation, with the
+    forms the general path writes: each row's numerators times c over its
+    denominator, made canonical."""
+    for c in (1, -1, Fraction(1), Fraction(-1)):
+        p, q = Fraction(c).numerator, Fraction(c).denominator
+        assert m.scale(c)._form == [_canonical(d * q, [(j, x * p) for j, x in nz])
+                                    for d, nz in m._form]
+    assert m.scale(1) is m

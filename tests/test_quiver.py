@@ -618,3 +618,47 @@ def test_truncations_and_quiver_kinds_are_decided_in_one_place_each():
         ("quiver.py", "quiver_to_json"), ("quiver.py", "hom_equations"),
         ("functors.py", "specialize"), ("functors.py", "spec_nonres_ops"),
         ("functors.py", "fourier_dual"), ("cohomology.py", "perverse_cohomology")}
+
+
+def test_truncating_a_truncation_cuts_from_the_full_graph():
+    """A truncation of a truncation reads levels n+1 and n+2 off the full
+    graph: on boolean3, rank-2 random loops at level 1 with zero maps
+    break relation (v) the same 6 times through either truncation."""
+    g = graph("boolean3")
+    once, twice = truncated_graph(g, 1), truncated_graph(truncated_graph(g, 2), 1)
+    assert twice.full is g
+    assert (twice.vertices, twice.edges, list(twice.loops)) == (once.vertices, once.edges,
+                                                               list(once.loops))
+    rng = random.Random(0)
+    loops = {k: Matrix(2, 2, [Fraction(rng.randint(-3, 3)) for _ in range(4)])
+             for k in once.loops}
+    found = [[x for x in check_quiver(LevelQuiver(t, dict.fromkeys(t.vertices, 2), {}, loops))
+              if x[0] == "(v)"] for t in (once, twice)]
+    assert len(found[0]) == 6 and found[0] == found[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_loop_sum_is_the_chained_sum(data):
+    """`_loop_sum` equals the loops added one `+` at a time, zero loops
+    and mixed denominators included, and a single nonzero loop is
+    returned as it is."""
+    from quiverarr.quiver import _loop_sum
+    g = graph("c13")
+    dim = data.draw(st.integers(0, 3))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 9))))
+    ops = {j: Matrix.zero(dim, dim) if data.draw(st.booleans()) else
+           Matrix(dim, dim, data.draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim)))
+           for j in range(1, g.arrangement.size + 1)}
+    v = level_zero_quiver(g, dim, ops)
+    top = g.top()
+    vias = data.draw(st.lists(st.sampled_from(g.down(top)), unique=True))
+    chained = Matrix.zero(dim, dim)
+    for via in vias:
+        chained = chained + v.loop(top, via)
+    got = _loop_sum(v, top, vias)
+    assert got == chained
+    nonzero = [v.loop(top, via) for via in vias if not v.loop(top, via).is_zero()]
+    if len(nonzero) == 1:
+        assert got is nonzero[0]

@@ -34,7 +34,7 @@ from .cohomology import (CohomologyReport, intersection_cohomology,
                          local_system_cohomology, perverse_cohomology,
                          scalar_from_exponents)
 from .equivariant import (AffineMap, EquivariantLevelZero, GroupAction,
-                          build_action, chain_automorphism, det_character,
+                          build_action, chain_automorphisms, det_character,
                           equivariant_c_plus, equivariant_cohomology,
                           generator_kernels, parse_group)
 from .functors import (adjoint_transport, fourier_dual, j0_shriek, j0_star,

@@ -321,7 +321,7 @@ def build_parser():
     sp.add_argument("--highest", type=int, nargs="+", required=True)
     sp.add_argument("--weights", type=int, nargs="+", required=True)
     sp.add_argument("--kappa", help="deformation parameter (rational)")
-    sp.add_argument("--bound", type=int, default=4)
+    sp.add_argument("--bound", type=int, default=5)
     sp = add("selftest", cmd_selftest, needs_arr=False)
     sp.add_argument("--seed", type=int, default=0)
     return p

@@ -10,19 +10,27 @@ twisted by a character chi are computed from generators only: for G
 generated by S, V^{G,chi} is the intersection over s in S of
 ker(A_s - chi(s)).  Only the generators' automorphisms are built; the
 identities over the whole group (the group law, the Reynolds projector
-and its image) are checked by `quiverarr selftest` and the tests."""
+and its image) are checked by `quiverarr selftest` and the tests.
+
+A group action is built per call and not kept: `build_action` closes the
+maps and finds each generator's hyperplane permutation with one matrix
+product against one lookup table.  What depends only on the graph and a
+hyperplane permutation is kept with the graph (`arrangement.per_graph`):
+the permuted Orlik-Solomon and flag bases of each degree, so a chain
+automorphism tensors only rho.  The MacPherson degree inclusions are
+built once per `chain_automorphisms` call, for all its elements."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
 
-from .arrangement import ArrangementGraph, Hyperplane
+from .arrangement import ArrangementGraph, per_graph
 from .cohomology import CohomologyReport, _betti_map, smallness_status
 from .errors import (InternalInconsistencyError, NotFiniteError, ParseError,
                      ShapeError, SymmetryError, UnsupportedError)
 from .functors import _tensor_map, j0_shriek, j0_star, macpherson
-from .linalg import (Matrix, Q0, Q1, block_diag, det, kernel_basis,
+from .linalg import (Matrix, Q0, Q1, _primitive, block_diag, det, kernel_basis,
                      parse_rational, products_equal, rank, solve_matrix,
                      subcomplex)
 from .oscomplex import flag_degree, os_space
@@ -60,7 +68,8 @@ class AffineMap:
                 and all(x == 0 for x in self.translation))
 
     def key(self):
-        return (self.linear.entries, self.translation)
+        """Equal for equal maps; hashes the linear part by its integer rows."""
+        return (self.linear, self.translation)
 
     @staticmethod
     def identity(n):
@@ -97,9 +106,6 @@ class GroupAction:
     def perm(self, gi, j):
         return self.hyperplane_perm[gi][j]
 
-    def vertex_image(self, gi, key):
-        return tuple(sorted(self.perm(gi, j) for j in key))
-
     @cached_property
     def table(self):
         index = {e.key(): i for i, e in enumerate(self.elements)}
@@ -110,23 +116,42 @@ class GroupAction:
         return self.table[gi][gj]
 
 
-def _hyperplane_perm(arrangement, amap: AffineMap):
-    """j -> index of the image hyperplane T(H_j); raises SymmetryError
-    unless T permutes the hyperplanes."""
+def _hyperplane_perms(arrangement, maps):
+    """For each affine map T of `maps`, j -> the index of the image
+    hyperplane T(H_j); raises SymmetryError unless T permutes the
+    hyperplanes.  T(z) = L z + t takes {c0 + c.z = 0} to
+    {(c0 - c L^-1 t) + c L^-1 . z = 0}, so the equation rows (c, c0) of
+    all hyperplanes times [[L^-1, -L^-1 t], [0, 1]], one product, are the
+    rows of the images.  Rows are looked up by their primitive integer
+    form, which proportional rows share, in one table for all the maps."""
     n = arrangement.ambient_dim
-    linv = solve_matrix(amap.linear, Matrix.identity(n))
-    where = {h: k for k, h in enumerate(arrangement.hyperplanes, start=1)}
-    perm = {}
-    for j, h in enumerate(arrangement.hyperplanes, start=1):
-        normal = (Matrix(1, n, h.normal) * linv).row(0)
-        const = h.constant - sum(x * t for x, t in zip(normal, amap.translation))
-        img = where.get(Hyperplane(const, normal))
-        if img is None:
-            raise SymmetryError(f"map does not preserve hyperplane {j}")
-        perm[j] = img
-    if sorted(perm.values()) != list(range(1, arrangement.size + 1)):
-        raise SymmetryError("hyperplane images are not a permutation")
-    return perm
+    rows = Matrix.from_rows([h.equation_row() for h in arrangement.hyperplanes],
+                            cols=n + 1)
+    where = {_projective_key(r): j for j, r in enumerate(rows._form, start=1)}
+    out = []
+    for amap in maps:
+        linv = solve_matrix(amap.linear, Matrix.identity(n))
+        shift = linv.apply(amap.translation)
+        homogeneous = Matrix.from_rows([linv.row(i) + (-shift[i],) for i in range(n)]
+                                       + [(Q0,) * n + (Q1,)])
+        perm = {}
+        for j, r in enumerate((rows * homogeneous)._form, start=1):
+            img = where.get(_projective_key(r))
+            if img is None:
+                raise SymmetryError(f"map does not preserve hyperplane {j}")
+            perm[j] = img
+        if sorted(perm.values()) != list(range(1, arrangement.size + 1)):
+            raise SymmetryError("hyperplane images are not a permutation")
+        out.append(perm)
+    return out
+
+
+def _projective_key(row):
+    """The numerators of the nonzero canonical row (d, nz) made primitive:
+    the same for exactly the rows proportional to it."""
+    x = dict(row[1])
+    _primitive(x)
+    return tuple(x.items())
 
 
 def build_action(arrangement, maps, bound=4096) -> GroupAction:
@@ -156,7 +181,7 @@ def build_action(arrangement, maps, bound=4096) -> GroupAction:
                 elements.append(c)
         ei += 1
     perms = [{j: j for j in range(1, arrangement.size + 1)}]
-    perms += [_hyperplane_perm(arrangement, elements[gi]) for gi in generators]
+    perms += _hyperplane_perms(arrangement, [elements[gi] for gi in generators])
     for ci in range(len(perms), len(elements)):
         ps, pe = (perms[f] for f in factors[ci])
         perms.append({j: ps[k] for j, k in pe.items()})
@@ -197,9 +222,8 @@ class EquivariantLevelZero:
                         raise SymmetryError("rho is not a representation")
         for gi in action.generators:
             for j in range(1, graph.arrangement.size + 1):
-                lhs = self.rho[gi] * base.loop(top, (j,))
-                rhs = base.loop(top, (action.perm(gi, j),)) * self.rho[gi]
-                if lhs != rhs:
+                if not products_equal(self.rho[gi], base.loop(top, (j,)),
+                                      base.loop(top, (action.perm(gi, j),)), self.rho[gi]):
                     raise SymmetryError(f"rho does not intertwine the loop at {j}")
 
     @staticmethod
@@ -225,69 +249,80 @@ def _functor_quiver(graph, eq: EquivariantLevelZero, functor):
     raise ShapeError(f"unknown functor {functor!r}; expected one of {FUNCTORS}")
 
 
-def _degree_action_star(graph, eq, gi, p):
-    """Action matrix on the degree-p piece of C+(j0_star): permuted and
-    re-sorted OS generators tensored with rho."""
+def _vertex_image(perm, key):
+    return tuple(sorted(perm[j - 1] for j in key))
+
+
+@per_graph
+def _os_images(graph, p, perm):
+    """The degree-p piece of C+(j0_star) under the hyperplane permutation
+    perm (perm[j - 1] the image of H_j), before W: each OS generator
+    permuted and re-sorted, as `_tensor_map` entries, with the degree's
+    dimension.  Kept per graph, so only rho is tensored per call."""
     osd = os_space(graph, p)
-    act = eq.action
-    images = []
+    entries = []
     for k in osd.vertex_keys:
-        k2 = act.vertex_image(gi, k)
+        k2 = _vertex_image(perm, k)
         for t in osd.spaces[k].basis:
-            images.append(osd.expand(tuple(act.perm(gi, j) for j in t)))
-            if images[-1][0] != k2:
+            vk, sign, coords = osd.expand(tuple(perm[j - 1] for j in t))
+            if vk != k2:
                 raise InternalInconsistencyError(
                     f"image of generator {t} is not a generator at {k2}")
-    return _tensor_action(osd, images, eq.rho[gi])
+            entries.append([(None, [(osd.offsets[vk] + i, sign * c) for i, c in coords])])
+    return entries, osd.dim
 
 
-def _degree_action_shriek(graph, eq, gi, p):
-    """Action on the degree-p piece of C+(j0_shriek): permuted flags (no
-    sign) tensored with rho."""
+@per_graph
+def _flag_images(graph, p, perm):
+    """As `_os_images` for C+(j0_shriek): permuted flags, no sign."""
     fd = flag_degree(graph, p)
-    act = eq.action
-    images = [fd.expand(tuple(act.vertex_image(gi, v) for v in f))
-              for k in fd.vertex_keys for f in fd.spaces[k].basis]
-    return _tensor_action(fd, images, eq.rho[gi])
+    entries = []
+    for k in fd.vertex_keys:
+        for f in fd.spaces[k].basis:
+            vk, _, coords = fd.expand(tuple(_vertex_image(perm, v) for v in f))
+            entries.append([(None, [(fd.offsets[vk] + i, c) for i, c in coords])])
+    return entries, fd.dim
 
 
-def _tensor_action(degree, images, rho):
-    """The matrix on a whole degree (OSBasis or FlagDegree) tensored with
-    W that takes the s-th basis element, in offset order, to images[s],
-    an expansion (vertex, sign, coords), tensored with rho."""
-    entries = [[(None, [(degree.offsets[vk] + i, sign * c) for i, c in coords])]
-               for vk, sign, coords in images]
-    return _tensor_map(entries, degree.dim, rho.rows, lambda _: rho)
+def _tensor_action(images, rho):
+    """One degree's permuted basis, (entries, dim) as `_os_images` and
+    `_flag_images` give it, tensored with rho."""
+    entries, dim = images
+    return _tensor_map(entries, dim, rho.rows, lambda _: rho)
 
 
-def _degree_inclusion(graph, mac, p):
-    return block_diag([mac.witness[k]["matrix"] for k in graph.levels(p)])
-
-
-def chain_automorphism(eq: EquivariantLevelZero, functor, gi, mac=None):
-    """The chain automorphism of element gi on C+ of the chosen direct
-    image, one matrix per degree.  On the MacPherson image it is the *
-    action restricted to the image `mac` (macpherson(graph, eq.base),
-    computed when not given); raises SymmetryError when the action does
-    not preserve that image."""
+def chain_automorphisms(eq: EquivariantLevelZero, functor, elements, mac=None):
+    """{gi: the chain automorphism of element gi on C+ of the chosen
+    direct image, one matrix per degree} for each gi in `elements`: the
+    permuted basis of the degree (`_os_images`, `_flag_images`) tensored
+    with rho(gi).  On the MacPherson image it is the * action restricted
+    to the image `mac` (macpherson(graph, eq.base), computed when not
+    given), through its degree inclusions, built once; raises
+    SymmetryError when the action does not preserve that image."""
     graph = eq.graph
     if functor not in FUNCTORS:
         raise ShapeError(f"unknown functor {functor!r}; expected one of {FUNCTORS}")
-    if functor == "macpherson" and mac is None:
-        mac = macpherson(graph, eq.base)
-    per_degree = []
-    for p in range(graph.max_level + 1):
-        if functor == "star":
-            m = _degree_action_star(graph, eq, gi, p)
-        elif functor == "shriek":
-            m = _degree_action_shriek(graph, eq, gi, p)
-        else:
-            inc = _degree_inclusion(graph, mac, p)
-            m = solve_matrix(inc, _degree_action_star(graph, eq, gi, p) * inc)
-            if m is None:
-                raise SymmetryError("group action does not preserve the image")
-        per_degree.append(m)
-    return per_degree
+    degrees = range(graph.max_level + 1)
+    if functor == "macpherson":
+        if mac is None:
+            mac = macpherson(graph, eq.base)
+        incs = [block_diag([mac.witness[k]["matrix"] for k in graph.levels(p)])
+                for p in degrees]
+    images = _flag_images if functor == "shriek" else _os_images
+    hyperplanes = range(1, graph.arrangement.size + 1)
+    out = {}
+    for gi in elements:
+        perm = tuple(eq.action.perm(gi, j) for j in hyperplanes)
+        per_degree = []
+        for p in degrees:
+            m = _tensor_action(images(graph, p, perm), eq.rho[gi])
+            if functor == "macpherson":
+                m = solve_matrix(incs[p], m * incs[p])
+                if m is None:
+                    raise SymmetryError("group action does not preserve the image")
+            per_degree.append(m)
+        out[gi] = per_degree
+    return out
 
 
 def equivariant_c_plus(act: GroupAction, eq: EquivariantLevelZero, functor):
@@ -299,7 +334,7 @@ def equivariant_c_plus(act: GroupAction, eq: EquivariantLevelZero, functor):
     is checked by `quiverarr selftest` and the tests."""
     quiver, mac = _functor_quiver(eq.graph, eq, functor)
     comp = c_plus(quiver)
-    autos = {gi: chain_automorphism(eq, functor, gi, mac) for gi in act.generators}
+    autos = chain_automorphisms(eq, functor, act.generators, mac)
     for per_degree in autos.values():
         for p, d in enumerate(comp.differentials):
             if not products_equal(per_degree[p + 1], d, d, per_degree[p]):

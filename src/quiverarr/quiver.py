@@ -478,13 +478,14 @@ def spectrum_lambda(g: ArrangementGraph, s: Spectrum, alpha) -> Fraction:
     return sum((s.of(j) for j in alpha), Q0)
 
 
+def is_resonant_lambda(lam) -> bool:
+    """Whether lambda_alpha = lam breaks non-resonance: a nonzero integer."""
+    return lam != 0 and lam.denominator == 1
+
+
 def is_nonresonant_spectrum(g: ArrangementGraph, s: Spectrum) -> bool:
     """No lambda_alpha is a nonzero integer."""
-    for k in g.vertices:
-        lam = spectrum_lambda(g, s, k)
-        if lam != 0 and lam.denominator == 1:
-            return False
-    return True
+    return not any(is_resonant_lambda(spectrum_lambda(g, s, k)) for k in g.vertices)
 
 
 def check_nonresonance_class(v: Quiver):

@@ -11,7 +11,7 @@ from . import corpus
 from .arrangement import build_graph, verify_graph_properties
 from .cohomology import scalar_from_exponents
 from .equivariant import (AffineMap, EquivariantLevelZero, build_action,
-                          chain_automorphism, det_character, equivariant_c_plus,
+                          chain_automorphisms, det_character, equivariant_c_plus,
                           generator_kernels)
 from .functors import (fourier_dual, j0_shriek, j0_star, macpherson,
                        push_shriek, push_star, restrict)
@@ -132,7 +132,7 @@ def check_full_group(act, eq, functor, twist_by_det):
     generators' kernel K_p."""
     comp, autos = equivariant_c_plus(act, eq, functor)
     mac = macpherson(eq.graph, eq.base) if functor == "macpherson" else None
-    full = [chain_automorphism(eq, functor, gi, mac) for gi in range(act.order)]
+    full = chain_automorphisms(eq, functor, range(act.order), mac)
     chars = det_character(act) if twist_by_det else dict.fromkeys(range(act.order), Q1)
     kernels = generator_kernels(act, comp, autos, twist_by_det)
     for gi, per_degree in autos.items():

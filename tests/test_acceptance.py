@@ -369,6 +369,9 @@ KZ_GRID = (
        for wts in iproduct(range(4), range(4)) if sum(wts) <= 3]
     + [("A3", (1, 0, 0), wts) for wts in iproduct(range(4), range(4), range(4))
        if sum(wts) <= 3]
+    # N = 5: H^4 = 1, the group S5, and H^3 = 1 on an A2 and an A3 split
+    + [("A1", (4,), (5,)), ("A1", (5,), (5,)), ("A2", (1, 0), (2, 3)),
+       ("A3", (1, 0, 0), (2, 3, 0))]
 )
 
 

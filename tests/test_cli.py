@@ -460,6 +460,22 @@ def test_kz_check_command(capsys):
     assert out["bwb_dims"] == {"0": 0, "1": 1, "2": 0}
 
 
+def test_kz_check_default_bound_is_five(capsys, monkeypatch):
+    """N = 5 runs under the default --bound; N = 6 exits 2 before any
+    strata graph is built."""
+    code, out = run(capsys, "kz-check", "--type", "A1",
+                    "--highest", "4", "--weights", "5")
+    assert code == 0
+    assert out["verdict"] == "MATCH" and out["bwb_dims"]["4"] == 1
+    import quiverarr.liecheck as liecheck
+    built = []
+    monkeypatch.setattr(liecheck, "build_graph", built.append)
+    monkeypatch.setattr(liecheck, "_GRAPH_BY_N", {})
+    code, out = run(capsys, "kz-check", "--type", "A1",
+                    "--highest", "1", "--weights", "6")
+    assert code == 2 and out is None and built == []
+
+
 def test_kz_check_resonant_kappa_is_refused(capsys):
     code, _ = run(capsys, "kz-check", "--type", "A1",
                   "--highest", "1", "--weights", "2", "--kappa", "1/2")

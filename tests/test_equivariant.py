@@ -4,18 +4,20 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from quiverarr import corpus
-from quiverarr.arrangement import build_graph, discriminantal
+from quiverarr.arrangement import Hyperplane, build_graph, discriminantal
 from quiverarr.cohomology import intersection_cohomology, scalar_from_exponents
 from quiverarr.equivariant import (
-    AffineMap, EquivariantLevelZero, build_action, chain_automorphism,
-    _hyperplane_perm, det_character, equivariant_c_plus, equivariant_cohomology,
+    AffineMap, EquivariantLevelZero, build_action, chain_automorphisms,
+    _hyperplane_perms, det_character, equivariant_c_plus, equivariant_cohomology,
     format_group, generator_kernels, parse_group,
 )
 from quiverarr.errors import NotFiniteError, ParseError, ShapeError, SymmetryError
 from quiverarr.liecheck import KZInstance, kz_exponents
-from quiverarr.linalg import Matrix, Q1
+from quiverarr.linalg import Matrix, Q1, solve_matrix
 from quiverarr.oscomplex import ExponentAssignment
 from quiverarr.quiver import level_zero_quiver
 from quiverarr.selftest import check_full_group
@@ -122,7 +124,7 @@ def test_equivariant_c_plus_trivial_group():
     eq = EquivariantLevelZero.trivial(g, w, act)
     comp, autos = equivariant_c_plus(act, eq, "star")
     assert autos == {}          # the trivial group has no generators
-    identity = chain_automorphism(eq, "star", 0)
+    identity = chain_automorphisms(eq, "star", [0])[0]
     assert [m.rows for m in identity] == list(comp.dims)
     assert all(m == Matrix.identity(m.rows) for m in identity)
 
@@ -195,8 +197,7 @@ def test_generators_are_the_distinct_non_identity_maps():
     assert act.generators == [1, 2]
     assert [act.elements[gi].key() for gi in act.generators] == [s12.key(), s23.key()]
     # the permutations composed in the closure are the ones the maps induce
-    for e, perm in zip(act.elements, act.hyperplane_perm):
-        assert perm == _hyperplane_perm(arr, e)
+    assert act.hyperplane_perm == _hyperplane_perms(arr, act.elements)
 
 
 def test_generator_kernels_of_the_swap():
@@ -211,6 +212,78 @@ def test_generator_kernels_of_the_swap():
     assert trivial[1].basis == M([[1, 1, 0], [0, 0, 1]])
     assert twisted[1].basis == M([[1, -1, 0]])
     assert [k.dim for k in trivial] == [1, 2, 1] and [k.dim for k in twisted] == [0, 1, 1]
+
+
+# -- hyperplane permutations against the per-hyperplane loop -------------------------
+
+def _fraction_loop_perm(arrangement, amap):
+    """The hyperplane permutation of amap computed one hyperplane at a
+    time: its normal mapped through L^-1 as Fractions, its constant
+    shifted, the image looked up as a `Hyperplane`."""
+    n = arrangement.ambient_dim
+    linv = solve_matrix(amap.linear, Matrix.identity(n))
+    where = {h: k for k, h in enumerate(arrangement.hyperplanes, start=1)}
+    perm = {}
+    for j, h in enumerate(arrangement.hyperplanes, start=1):
+        normal = (Matrix(1, n, h.normal) * linv).row(0)
+        const = h.constant - sum(x * t for x, t in zip(normal, amap.translation))
+        img = where.get(Hyperplane(const, normal))
+        if img is None:
+            raise SymmetryError(f"map does not preserve hyperplane {j}")
+        perm[j] = img
+    if sorted(perm.values()) != list(range(1, arrangement.size + 1)):
+        raise SymmetryError("hyperplane images are not a permutation")
+    return perm
+
+
+def _agrees_with_the_loop(arr, maps):
+    """_hyperplane_perms and build_action give the loop's permutations,
+    on every element of the closed group, or all three refuse."""
+    try:
+        want = [_fraction_loop_perm(arr, m) for m in maps]
+    except SymmetryError:
+        with pytest.raises(SymmetryError):
+            _hyperplane_perms(arr, maps)
+        with pytest.raises(SymmetryError):
+            build_action(arr, maps)
+        return False
+    assert _hyperplane_perms(arr, maps) == want
+    act = build_action(arr, maps)
+    assert act.hyperplane_perm == [_fraction_loop_perm(arr, e) for e in act.elements]
+    return True
+
+
+PERMUTED = dict(corpus.CORPUS, c12=lambda: discriminantal([2])[0],
+                c15=lambda: discriminantal([5])[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_hyperplane_perms_are_the_fraction_loop(data):
+    """Signed coordinate permutations of the corpus and discriminantal
+    arrangements: symmetries or not, the one-product images agree with the
+    per-hyperplane loop."""
+    name = data.draw(st.sampled_from(sorted(PERMUTED)))
+    arr = PERMUTED[name]()
+    n = arr.ambient_dim
+    order = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    rows = [[0] * n for _ in range(n)]
+    for i, (j, sign) in enumerate(zip(order, signs)):
+        rows[j][i] = sign
+    event(f"{name}: {'symmetry' if _agrees_with_the_loop(arr, [AffineMap(M(rows))]) else 'refused'}")
+
+
+def test_translated_symmetries_of_generic_lines():
+    """z -> (1 - z1 - z2, z2) exchanges z1 = 0 and z1 + z2 = 1 and fixes
+    z2 = 0; with the swap of coordinates it generates S3.  Moved by 2
+    instead of 1 it is no symmetry."""
+    arr = corpus.generic_lines()
+    fold = AffineMap(M([[-1, -1], [0, 1]]), (1, 0))
+    assert _hyperplane_perms(arr, [fold]) == [{1: 3, 2: 2, 3: 1}]
+    assert _agrees_with_the_loop(arr, [swap2(), fold])
+    assert build_action(arr, [swap2(), fold]).order == 6
+    assert not _agrees_with_the_loop(arr, [AffineMap(M([[-1, -1], [0, 1]]), (2, 0))])
 
 
 # -- the whole group against the generators -------------------------------------------

@@ -135,3 +135,90 @@ def test_kz_check_rejects_resonant_kappa():
 def test_kz_check_bound():
     with pytest.raises(ShapeError):
         kz_check(KZInstance("A1", [3], [5]), grid_bound=4)
+
+
+def test_weyl_group_is_closed_once_per_type():
+    for t in ("A1", "A2", "A3", "B2"):
+        w = weyl_group(RootSystem(t))
+        assert weyl_group(RootSystem(t)) is w
+        fresh = WeylGroup(RootSystem(t))
+        assert w.elements == fresh.elements and w.lengths == fresh.lengths
+        assert w.stacked == Matrix.zero(0, fresh.stacked.cols).vstack(*fresh.elements)
+
+
+def _bwb_double_loop(inst):
+    """bwb_dims as one stabilizer pass and one pass per degree over a
+    freshly closed Weyl group, applying elements one at a time."""
+    rs = inst.root_system
+    w = WeylGroup(rs)
+    lam = inst.capital_lambda()
+    lr = tuple(a + b for a, b in zip(lam, rs.rho))
+    if [i for i, m in enumerate(w.elements) if m.apply(lr) == lr] != [0]:
+        raise ShapeError("Lambda + rho is not regular")
+    target = tuple(a - Fraction(k) for a, k in zip(lam, inst.weights))
+    dims = {}
+    for k in range(0, inst.n + 1):
+        count = 0
+        for m, ln in zip(w.elements, w.lengths):
+            if ln == inst.n - k and \
+                    tuple(x - r for x, r in zip(m.apply(lr), rs.rho)) == target:
+                count += 1
+        if count > 1:
+            raise ShapeError("weight space dimension exceeds one")
+        dims[k] = count
+    return dims
+
+
+def test_bwb_dims_is_the_double_loop():
+    """On the criterion-9 grid, N = 5 included, and on every B2 instance
+    with highest weight coordinates below 3 and N <= 5."""
+    from itertools import product
+
+    from test_acceptance import KZ_GRID
+    b2 = [("B2", hw, w) for hw in product(range(3), repeat=2)
+          for w in product(range(6), repeat=2) if sum(w) <= 5]
+    assert any(sum(w) == 5 for _, _, w in KZ_GRID)
+    for spec in list(KZ_GRID) + b2:
+        inst = KZInstance(*spec)
+        assert bwb_dims(inst) == _bwb_double_loop(inst), spec
+
+
+MUTATORS = {"append", "add", "clear", "discard", "extend", "insert", "pop",
+            "popitem", "remove", "setdefault", "update"}
+
+
+def test_only_the_graph_and_weyl_memos_are_module_state():
+    """liecheck and equivariant keep no module-level state but the per-N
+    graphs (`_GRAPH_BY_N`, which a caller may clear to start cold) and the
+    per-type Weyl groups (which depend on the type alone): whatever else
+    outlives a call hangs off a graph through `per_graph`.  The other
+    module-level tables (CARTAN, GRAM, ...) are constants that no code
+    writes, and no function is memoized by functools."""
+    import ast
+    import inspect
+
+    from quiverarr import equivariant, liecheck
+    allowed = {liecheck: {"_GRAPH_BY_N", "_WEYL_BY_TYPE"}, equivariant: set()}
+    for mod, memos in allowed.items():
+        tree = ast.parse(inspect.getsource(mod))
+        mutable = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and (
+                    isinstance(node.value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                            ast.ListComp, ast.SetComp))
+                    or (isinstance(node.value, ast.Call)
+                        and getattr(node.value.func, "id", None) in ("dict", "list", "set"))):
+                mutable.update(t.id for t in node.targets)
+        written = set()
+        for node in ast.walk(tree):
+            assert not isinstance(node, (ast.Global, ast.Nonlocal)), mod.__name__
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {getattr(d, "id", getattr(d, "attr", None)) for d in node.decorator_list}
+                assert not names & {"cache", "lru_cache"}, node.name
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) \
+                    and isinstance(node.value, ast.Name):
+                written.add(node.value.id)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Name):
+                written.add(node.func.value.id)
+        assert memos <= mutable and written & mutable == memos, mod.__name__

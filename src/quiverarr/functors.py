@@ -18,24 +18,26 @@ canonical morphism from the ! image to the * image is one solve of the
 identity constraints and `quiver.hom_equations`, and one rank.
 
 The level-zero direct images J_{0,*} (Orlik-Solomon coordinates) and
-J_{0,!} (flag coordinates) and the Shapovalov morphism S_0 between them
-share one form.  A per-graph skeleton (`_star_structure`,
-`_shriek_structure`, `_s0_structure`) gives, per source basis element,
-a list of (word, sparse coordinates) terms, a word being a tuple of
-hyperplane indices.  `_word_table` turns a word into its product of loop
-operators on W, each word once, and `_tensor_map` assembles any such
-matrix as the sum of coordinates tensor word, on integer numerators over
-one denominator; the group actions of `equivariant` are assembled by it
-too.  The skeletons are memoized on their graph (`arrangement.per_graph`);
-the word table keeps only the last quiver asked for.  A skeleton also
-marks its word-free edges, whose every term has the empty word: the
-upward maps of J_{0,*} and the downward maps of J_{0,!}, the same for
-every W of one dimension.  `_direct_image`, the one builder of both
-images, keeps their maps with the graph per dimension of W
-(`_word_free_maps`), so the local systems that share a graph assemble
-them once.  The MacPherson extension solves, at each vertex, for all its
-induced maps and its projection in one solve against the inclusion of
-an RREF basis, which `linalg.solve_matrix` reads off its unit rows.
+J_{0,!} (flag coordinates) share one form.  A per-graph skeleton
+(`_star_structure`, `_shriek_structure`) gives, per source basis
+element, a list of (word, sparse coordinates) terms, a word being () or
+(j,): `_word_table` maps it to the identity or the loop operator of
+hyperplane j on W, and `_tensor_map` assembles any such matrix as the
+sum of coordinates tensor word, on integer numerators over one
+denominator, as it does S_0's prefix maps and `equivariant`'s actions.
+The skeletons are memoized on their graph (`arrangement.per_graph`); the
+word table keeps only the last quiver asked for.  A skeleton also marks
+its word-free edges, whose every term has the empty word: the upward
+maps of J_{0,*} and the downward maps of J_{0,!}, the same for every W
+of one dimension.  `_direct_image`, the one builder of both images,
+keeps their maps with the graph per dimension of W (`_word_free_maps`),
+so the local systems that share a graph assemble them once.  The
+Shapovalov morphism S_0 between the images is built level by level from
+the * image's downward maps and the prefix maps of flags
+(`_prefix_maps`, kept the same way).  The MacPherson extension solves,
+at each vertex, for all its induced maps and its projection in one solve
+against the inclusion of an RREF basis, which `linalg.solve_matrix`
+reads off its unit rows.
 
 Every sum of vertex spaces here (the ambient sum at a new vertex, the
 hom coordinates) lists its vertices in the graph's sorted order, each
@@ -295,15 +297,12 @@ def _hyperplane_ops(graph: ArrangementGraph, w: LevelQuiver):
 
 def _word_table(graph: ArrangementGraph, w: LevelQuiver):
     """(word, dim W) for a level-zero quiver w, whose relations are
-    checked when the table is built: word(t), for a tuple t = (t_1, ...,
-    t_m) of hyperplane indices, is the product ops[t_m] ... ops[t_1] of
-    their loop operators on W, built once per tuple from its prefix's,
-    the missing prefixes in a loop (a recursive closure would hold itself
-    in a reference cycle); word(()) is the identity.  The graph keeps the
-    table of the last quiver asked for, so `s0` and the two images it
-    builds share one table and one check; one quiver, held weakly, bounds
-    the memo of a long-lived graph and leaves it out of a reference
-    cycle."""
+    checked when the table is built: word(()) is the identity and
+    word((j,)) the loop operator of hyperplane j on W, the only words the
+    skeletons and the prefix maps carry.  The graph keeps the table of
+    the last quiver asked for, so `s0` and the two images it builds share
+    one table and one check; one quiver, held weakly, bounds the memo of
+    a long-lived graph and leaves it out of a reference cycle."""
     kept = graph.memo.get("word_table")
     if kept is not None and kept[0]() is w:
         return kept[1]
@@ -311,17 +310,8 @@ def _word_table(graph: ArrangementGraph, w: LevelQuiver):
     dw = w.dim(graph.top())
     words = {(): Matrix.identity(dw)}
     words.update(((j,), m) for j, m in ops.items())
-
-    def word(t):
-        known = len(t)
-        while t[:known] not in words:
-            known -= 1
-        for k in range(known, len(t)):
-            words[t[:k + 1]] = ops[t[k]] * words[t[:k]]
-        return words[t]
-
-    graph.memo["word_table"] = (weakref.ref(w), (word, dw))
-    return word, dw
+    graph.memo["word_table"] = (weakref.ref(w), (words.__getitem__, dw))
+    return words.__getitem__, dw
 
 
 def _tensor_map(entries, rows, dw, word):
@@ -353,8 +343,8 @@ def _tensor_map(entries, rows, dw, word):
 @per_graph
 def _word_free_maps(graph, skeleton, dw):
     """The maps of a skeleton's word-free edges on W of dimension dw, the
-    same for every such W, kept with the graph: {edge: matrix}, filled by
-    `_direct_image` on first use."""
+    same for every such W, kept with the graph: {edge: matrix}, filled on
+    first use by `_direct_image` and by `_prefix_maps` (its own key)."""
     return {}
 
 
@@ -500,50 +490,52 @@ def j0_star(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
     return _direct_image(graph, _star_structure, *_word_table(graph, w))
 
 
-@per_graph
-def _s0_structure(graph):
-    """Per-graph skeleton of the Shapovalov morphism: per vertex and basis
-    flag, its (word, sparse coordinates) terms, one per hyperplane tuple
-    tracing the flag whose OS class at that vertex is nonzero, the word
-    being the tuple itself.  Only the live members are enumerated: j_i in
-    f[i] - f[i-1] for each i.  A tuple with some j_i in f[i-1] has i
-    hyperplanes through a stratum of codimension i-1, so its class is
-    zero.  The terms come in the order of the product over all of
-    f[1:]."""
-    out = {}
-    for a in graph.vertices:
-        m = graph.level[a]
-        osd = os_space(graph, m)
-        entries = []
-        for f in flag_space(graph, a).basis:
-            terms = []
-            live = [[j for j in f[i] if j not in f[i - 1]] for i in range(1, m + 1)]
-            for tup in product(*live):
-                vk, sign, coords = osd.expand(tup)
-                if vk == a and coords:
-                    terms.append((tup, _signed(sign, coords)))
-            entries.append(terms)
-        out[a] = entries
-    return out
+def _prefix_maps(graph, word, dw):
+    """{(b, a): P_{a,b} tensor W} for every vertex a and b in up(a), kept
+    with the graph per dw (`_word_free_maps`): P_{a,b} sends a basis flag
+    g of a with g[-2] == b to the coordinates of g[:-1] in the flag space
+    at b, and every other basis flag to zero.  Every term has the empty
+    word, so the maps are the same for every W of dimension dw."""
+    kept = _word_free_maps(graph, _prefix_maps, dw)
+    if not kept:
+        for a in graph.vertices:
+            basis = flag_space(graph, a).basis
+            for b in graph.up(a):
+                fb = flag_space(graph, b)
+                entries = [[((), fb.coords(g[:-1]))] if g[-2] == b else [] for g in basis]
+                kept[(b, a)] = _tensor_map(entries, fb.dim, dw, word)
+    return kept
 
 
 def s0(graph: ArrangementGraph, w: LevelQuiver) -> QuiverMorphism:
     """The quiver Shapovalov morphism from the flag-coordinate direct image
     to the Orlik-Solomon one: a flag goes to the sum over hyperplane tuples
-    tracing it, against the reversed product of their loop operators.  The
-    two images and the components share one word table."""
+    tracing it, against the reversed product of their loop operators.
+    Inserting a tuple's last hyperplane in front is the * image's downward
+    map up to the sign (-1)^(m-1), so at a of level m, S_0(a) = (-1)^(m-1)
+    sum over b in up(a) of star(a, b) S_0(b) P_{a,b} (`_prefix_maps`), and
+    S_0 is the identity on W at the top: the downward relation S_0(a)
+    shriek(a, b) = star(a, b) S_0(b) read through the flags ending at a.
+    The morphism check against the independently built ! image still tests
+    both relations on every edge.  One word table serves it all."""
     shriek = j0_shriek(graph, w)
     star = j0_star(graph, w)
     word, dw = _word_table(graph, w)
-    dims = _star_structure(graph)[1]
-    comps = {a: _tensor_map(terms, dims[a], dw, word)
-             for a, terms in _s0_structure(graph).items()}
+    prefix = _prefix_maps(graph, word, dw)
+    comps = {graph.top(): word(())}
+    for a in graph.vertices[1:]:
+        ups = graph.up(a)
+        lifted = [comps[b] * prefix[(b, a)] for b in ups]
+        comps[a] = (_level_map(star, [a], ups)
+                    * lifted[0].vstack(*lifted[1:])).scale((-1) ** (graph.level[a] - 1))
     return QuiverMorphism(shriek, star, comps)
 
 
 def shapovalov_form(graph: ArrangementGraph, w: LevelQuiver):
     """The quiver Shapovalov form: a function of two flags (of the same
-    vertex-chain shape) with values in endomorphisms of W."""
+    vertex-chain shape) with values in endomorphisms of W: per tuple
+    through flag1, the signed count of the permutations matching it to
+    flag2 times the reversed product of its loop operators."""
     word, dw = _word_table(graph, w)
 
     def form(flag1, flag2):
@@ -552,12 +544,16 @@ def shapovalov_form(graph: ArrangementGraph, w: LevelQuiver):
             raise ShapeError("flags must share length and start")
         m = len(flag1) - 1
         ids1, ids2 = flag1[1:], flag2[1:]
+        signs = [(sigma, sort_with_sign(sigma)[1]) for sigma in permutations(range(m))]
         total = Matrix.zero(dw, dw)
-        for sigma in permutations(range(m)):
-            sign = sort_with_sign(sigma)[1]
-            for tup in product(*ids1):
-                if all(tup[sigma[k]] in ids2[k] for k in range(m)):
-                    total = total + word(tup).scale(sign)
+        for tup in product(*ids1):
+            count = sum(s for sigma, s in signs
+                        if all(tup[sigma[k]] in ids2[k] for k in range(m)))
+            if count:
+                loops = word(())
+                for j in tup:
+                    loops = word((j,)) * loops
+                total = total + loops.scale(count)
         return total
 
     return form

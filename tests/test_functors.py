@@ -11,7 +11,7 @@ from quiverarr.arrangement import TruncatedGraph, build_graph, truncated_graph
 from quiverarr.errors import (InternalInconsistencyError, MissingLoopError, ShapeError,
                               UnsupportedError)
 from quiverarr.functors import (
-    _cutoff_candidates, _s0_structure, _shriek_structure, adjoint_transport, as_level_quiver, fourier_dual, j0_shriek, j0_star,
+    _cutoff_candidates, _shriek_structure, adjoint_transport, as_level_quiver, fourier_dual, j0_shriek, j0_star,
     macpherson, push_shriek, push_shriek_step, push_star, push_star_step,
     restrict, s0, s_general, shapovalov_form, spec_nonres_ops, specialize,
     unique_morphism_restricting_to_identity,
@@ -25,7 +25,7 @@ from quiverarr.quiver import (
     morphism_from_coords, quiver_to_json,
 )
 
-from test_random_arrangements import random_arrangements
+from test_random_arrangements import central_arrangements, random_arrangements
 
 A1, A2, A3 = Fraction(3, 7), Fraction(5, 11), Fraction(2, 13)
 
@@ -1034,8 +1034,9 @@ def signed(sign, coords):
 
 
 def scanned_s0_terms(g):
-    """Reference for `_s0_structure`: every tuple of product(*f[1:])
-    expanded, the zero classes dropped."""
+    """Reference for the components of `s0`: per vertex and basis flag f,
+    every tuple of product(*f[1:]) expanded in the OS space, the zero
+    classes dropped, the word being the tuple itself."""
     out = {}
     for a in g.vertices:
         osd = os_space(g, g.level[a])
@@ -1090,7 +1091,6 @@ def scanned_upward_shriek_terms(g):
 
 
 def assert_skeletons_are_the_scans(g):
-    assert _s0_structure(g) == scanned_s0_terms(g)
     terms = _shriek_structure(g)[0]
     up = scanned_upward_shriek_terms(g)
     assert {e: terms[e] for e in up} == up
@@ -1105,6 +1105,70 @@ def test_skeletons_are_the_scans_on_the_corpus(name):
 @given(random_arrangements())
 def test_skeletons_are_the_scans_on_random_arrangements(arr):
     assert_skeletons_are_the_scans(build_graph(arr))
+
+
+def rank2_level0(g, seed):
+    """A valid rank-2 level-zero quiver on g.  When every hyperplane
+    passes through the one stratum of level 2 (a pencil), the only
+    relation asks each loop to commute with the sum of all of them: here
+    random loops whose sum is a scalar, so they do not commute.  Else
+    a_j M for one random M."""
+    n = g.arrangement.size
+    if n > 2 and g.levels(2) == [tuple(range(1, n + 1))]:
+        rng = random.Random(seed)
+        ops = {j: Matrix(2, 2, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(4)]) for j in range(1, n)}
+        rest = Matrix.identity(2).scale(Fraction(1, 3))
+        for m in ops.values():
+            rest = rest - m
+        ops[n] = rest
+        return level_zero_quiver(g, 2, ops)
+    values = {j: Fraction(2 * j - 5, 7) for j in range(1, n + 1)}
+    return scalar_family_level0(g, values, dim=2, seed=seed)
+
+
+def assert_s0_is_the_tuple_enumeration(g, w):
+    """Every component of s0 is the scanned tuple enumeration assembled
+    by the Fraction column loop, word(t) = A_{t_m} ... A_{t_1}."""
+    top = g.top()
+    dw = w.dim(top)
+
+    def word(tup):
+        m = Matrix.identity(dw)
+        for j in tup:
+            m = w.loop(top, (j,)) * m
+        return m
+
+    s = s0(g, w)
+    terms = scanned_s0_terms(g)
+    for a in g.vertices:
+        rows = os_space(g, g.level[a]).spaces[a].dim
+        assert s.component(a) == column_loop_tensor_map(terms[a], rows, dw, word)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_s0_is_the_tuple_enumeration_on_the_corpus(name):
+    g = graph(name)
+    n = g.arrangement.size
+    assert_s0_is_the_tuple_enumeration(
+        g, scalar_family_level0(g, {j: Fraction(j, 17) for j in range(1, n + 1)}))
+    for seed in (3, 8):
+        w = rank2_level0(g, seed)
+        if name == "three_lines":
+            ops = [w.loop(g.top(), (j,)) for j in (1, 2)]
+            assert ops[0] * ops[1] != ops[1] * ops[0]
+        assert_s0_is_the_tuple_enumeration(g, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(central_arrangements(), st.integers(0, 2 ** 16))
+def test_s0_is_the_tuple_enumeration_on_random_central_arrangements(arr, seed):
+    g = build_graph(arr)
+    n = g.arrangement.size
+    rng = random.Random(seed)
+    values = {j: Fraction(rng.randint(-9, 9), 97) for j in range(1, n + 1)}
+    assert_s0_is_the_tuple_enumeration(g, scalar_family_level0(g, values))
+    assert_s0_is_the_tuple_enumeration(g, rank2_level0(g, seed))
 
 
 # -- one vertex-space layout ------------------------------------------------------
@@ -1217,8 +1281,9 @@ def test_only_tensor_map_assembles_columns():
     """Every direct-image matrix is assembled in `functors._tensor_map`:
     no function of `functors` or `equivariant` fills columns
     (`_t_acc_cols`, `from_cols`) or reads the integer forms of the words
-    (`_common_ints`) outside it, and the images, s0 and the group actions,
-    its only callers, build no matrix of their own."""
+    (`_common_ints`) outside it, and the images, the prefix maps of s0
+    and the group actions, its only callers, build no matrix of their
+    own."""
     import ast
     import inspect
 
@@ -1234,7 +1299,7 @@ def test_only_tensor_map_assembles_columns():
     assert "_t_acc_cols" not in calls and "from_cols" not in calls
     assert calls["_common_ints"] == {"_tensor_map"}
     builders = calls["_tensor_map"]
-    assert builders == {"_direct_image", "s0", "_tensor_action"}
+    assert builders == {"_direct_image", "_prefix_maps", "_tensor_action"}
     assert not any(builders & calls.get(name, set())
                    for name in ("Matrix", "_raw", "from_rows", "from_cols", "zero", "identity"))
 

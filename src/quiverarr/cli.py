@@ -33,8 +33,7 @@ from .liecheck import KZInstance, kz_check
 from .linalg import betti, parse_rational
 from .oscomplex import (ExponentAssignment, aomoto_complex, flag_space,
                         os_space, parse_exponents, shapovalov_scalar)
-from .quiver import (LevelQuiver, _matrix_json, check_quiver, dual,
-                     parse_quiver, quiver_to_json)
+from .quiver import LevelQuiver, _matrix_json, dual, parse_quiver, quiver_to_json
 
 USAGE_ERRORS = (ParseError, ShapeError, MissingLoopError)
 HYPOTHESIS_ERRORS = (UnsupportedError, HypothesisError, InvalidQuiverError,
@@ -75,7 +74,7 @@ def _read_quiver(args, graph):
 def _quiver(args, graph):
     """The input quiver; a --qvr one must satisfy its relations."""
     v = _read_quiver(args, graph)
-    bad = check_quiver(v) if args.qvr else []
+    bad = v.violated_relations if args.qvr else []
     if bad:
         raise InvalidQuiverError(f"input quiver relations fail: {bad[:5]}")
     return v
@@ -142,7 +141,7 @@ def cmd_aomoto(args):
 def cmd_check_quiver(args):
     g = _graph(args)
     v = _read_quiver(args, g)
-    violations = check_quiver(v)
+    violations = v.violated_relations
     return {
         "level": v.level,
         "valid": not violations,

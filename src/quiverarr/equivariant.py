@@ -26,9 +26,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arrangement import ArrangementGraph, per_graph
-from .cohomology import CohomologyReport, _betti_map, smallness_status
+from .cohomology import CohomologyReport, _betti_map, _require_central, smallness_status
 from .errors import (InternalInconsistencyError, NotFiniteError, ParseError,
-                     ShapeError, SymmetryError, UnsupportedError)
+                     ShapeError, SymmetryError)
 from .functors import _tensor_map, j0_shriek, j0_star, macpherson
 from .linalg import (Matrix, Q0, Q1, _primitive, block_diag, det, kernel_basis,
                      parse_rational, products_equal, rank, solve_matrix,
@@ -268,7 +268,7 @@ def _os_images(graph, p, perm):
             if vk != k2:
                 raise InternalInconsistencyError(
                     f"image of generator {t} is not a generator at {k2}")
-            entries.append([(None, [(osd.offsets[vk] + i, sign * c) for i, c in coords])])
+            entries.append([(0, [(osd.offsets[vk] + i, sign * c) for i, c in coords])])
     return entries, osd.dim
 
 
@@ -280,7 +280,7 @@ def _flag_images(graph, p, perm):
     for k in fd.vertex_keys:
         for f in fd.spaces[k].basis:
             vk, _, coords = fd.expand(tuple(_vertex_image(perm, v) for v in f))
-            entries.append([(None, [(fd.offsets[vk] + i, c) for i, c in coords])])
+            entries.append([(0, [(fd.offsets[vk] + i, c) for i, c in coords])])
     return entries, fd.dim
 
 
@@ -288,7 +288,7 @@ def _tensor_action(images, rho):
     """One degree's permuted basis, (entries, dim) as `_os_images` and
     `_flag_images` give it, tensored with rho."""
     entries, dim = images
-    return _tensor_map(entries, dim, rho.rows, lambda _: rho)
+    return _tensor_map(entries, dim, (rho,))
 
 
 def chain_automorphisms(eq: EquivariantLevelZero, functor, elements, mac=None):
@@ -364,8 +364,7 @@ def equivariant_cohomology(act: GroupAction, eq: EquivariantLevelZero,
     to the generators' common eigenspaces K_p (`generator_kernels`),
     which are the image of the Reynolds projector."""
     graph = eq.graph
-    if not graph.is_central():
-        raise UnsupportedError("endpoint requires a central arrangement")
+    _require_central(graph)
     comp, autos = equivariant_c_plus(act, eq, functor)
     invariants = subcomplex(comp, generator_kernels(act, comp, autos, twist_by_det))
     n = graph.arrangement.ambient_dim

@@ -18,26 +18,26 @@ canonical morphism from the ! image to the * image is one solve of the
 identity constraints and `quiver.hom_equations`, and one rank.
 
 The level-zero direct images J_{0,*} (Orlik-Solomon coordinates) and
-J_{0,!} (flag coordinates) share one form.  A per-graph skeleton
-(`_star_structure`, `_shriek_structure`) gives, per source basis
-element, a list of (word, sparse coordinates) terms, a word being () or
-(j,): `_word_table` maps it to the identity or the loop operator of
-hyperplane j on W, and `_tensor_map` assembles any such matrix as the
-sum of coordinates tensor word, on integer numerators over one
+J_{0,!} (flag coordinates) share one form.  A level-zero quiver w is a
+local system, one space W and one operator B^j per hyperplane, read once
+into the tuple ops = (I_W, B^1, ..., B^n) (`_local_system`, after w's
+relation check, kept on w).  A per-graph skeleton (`_star_structure`,
+`_shriek_structure`) gives, per source basis element, a list of (k,
+sparse coordinates) terms, and `_tensor_map` assembles any such matrix
+as the sum of coordinates tensor ops[k], on integer numerators over one
 denominator, as it does S_0's prefix maps and `equivariant`'s actions.
-The skeletons are memoized on their graph (`arrangement.per_graph`); the
-word table keeps only the last quiver asked for.  A skeleton also marks
-its word-free edges, whose every term has the empty word: the upward
-maps of J_{0,*} and the downward maps of J_{0,!}, the same for every W
-of one dimension.  `_direct_image`, the one builder of both images,
-keeps their maps with the graph per dimension of W (`_word_free_maps`),
-so the local systems that share a graph assemble them once.  The
-Shapovalov morphism S_0 between the images is built level by level from
-the * image's downward maps and the prefix maps of flags
-(`_prefix_maps`, kept the same way).  The MacPherson extension solves,
-at each vertex, for all its induced maps and its projection in one solve
-against the inclusion of an RREF basis, which `linalg.solve_matrix`
-reads off its unit rows.
+A skeleton also marks its identity edges, whose every term has k = 0:
+the upward maps of J_{0,*} and the downward maps of J_{0,!}.  Their maps
+read only ops[:1], the same for every W of one dimension, so they are a
+per-graph value (`_unit_maps`, keyed by ops[:1]), built in one pass and
+shared by the local systems on a graph; so are the prefix maps of flags
+(`_prefix_structure`), every edge of which is an identity edge.
+Skeletons and maps are memoized on their graph (`arrangement.per_graph`).
+The Shapovalov morphism S_0 between the images is built level by level
+from the * image's downward maps and the prefix maps.  The MacPherson
+extension solves, at each vertex, for all its induced maps and its
+projection in one solve against the inclusion of an RREF basis, which
+`linalg.solve_matrix` reads off its unit rows.
 
 Every sum of vertex spaces here (the ambient sum at a new vertex, the
 hom coordinates) lists its vertices in the graph's sorted order, each
@@ -46,7 +46,6 @@ block at its running offset (`linalg.block_offsets`).
 
 from __future__ import annotations
 
-import weakref
 from functools import cached_property
 from itertools import permutations, product
 from math import lcm
@@ -62,7 +61,7 @@ from .linalg import (Matrix, Q0, _canonical, _from_int_rows, block_diag,
                      solve_matrix, sort_with_sign)
 from .oscomplex import flag_space, os_space
 from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _format_key,
-                     _level_map, _loop_sum, _matrix_json, _through, check_quiver,
+                     _level_map, _loop_sum, _matrix_json, _neighbors, _through,
                      hom_equations, hom_offsets, morphism_from_coords)
 
 
@@ -285,47 +284,35 @@ def adjoint_transport(u: LevelQuiver, phi: QuiverMorphism) -> QuiverMorphism:
 
 # -- explicit level-zero direct images ----------------------------------------------
 
-def _hyperplane_ops(graph: ArrangementGraph, w: LevelQuiver):
+def _local_system(graph: ArrangementGraph, w: LevelQuiver):
+    """The operator tuple ops = (I_W, B^1, ..., B^n) of a level-zero
+    quiver w, once its relations hold (`Quiver.violated_relations`, one
+    check per quiver): the identity on W, then the loop operator of each
+    hyperplane j, the only operators the skeletons and the prefix maps
+    read."""
     if w.level != 0:
         raise ShapeError("expected a level-zero quiver")
-    bad = check_quiver(w)
+    bad = w.violated_relations
     if bad:
         raise InvalidQuiverError(f"level-zero relations fail: {bad[:5]}")
     top = graph.top()
-    return {j: w.loop(top, (j,)) for j in range(1, graph.arrangement.size + 1)}
+    return (Matrix.identity(w.dim(top)),) + tuple(
+        w.loop(top, (j,)) for j in range(1, graph.arrangement.size + 1))
 
 
-def _word_table(graph: ArrangementGraph, w: LevelQuiver):
-    """(word, dim W) for a level-zero quiver w, whose relations are
-    checked when the table is built: word(()) is the identity and
-    word((j,)) the loop operator of hyperplane j on W, the only words the
-    skeletons and the prefix maps carry.  The graph keeps the table of
-    the last quiver asked for, so `s0` and the two images it builds share
-    one table and one check; one quiver, held weakly, bounds the memo of
-    a long-lived graph and leaves it out of a reference cycle."""
-    kept = graph.memo.get("word_table")
-    if kept is not None and kept[0]() is w:
-        return kept[1]
-    ops = _hyperplane_ops(graph, w)
-    dw = w.dim(graph.top())
-    words = {(): Matrix.identity(dw)}
-    words.update(((j,), m) for j, m in ops.items())
-    graph.memo["word_table"] = (weakref.ref(w), (words.__getitem__, dw))
-    return words.__getitem__, dw
-
-
-def _tensor_map(entries, rows, dw, word):
-    """The matrix on (coordinates tensor W) whose dw columns for source
-    basis element s are the sum, over its terms (key, coords) in
-    entries[s], of the sparse coordinates tensored with word(key): rows*dw
+def _tensor_map(entries, rows, ops):
+    """The matrix on (coordinates tensor W) whose dw = dim W columns for
+    source basis element s are the sum, over its terms (k, coords) in
+    entries[s], of the sparse coordinates tensored with ops[k]: rows*dw
     rows, len(entries)*dw columns.  Every direct-image matrix is
     assembled here, on integers: every term's products are summed as
     numerators over one denominator d, the lcm over all terms of
-    (coordinate denominator x denominator of the word's integer form),
-    and each row of sums is made canonical over d."""
+    (coordinate denominator x denominator of the operator's integer
+    form), and each row of sums is made canonical over d."""
+    dw = ops[0].rows
     ncols = len(entries) * dw
-    terms = [(si * dw, coords, word(key)._common_ints())
-             for si, ts in enumerate(entries) for key, coords in ts]
+    terms = [(si * dw, coords, ops[k]._common_ints())
+             for si, ts in enumerate(entries) for k, coords in ts]
     d = lcm(*{c.denominator * wd for _, coords, (wd, _) in terms for _, c in coords})
     acc = [0] * (rows * dw * ncols)
     for col, coords, (wd, wrows) in terms:
@@ -341,39 +328,34 @@ def _tensor_map(entries, rows, dw, word):
 
 
 @per_graph
-def _word_free_maps(graph, skeleton, dw):
-    """The maps of a skeleton's word-free edges on W of dimension dw, the
-    same for every such W, kept with the graph: {edge: matrix}, filled on
-    first use by `_direct_image` and by `_prefix_maps` (its own key)."""
-    return {}
+def _unit_maps(graph, skeleton, unit):
+    """{edge: map} for the identity edges of a skeleton, assembled in one
+    pass against unit = ops[:1]: they read only the identity on W, so
+    they are the same for every W of one dimension."""
+    edges, dims, identity_edges = skeleton(graph)
+    return {e: _tensor_map(edges[e], dims[e[0]], unit) for e in identity_edges}
 
 
-def _direct_image(graph, skeleton, word, dw) -> Quiver:
+def _direct_image(graph, skeleton, ops) -> Quiver:
     """The quiver with spaces dims[a] tensor W and, per edge, the map
     assembled from its terms (the skeleton's (terms per edge, dims,
-    word-free edges)).  A word-free edge's map is assembled once per graph
-    and dw."""
-    edges, dims, free = skeleton(graph)
-    kept = _word_free_maps(graph, skeleton, dw)
-    maps = {}
-    for e, entries in edges.items():
-        m = kept.get(e)
-        if m is None:
-            m = _tensor_map(entries, dims[e[0]], dw, word)
-            if e in free:
-                kept[e] = m
-        maps[e] = m
-    return Quiver(graph, {a: dims[a] * dw for a in graph.vertices}, maps)
+    identity edges)); an identity edge's map is the graph's `_unit_maps`
+    one."""
+    edges, dims, identity_edges = skeleton(graph)
+    kept = _unit_maps(graph, skeleton, ops[:1])
+    maps = {e: kept[e] if e in identity_edges else _tensor_map(entries, dims[e[0]], ops)
+            for e, entries in edges.items()}
+    return Quiver(graph, {a: dims[a] * ops[0].rows for a in graph.vertices}, maps)
 
 
 @per_graph
 def _shriek_structure(graph):
     """Per-graph skeleton of the flag-coordinate direct image: (terms,
-    dims, word-free edges).  terms[(target, source)] lists, per basis flag
-    of the source, its (word, sparse target coordinates) terms; dims are
-    the flag space dimensions.  A downward edge, word-free, has the one
-    term ((), coords of the extended flag, signed); an upward edge has one
-    term ((j,), coords of the cutoff flag, signed) per live hyperplane j
+    dims, identity edges).  terms[(target, source)] lists, per basis flag
+    of the source, its (k, sparse target coordinates) terms; dims are
+    the flag space dimensions.  A downward edge, an identity edge, has the
+    one term (0, coords of the extended flag, signed); an upward edge has
+    one term (j, coords of the cutoff flag, signed) per live hyperplane j
     of the single live cutoff.  For a basis flag f of level m and a cutoff flag cut that
     agrees with it up to member k, j is live when j ^ f[k] = f[k+1] and
     j ^ cut[t] = f[t+1] for t = k+1 .. m-1.  Flag members are vertex keys,
@@ -383,13 +365,12 @@ def _shriek_structure(graph):
     (f[t+1] - cut[t]), found by set arithmetic on the keys."""
     down = {}
     up = {}
-    words = [(j,) for j in range(1, graph.arrangement.size + 1)]
     for b in graph.vertices:
         m = graph.level[b]
         fb = flag_space(graph, b)
         for b2 in graph.down(b):
             coords = flag_space(graph, b2).coords
-            down[(b2, b)] = [[((), _signed((-1) ** m, coords(f + (b2,))))] for f in fb.basis]
+            down[(b2, b)] = [[(0, _signed((-1) ** m, coords(f + (b2,))))] for f in fb.basis]
         for a in graph.up(b):
             coords = flag_space(graph, a).coords
             entries = []
@@ -413,7 +394,7 @@ def _shriek_structure(graph):
                         raise InternalInconsistencyError(
                             "two cutoff flags carry nonempty sums")
                     vec = _signed((-1) ** k, coords(cut))
-                    live = [(words[j - 1], vec) for j in sorted(hits)]
+                    live = [(j, vec) for j in sorted(hits)]
                 entries.append(live)
             up[(a, b)] = entries
     return ({**down, **up}, {a: flag_space(graph, a).dim for a in graph.vertices},
@@ -424,7 +405,7 @@ def j0_shriek(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
     """The full direct image of the ! kind in flag coordinates: spaces
     F_alpha tensor W, downward maps extend the flag with sign (-1)^level,
     upward maps are the cutoff rule."""
-    return _direct_image(graph, _shriek_structure, *_word_table(graph, w))
+    return _direct_image(graph, _shriek_structure, _local_system(graph, w))
 
 
 def _signed(sign, coords):
@@ -446,14 +427,14 @@ def _cutoff_candidates(graph, flag, a):
 @per_graph
 def _star_structure(graph):
     """Per-graph skeleton of the Orlik-Solomon direct image: (terms,
-    dims, word-free edges).  terms[(target, source)] lists, per basis
-    generator t of the source, its (word, sparse target coordinates)
-    terms; dims are the OS space dimensions.  A downward edge has one term
-    ((j,), coords of (j,) + t) per hyperplane j whose insertion lands
-    there; an upward edge, word-free, has the one term ((), coords of the
+    dims, identity edges).  terms[(target, source)] lists, per basis
+    generator t of the source, its (k, sparse target coordinates) terms;
+    dims are the OS space dimensions.  A downward edge has one term (j,
+    coords of (j,) + t) per hyperplane j whose insertion lands there; an
+    upward edge, an identity edge, has the one term (0, coords of the
     signed deletion sum)."""
     os_by_level = {p: os_space(graph, p) for p in range(graph.max_level + 1)}
-    words = [(j,) for j in range(1, graph.arrangement.size + 1)]
+    hyperplanes = range(1, graph.arrangement.size + 1)
     down = {}
     up = {}
     for b in graph.vertices:
@@ -462,10 +443,10 @@ def _star_structure(graph):
         below = {b2: [[] for _ in basis] for b2 in graph.down(b)}
         if below:
             for si, t in enumerate(basis):
-                for jw in words:
-                    b2, sign, coords = os_by_level[m + 1].expand(jw + t)
+                for j in hyperplanes:
+                    b2, sign, coords = os_by_level[m + 1].expand((j,) + t)
                     if coords and b2 in below:
-                        below[b2][si].append((jw, _signed(sign, coords)))
+                        below[b2][si].append((j, _signed(sign, coords)))
         for b2, entries in below.items():
             down[(b2, b)] = entries
         above = {a: [{} for _ in basis] for a in graph.up(b)}
@@ -477,7 +458,7 @@ def _star_structure(graph):
                     for i, c in _signed((-1) ** k, coords):
                         acc[i] = acc.get(i, Q0) + c
         for a, entries in above.items():
-            up[(a, b)] = [[((), tuple(sorted((i, c) for i, c in acc.items() if c)))]
+            up[(a, b)] = [[(0, tuple(sorted((i, c) for i, c in acc.items() if c)))]
                           for acc in entries]
     return ({**down, **up}, {a: os_by_level[graph.level[a]].spaces[a].dim
                              for a in graph.vertices}, frozenset(up))
@@ -487,24 +468,22 @@ def j0_star(graph: ArrangementGraph, w: LevelQuiver) -> Quiver:
     """The full direct image of the * kind in Orlik-Solomon coordinates:
     spaces P_alpha(A) tensor W, downward maps insert a hyperplane symbol
     against its loop operator, upward maps delete with alternating signs."""
-    return _direct_image(graph, _star_structure, *_word_table(graph, w))
+    return _direct_image(graph, _star_structure, _local_system(graph, w))
 
 
-def _prefix_maps(graph, word, dw):
-    """{(b, a): P_{a,b} tensor W} for every vertex a and b in up(a), kept
-    with the graph per dw (`_word_free_maps`): P_{a,b} sends a basis flag
-    g of a with g[-2] == b to the coordinates of g[:-1] in the flag space
-    at b, and every other basis flag to zero.  Every term has the empty
-    word, so the maps are the same for every W of dimension dw."""
-    kept = _word_free_maps(graph, _prefix_maps, dw)
-    if not kept:
-        for a in graph.vertices:
-            basis = flag_space(graph, a).basis
-            for b in graph.up(a):
-                fb = flag_space(graph, b)
-                entries = [[((), fb.coords(g[:-1]))] if g[-2] == b else [] for g in basis]
-                kept[(b, a)] = _tensor_map(entries, fb.dim, dw, word)
-    return kept
+def _prefix_structure(graph):
+    """The skeleton of the prefix maps P_{a,b} of flags, for every vertex
+    a and b in up(a), all identity edges: P_{a,b} sends a basis flag g of
+    a with g[-2] == b to the coordinates of g[:-1] in the flag space at
+    b, and every other basis flag to zero."""
+    edges, dims = {}, {}
+    for a in graph.vertices:
+        basis = flag_space(graph, a).basis
+        for b in graph.up(a):
+            fb = flag_space(graph, b)
+            dims[b] = fb.dim
+            edges[(b, a)] = [[(0, fb.coords(g[:-1]))] if g[-2] == b else [] for g in basis]
+    return edges, dims, edges.keys()
 
 
 def s0(graph: ArrangementGraph, w: LevelQuiver) -> QuiverMorphism:
@@ -513,16 +492,16 @@ def s0(graph: ArrangementGraph, w: LevelQuiver) -> QuiverMorphism:
     tracing it, against the reversed product of their loop operators.
     Inserting a tuple's last hyperplane in front is the * image's downward
     map up to the sign (-1)^(m-1), so at a of level m, S_0(a) = (-1)^(m-1)
-    sum over b in up(a) of star(a, b) S_0(b) P_{a,b} (`_prefix_maps`), and
-    S_0 is the identity on W at the top: the downward relation S_0(a)
+    sum over b in up(a) of star(a, b) S_0(b) P_{a,b} (`_prefix_structure`),
+    and S_0 is the identity on W at the top: the downward relation S_0(a)
     shriek(a, b) = star(a, b) S_0(b) read through the flags ending at a.
     The morphism check against the independently built ! image still tests
-    both relations on every edge.  One word table serves it all."""
+    both relations on every edge."""
     shriek = j0_shriek(graph, w)
     star = j0_star(graph, w)
-    word, dw = _word_table(graph, w)
-    prefix = _prefix_maps(graph, word, dw)
-    comps = {graph.top(): word(())}
+    unit = _local_system(graph, w)[:1]
+    prefix = _unit_maps(graph, _prefix_structure, unit)
+    comps = {graph.top(): unit[0]}
     for a in graph.vertices[1:]:
         ups = graph.up(a)
         lifted = [comps[b] * prefix[(b, a)] for b in ups]
@@ -536,7 +515,8 @@ def shapovalov_form(graph: ArrangementGraph, w: LevelQuiver):
     vertex-chain shape) with values in endomorphisms of W: per tuple
     through flag1, the signed count of the permutations matching it to
     flag2 times the reversed product of its loop operators."""
-    word, dw = _word_table(graph, w)
+    ops = _local_system(graph, w)
+    dw = ops[0].rows
 
     def form(flag1, flag2):
         flag1, flag2 = tuple(flag1), tuple(flag2)
@@ -550,9 +530,9 @@ def shapovalov_form(graph: ArrangementGraph, w: LevelQuiver):
             count = sum(s for sigma, s in signs
                         if all(tup[sigma[k]] in ids2[k] for k in range(m)))
             if count:
-                loops = word(())
+                loops = ops[0]
                 for j in tup:
-                    loops = word((j,)) * loops
+                    loops = ops[j] * loops
                 total = total + loops.scale(count)
         return total
 
@@ -681,7 +661,7 @@ def specialize(v: Quiver, alpha):
     spaces = {ck: sum(v.dim(m) for m in ck) for ck in sp.classes}
     maps = {}
     for ck in cg.vertices:
-        for ck2 in list(cg.up(ck)) + list(cg.down(ck)):
+        for ck2 in _neighbors(cg, ck):
             maps[(ck, ck2)] = _level_map(v, ck, ck2)
     return Quiver(cg, spaces, maps), sp
 
@@ -694,7 +674,7 @@ def spec_nonres_ops(v: Quiver, alpha):
     if isinstance(v, LevelQuiver) or not isinstance(g, ArrangementGraph):
         raise UnsupportedError("specialization needs the arrangement geometry")
     a = specialization_base(g, alpha)
-    return {b: _through(v, b, [c for c in list(g.up(b)) + list(g.down(b))
+    return {b: _through(v, b, [c for c in _neighbors(g, b)
                                if g.wedge_key(a, c) == g.wedge_key(b, c)])
             for b in g.vertices}
 

@@ -84,6 +84,13 @@ class Quiver:
     def level(self):
         return None
 
+    @cached_property
+    def violated_relations(self):
+        """`check_quiver(self)`, computed on first read and kept: a quiver
+        is a value, never changed after construction, so each input is
+        checked once however many readers ask."""
+        return check_quiver(self)
+
     def dim(self, v):
         return self.spaces[v]
 

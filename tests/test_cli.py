@@ -250,8 +250,10 @@ def test_a_qvr_breaking_its_relations_is_refused_when_read(valid_quivers, data):
 
 
 def test_quivers_are_checked_only_where_they_are_read():
-    """In the CLI, check_quiver runs only in the reader path (`_quiver`)
-    and in check-quiver, and only `main` catches an internal error."""
+    """In the CLI, a quiver's relations are read (its cached
+    `violated_relations`, or a `check_quiver` call) only in the reader
+    path (`_quiver`) and in check-quiver, and only `main` catches an
+    internal error."""
     import ast
     import inspect
 
@@ -261,7 +263,8 @@ def test_quivers_are_checked_only_where_they_are_read():
     for fn in ast.walk(ast.parse(inspect.getsource(cli))):
         if isinstance(fn, ast.FunctionDef):
             for n in ast.walk(fn):
-                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "check_quiver":
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "check_quiver" \
+                        or isinstance(n, ast.Attribute) and n.attr == "violated_relations":
                     checkers.add(fn.name)
                 if isinstance(n, ast.ExceptHandler) and (
                         n.type is None or broad & {getattr(x, "id", None)
@@ -269,6 +272,52 @@ def test_quivers_are_checked_only_where_they_are_read():
                     catchers.add(fn.name)
     assert checkers == {"_quiver", "cmd_check_quiver"}
     assert catchers == {"main"}
+
+
+def counted_checks(monkeypatch):
+    """The quivers `check_quiver` is called on, wherever it is bound in
+    quiverarr."""
+    import sys
+
+    from quiverarr import quiver
+    real, calls = quiver.check_quiver, []
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    for name, module in list(sys.modules.items()):
+        if name == "quiverarr" or name.startswith("quiverarr."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", [
+    ("ic-quiver",), ("shapovalov",), ("cohomology", "--model", "local"),
+    ("cohomology", "--model", "ih"), ("equivariant", "--grp", "GRP", "--functor", "star"),
+    ("equivariant", "--grp", "GRP", "--functor", "macpherson")])
+def test_a_level_zero_qvr_is_checked_once(tmp_path, monkeypatch, command):
+    """A rank-2 level-zero --qvr on C_{1,3}: the reader's check is the
+    one the direct images read, so each run checks the input once."""
+    from quiverarr.arrangement import build_graph
+    from quiverarr.linalg import Matrix
+    from quiverarr.quiver import level_zero_quiver, quiver_to_json
+    g = build_graph(CORPUS["c13"]())
+    n, dim = g.arrangement.size, g.arrangement.ambient_dim
+    w = level_zero_quiver(g, 2, {j: Matrix.from_rows([[1, 1], [0, 1]]).scale(Fraction(j, 17))
+                                 for j in range(1, n + 1)})
+    (tmp_path / "c13.arr").write_text(format_arrangement(g.arrangement))
+    (tmp_path / "w.qvr").write_text(json.dumps(quiver_to_json(w)))
+    rows = [" ".join("1" if i == k else "0" for k in range(dim)) for i in range(dim)]
+    (tmp_path / "id.grp").write_text("\n".join(["g"] + rows + [" ".join(["0"] * dim)]) + "\n")
+    calls = counted_checks(monkeypatch)
+    argv = [command[0], str(tmp_path / "c13.arr"), "--qvr", str(tmp_path / "w.qvr")] + [
+        str(tmp_path / "id.grp") if x == "GRP" else x for x in command[1:]]
+    code, out, err = capture(*argv)
+    assert (code, err) == (0, "") and json.loads(out)
+    assert len(calls) == 1
 
 
 def test_ic_quiver(files, capsys):

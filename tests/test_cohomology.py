@@ -192,10 +192,11 @@ def test_aomoto_and_flag_reports():
 @pytest.mark.parametrize("name", ["three_lines", "c13"])
 @pytest.mark.parametrize("work", ["spaces", "j0_star", "ih", "push"])
 def test_dropped_graph_is_freed_without_the_cycle_collector(name, work):
-    """No reference cycle runs through a graph, its memoized spaces, the
-    word table of a level-zero quiver or the truncations of a tower pushed
-    to the top (the graph itself there) and restricted back: all are freed
-    on the last `del`, with the cyclic garbage collector off."""
+    """No reference cycle runs through a graph, its memoized spaces, a
+    level-zero quiver with its cached relation check or the truncations
+    of a tower pushed to the top (the graph itself there) and restricted
+    back: all are freed on the last `del`, with the cyclic garbage
+    collector off."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -212,7 +213,8 @@ def test_dropped_graph_is_freed_without_the_cycle_collector(name, work):
                 del top, back
             else:
                 (j0_star if work == "j0_star" else intersection_cohomology)(g, w)
-                refs.append(weakref.ref(g.memo["word_table"][1][0]))
+                assert vars(w)["violated_relations"] == []
+                refs.append(weakref.ref(w))
             del w
         del g
         assert [r() for r in refs] == [None] * len(refs)

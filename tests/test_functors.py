@@ -1068,8 +1068,7 @@ def cutoff_sum_condition(g, flag, cut, k, jk):
 def scanned_upward_shriek_terms(g):
     """Reference for the upward terms of `_shriek_structure`: every
     hyperplane tested against every candidate cutoff, the terms of all
-    candidates concatenated."""
-    words = [(j,) for j in range(1, g.arrangement.size + 1)]
+    candidates concatenated, each term keyed by its hyperplane j."""
     up = {}
     for b in g.vertices:
         m = g.level[b]
@@ -1083,8 +1082,9 @@ def scanned_upward_shriek_terms(g):
                     while agree < m and f[agree] == cut[agree]:
                         agree += 1
                     k = agree - 1
-                    terms += [(jw, signed((-1) ** k, coords(cut))) for jw in words
-                              if cutoff_sum_condition(g, f, cut, k, jw)]
+                    terms += [(j, signed((-1) ** k, coords(cut)))
+                              for j in range(1, g.arrangement.size + 1)
+                              if cutoff_sum_condition(g, f, cut, k, (j,))]
                 entries.append(terms)
             up[(a, b)] = entries
     return up
@@ -1199,9 +1199,10 @@ def test_os_flag_and_c_plus_share_one_layout(name):
                     assert d.submatrix(rows, range(src[b], src[b] + q.dim(b))) == q.map(b2, b)
 
 
-def test_only_per_graph_and_the_word_table_use_the_graph_memo():
+def test_only_per_graph_writes_the_graph_memo():
     """The graph's memo is made by the graph and written only by the
-    `per_graph` decorator and by `_word_table`'s last-quiver policy."""
+    `per_graph` decorator: no function of any other module reads or
+    writes it."""
     import ast
     from pathlib import Path
 
@@ -1213,26 +1214,30 @@ def test_only_per_graph_and_the_word_table_use_the_graph_memo():
                     isinstance(n, ast.Attribute) and n.attr == "memo" for n in ast.walk(fn)):
                 users.add((path.name, fn.name))
     assert users == {("arrangement.py", "__init__"), ("arrangement.py", "per_graph"),
-                     ("arrangement.py", "memoized"), ("functors.py", "_word_table")}
+                     ("arrangement.py", "memoized")}
 
 
 # -- one column assembler ---------------------------------------------------------
 
 def test_s0_checks_its_quiver_once(monkeypatch):
-    import quiverarr.functors as functors
+    """s0 and the two images it builds read one check of w, kept on w:
+    a second s0 of the same quiver checks nothing."""
+    import quiverarr.quiver as quiver
     calls = []
-    real = functors.check_quiver
-    monkeypatch.setattr(functors, "check_quiver", lambda v: calls.append(v) or real(v))
+    real = quiver.check_quiver
+    monkeypatch.setattr(quiver, "check_quiver", lambda v: calls.append(v) or real(v))
     g = graph("c13")
     w = scalar_family_level0(g, {j: Fraction(j, 17) for j in range(1, g.arrangement.size + 1)})
     s0(g, w)
-    assert len(calls) == 1
+    assert calls == [w]
+    s0(g, w)
+    assert calls == [w]
 
 
-def test_word_table_follows_the_quiver():
-    """The graph keeps only the last quiver's checked table: another
-    quiver on the same graph gets its own images, and an invalid one is
-    still refused."""
+def test_direct_images_follow_the_quiver():
+    """The graph keeps nothing of a local system beyond its rank: another
+    quiver on the same graph gets its own images, equal to a fresh
+    graph's, and an invalid one is still refused."""
     from quiverarr.errors import InvalidQuiverError
     g = graph("three_lines")
     w1, w2 = three_lines_w(dim=2, seed=3), three_lines_w(dim=2, seed=8)
@@ -1248,10 +1253,11 @@ def test_word_table_follows_the_quiver():
 
 
 def test_word_free_maps_are_shared_per_graph_and_dimension(monkeypatch):
-    """The skeletons mark their word-free edges (the upward maps of
-    j0_star, the downward maps of j0_shriek): two level-zero quivers of
-    one dimension on one graph share those maps as objects, the second
-    assembles none of them, and every map equals a fresh graph's."""
+    """The skeletons mark their identity edges, whose terms all read
+    ops[0] (the upward maps of j0_star, the downward maps of j0_shriek),
+    and only those: two level-zero quivers of one dimension on one graph
+    share those maps as objects, the second assembles none of them, and
+    every map equals a fresh graph's."""
     import quiverarr.functors as functors
     g = graph("c13")
     values = {j: Fraction(j, 17) for j in range(1, g.arrangement.size + 1)}
@@ -1264,7 +1270,8 @@ def test_word_free_maps_are_shared_per_graph_and_dimension(monkeypatch):
                             (j0_shriek, functors._shriek_structure)):
         terms, _, free = skeleton(g)
         assert free and free < set(terms)
-        assert all(not key for e in free for ts in terms[e] for key, _ in ts)
+        assert all(k == 0 for e in free for ts in terms[e] for k, _ in ts)
+        assert any(k != 0 for e in set(terms) - free for ts in terms[e] for k, _ in ts)
         first = image(g, w1)
         assembled.clear()
         second = image(g, w2)
@@ -1281,9 +1288,9 @@ def test_only_tensor_map_assembles_columns():
     """Every direct-image matrix is assembled in `functors._tensor_map`:
     no function of `functors` or `equivariant` fills columns
     (`_t_acc_cols`, `from_cols`) or reads the integer forms of the words
-    (`_common_ints`) outside it, and the images, the prefix maps of s0
-    and the group actions, its only callers, build no matrix of their
-    own."""
+    (`_common_ints`) outside it, and the images, the per-graph identity
+    edge and prefix maps (`_unit_maps`) and the group actions, its only
+    callers, build no matrix of their own."""
     import ast
     import inspect
 
@@ -1299,7 +1306,7 @@ def test_only_tensor_map_assembles_columns():
     assert "_t_acc_cols" not in calls and "from_cols" not in calls
     assert calls["_common_ints"] == {"_tensor_map"}
     builders = calls["_tensor_map"]
-    assert builders == {"_direct_image", "_prefix_maps", "_tensor_action"}
+    assert builders == {"_direct_image", "_unit_maps", "_tensor_action"}
     assert not any(builders & calls.get(name, set())
                    for name in ("Matrix", "_raw", "from_rows", "from_cols", "zero", "identity"))
 
@@ -1333,35 +1340,35 @@ fractions_over_2_3_4 = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([
 
 @st.composite
 def tensor_map_inputs(draw):
-    """(entries, rows, dw, words): per source basis element a list of
-    (key, sparse coordinates) terms, coordinates and word entries drawn
-    over the denominators 1 to 4."""
+    """(entries, rows, ops): per source basis element a list of (k,
+    sparse coordinates) terms, k indexing the tuple ops of three dw x dw
+    operators, coordinates and operator entries drawn over the
+    denominators 1 to 4."""
     rows = draw(st.integers(0, 4))
     dw = draw(st.integers(1, 3))
-    keys = [(), (1,), (2, 1)]
-    words = {k: Matrix(dw, dw, draw(st.lists(fractions_over_2_3_4, min_size=dw * dw,
+    ops = tuple(Matrix(dw, dw, draw(st.lists(fractions_over_2_3_4, min_size=dw * dw,
                                               max_size=dw * dw)))
-             for k in keys}
+                for _ in range(3))
     coords = st.lists(st.tuples(st.integers(0, rows - 1), fractions_over_2_3_4),
                       max_size=3).map(tuple) if rows else st.just(())
-    term = st.tuples(st.sampled_from(keys), coords)
+    term = st.tuples(st.integers(0, len(ops) - 1), coords)
     entries = draw(st.lists(st.lists(term, max_size=3), max_size=4))
-    return entries, rows, dw, words
+    return entries, rows, ops
 
 
 @settings(max_examples=300, deadline=None)
 @given(tensor_map_inputs())
-@example(([[((), ((0, Fraction(1, 2)),))]], 1, 1, {(): M([[Fraction(1, 2)]])}))
-@example(([[((), ((0, Fraction(1, 2)), (1, Fraction(2, 3))))], []], 2, 2,
-          {(): M([[Fraction(1, 2), 0], [Fraction(3, 4), Fraction(-1, 3)]])}))
+@example(([[(0, ((0, Fraction(1, 2)),))]], 1, (M([[Fraction(1, 2)]]),)))
+@example(([[(0, ((0, Fraction(1, 2)), (1, Fraction(2, 3))))], []], 2,
+          (M([[Fraction(1, 2), 0], [Fraction(3, 4), Fraction(-1, 3)]]),)))
 def test_tensor_map_matches_the_column_loop(args):
     """The integer assembly over one denominator gives the column loop's
-    matrix, every entry a Fraction, also where both a coordinate and a
-    word entry are non-integral (1/2 x 1/2 needs the denominator 4)."""
+    matrix, every entry a Fraction, also where both a coordinate and an
+    operator entry are non-integral (1/2 x 1/2 needs the denominator 4)."""
     from quiverarr.functors import _tensor_map
-    entries, rows, dw, words = args
-    got = _tensor_map(entries, rows, dw, words.__getitem__)
-    assert got == column_loop_tensor_map(entries, rows, dw, words.__getitem__)
+    entries, rows, ops = args
+    got = _tensor_map(entries, rows, ops)
+    assert got == column_loop_tensor_map(entries, rows, ops[0].rows, ops.__getitem__)
     assert all(type(x) is Fraction for x in got.entries)
 
 

@@ -35,9 +35,12 @@ shared by the local systems on a graph; so are the prefix maps of flags
 Skeletons and maps are memoized on their graph (`arrangement.per_graph`).
 The Shapovalov morphism S_0 between the images is built level by level
 from the * image's downward maps and the prefix maps.  The MacPherson
-extension solves, at each vertex, for all its induced maps and its
-projection in one solve against the inclusion of an RREF basis, which
-`linalg.solve_matrix` reads off its unit rows.
+extension keeps, at each vertex where S_0 is onto (its image basis has
+the full dimension), the * image's space and maps, with S_0's component
+as the projection, and makes no solve there; at every other vertex it
+solves for all its induced maps and its projection in one solve against
+the inclusion of an RREF basis, which `linalg.solve_matrix` reads off
+its unit rows.
 
 Every sum of vertex spaces here (the ambient sum at a new vertex, the
 hom coordinates) lists its vertices in the graph's sorted order, each
@@ -546,7 +549,8 @@ class MacPhersonResult:
     `inclusion` and `projection` are built on first read, through
     `QuiverMorphism` with its full check.  Both checks restate what holds
     by construction: the inclusion's equations are the ones `solve_matrix`
-    solved exactly, and the projection's follow from the checked `s0`
+    solved exactly, or hold because incl[a] is the identity at a vertex a
+    where S_0 is onto, and the projection's follow from the checked `s0`
     morphism, since incl[a] is injective.  The CLI and the cohomology
     routines read only `quiver` and `witness`."""
 
@@ -569,34 +573,47 @@ class MacPhersonResult:
 
 def macpherson(graph: ArrangementGraph, w: LevelQuiver) -> MacPhersonResult:
     """The MacPherson extension: per-vertex images of the Shapovalov
-    morphism inside the * direct image, with the induced maps.  At each
-    vertex a, one elimination against the inclusion incl[a] solves for the
-    maps of every star edge (a, b), star(a, b) incl[b], and for the
-    projection, the Shapovalov component at a; incl[a] has full column
-    rank, so each solution is unique."""
+    morphism inside the * direct image, with the induced maps.  A vertex a
+    where S_0 is onto ("whole": its image basis, the RREF of the whole
+    space, has dimension star.dim(a)) keeps the * space: incl[a] is the
+    identity, the projection is S_0 at a, and the map of each star edge
+    (a, b) is star(a, b) incl[b], star(a, b) itself when b is whole; the
+    image is then preserved trivially.  At any other vertex, one
+    elimination against the inclusion incl[a] solves for all those maps
+    and for the projection; incl[a] has full column rank, so each
+    solution is unique."""
     s = s0(graph, w)
     shriek, star = s.source, s.target
     incl = {}
     spaces = {}
+    whole = set()
     for a in graph.vertices:
         basis = image_basis(s.component(a))
-        incl[a] = basis.basis.transpose()
         spaces[a] = basis.dim
+        if basis.dim == star.dim(a):
+            whole.add(a)
+            incl[a] = Matrix.identity(basis.dim)
+        else:
+            incl[a] = basis.basis.transpose()
     edges = {a: [] for a in graph.vertices}
     for e in star.maps:
         edges[e[0]].append(e)
     solved = {}
     proj_comps = {}
     for a in graph.vertices:
-        blocks = [star.maps[e] * incl[e[1]] for e in edges[a]] + [s.component(a)]
-        x = solve_matrix(incl[a], blocks[0].hstack(*blocks[1:]))
-        if x is None:
-            raise InternalInconsistencyError("image not preserved by the quiver maps")
-        parts = []
-        o = 0
-        for t in blocks:
-            parts.append(x.submatrix(range(x.rows), range(o, o + t.cols)))
-            o += t.cols
+        blocks = [star.maps[e] if e[1] in whole else star.maps[e] * incl[e[1]]
+                  for e in edges[a]] + [s.component(a)]
+        if a in whole:
+            parts = blocks
+        else:
+            x = solve_matrix(incl[a], blocks[0].hstack(*blocks[1:]))
+            if x is None:
+                raise InternalInconsistencyError("image not preserved by the quiver maps")
+            parts = []
+            o = 0
+            for t in blocks:
+                parts.append(x.submatrix(range(x.rows), range(o, o + t.cols)))
+                o += t.cols
         proj_comps[a] = parts.pop()
         solved.update(zip(edges[a], parts))
     quiver = Quiver(graph, spaces, {e: solved[e] for e in star.maps})

@@ -1393,10 +1393,19 @@ def macpherson_inputs(g):
     yield level_zero_quiver(g, 2, {j: M([[0, j], [0, 0]]) for j in range(1, n + 1)})
 
 
+def whole_vertices(s):
+    """The vertices where the Shapovalov morphism s is onto."""
+    return {a for a in s.source.graph.vertices if rank(s.component(a)) == s.target.dim(a)}
+
+
 @pytest.mark.parametrize("name", sorted(corpus.CORPUS))
 def test_macpherson_is_the_per_edge_solve(name, monkeypatch):
-    """One solve per vertex gives the maps and the projection that one
-    solve per star edge and per projection give, in the same order."""
+    """One solve per vertex where S_0 is not onto gives the maps and the
+    projection that one solve per star edge and per projection give, in
+    the same order.  A vertex where S_0 is onto makes no solve: the maps
+    into it are the * maps after the inclusion at their source, the *
+    maps themselves where S_0 is onto there too, and its projection is
+    the S_0 component."""
     import quiverarr.functors as functors
     g = graph(name)
     for w in macpherson_inputs(g):
@@ -1406,11 +1415,61 @@ def test_macpherson_is_the_per_edge_solve(name, monkeypatch):
                             lambda m, rhs: calls.append(m) or real(m, rhs))
         mac = macpherson(g, w)
         monkeypatch.setattr(functors, "solve_matrix", real)
-        assert len(calls) == len(g.vertices)
+        s = s0(g, w)
+        whole = whole_vertices(s)
+        assert len(calls) == len(g.vertices) - len(whole)
         incl = {a: mac.inclusion.component(a) for a in g.vertices}
-        maps, proj = per_edge_macpherson(s0(g, w), incl)
+        maps, proj = per_edge_macpherson(s, incl)
         assert list(mac.quiver.maps.items()) == list(maps.items())
         assert mac.projection.components == proj
+        for a in whole:
+            assert incl[a] == Matrix.identity(s.target.dim(a))
+            assert mac.projection.component(a) == s.component(a)
+            for (t, b), m in s.target.maps.items():
+                if t == a:
+                    assert mac.quiver.map(a, b) == m * incl[b]
+                    if b in whole:
+                        assert mac.quiver.map(a, b) == m
+
+
+def assert_macpherson_is_the_star_image(g, w):
+    """Every S_0 component onto, the MacPherson quiver the * image, each
+    inclusion component the identity and the projection S_0."""
+    s = s0(g, w)
+    assert whole_vertices(s) == set(g.vertices)
+    mac = macpherson(g, w)
+    assert mac.quiver == j0_star(g, w)
+    for a in g.vertices:
+        assert mac.inclusion.component(a) == Matrix.identity(s.target.dim(a))
+    assert mac.projection.components == s.components
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_macpherson_is_the_star_image_without_zero_stratum_sums(name):
+    """Schechtman-Varchenko determinant formula, rank 1: where no stratum
+    above the open one has exponent sum zero, S_0 is invertible at every
+    vertex, so the MacPherson extension is the * image itself."""
+    g = graph(name)
+    n = g.arrangement.size
+    w = scalar_family_level0(g, {j: Fraction(j, 17) for j in range(1, n + 1)})
+    assert_macpherson_is_the_star_image(g, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(central_arrangements(), st.integers(0, 2 ** 16))
+def test_macpherson_is_the_star_image_on_random_central_arrangements(arr, seed):
+    """The determinant formula's case above, on random central
+    arrangements, with exponents of either sign drawn until no stratum
+    above the open one sums to zero."""
+    g = build_graph(arr)
+    n = g.arrangement.size
+    rng = random.Random(seed)
+    while True:
+        values = {j: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), 97)
+                  for j in range(1, n + 1)}
+        if all(sum(values[j] for j in a) for a in g.vertices if a):
+            break
+    assert_macpherson_is_the_star_image(g, scalar_family_level0(g, values))
 
 
 def test_macpherson_refuses_a_star_map_leaving_the_image(monkeypatch):
@@ -1430,6 +1489,7 @@ def test_macpherson_refuses_a_star_map_leaving_the_image(monkeypatch):
                                      [1] * (star.dim(a) * star.dim(top)))
         return s
 
+    assert a not in whole_vertices(real(g, w))
     monkeypatch.setattr(functors, "s0", corrupt_s0)
     with pytest.raises(InternalInconsistencyError, match="image not preserved"):
         macpherson(g, w)

@@ -28,15 +28,16 @@ The building blocks, bottom to top:
 
 from .arrangement import (Arrangement, ArrangementGraph, Hyperplane,
                           TruncatedGraph, build_graph, discriminantal,
-                          parse_arrangement, specialization_graph,
-                          truncated_graph, verify_graph_properties)
+                          format_arrangement, parse_arrangement,
+                          specialization_graph, truncated_graph,
+                          verify_graph_properties)
 from .cohomology import (CohomologyReport, intersection_cohomology,
                          local_system_cohomology, perverse_cohomology,
                          scalar_from_exponents)
 from .equivariant import (AffineMap, EquivariantLevelZero, GroupAction,
                           build_action, chain_automorphisms, det_character,
                           equivariant_c_plus, equivariant_cohomology,
-                          generator_kernels, parse_group)
+                          format_group, generator_kernels, parse_group)
 from .functors import (adjoint_transport, fourier_dual, j0_shriek, j0_star,
                        macpherson, push_shriek, push_shriek_step, push_star,
                        push_star_step, restrict, s0, s_general,
@@ -49,8 +50,8 @@ from .linalg import (ChainComplex, ChainMap, Matrix, Subspace, betti,
                      rational_roots, rref, solve)
 from .oscomplex import (ExponentAssignment, FlagBasis, OSBasis,
                         aomoto_complex, duality_pairing, flag_complex,
-                        flag_form_complex, flag_space, os_space,
-                        parse_exponents, shapovalov_scalar)
+                        flag_form_complex, flag_space, format_exponents,
+                        os_space, parse_exponents, shapovalov_scalar)
 from .quiver import (LevelQuiver, Quiver, QuiverMorphism, Spectrum, c_minus,
                      c_plus, check_nonresonance_class, check_quiver, dual,
                      global_S, hom_space, is_nonresonant_spectrum,

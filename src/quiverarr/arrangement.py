@@ -4,7 +4,9 @@ An arrangement in C^N determines a labeled graph: vertices are the
 nonempty intersections of hyperplanes (closed strata), labeled by their
 codimension, with edges between strata adjacent in codimension one.  This
 module builds that graph, its truncations, the specialization graph at a
-stratum of a central arrangement, and the discriminantal family.  The
+stratum of a central arrangement (an `AdmissibleGraph` whose vertices,
+the classes, are the sorted tuples of their member keys), and the
+discriminantal family.  The
 level-n truncation is a graph of the same kind (`TruncatedGraph`, an
 `AdmissibleGraph` on the strata of level <= n and the edges among them)
 that also lists its loops, one per edge from level n to level n+1, and
@@ -338,21 +340,6 @@ def truncated_graph(g: AdmissibleGraph, n) -> AdmissibleGraph:
     return g if n == g.max_level else TruncatedGraph(g.full, n)
 
 
-class SpecializationGraph:
-    """Vertices of the base graph merged along the specialization
-    equivalence at a fixed vertex of a central arrangement."""
-
-    def __init__(self, classes, graph):
-        self.classes = classes          # class keys, each the sorted tuple of its members
-        self.graph = graph              # AdmissibleGraph on class keys
-
-    def class_of(self, member_key):
-        for ck in self.classes:
-            if member_key in ck:
-                return ck
-        raise KeyError(member_key)
-
-
 def specialization_base(g: ArrangementGraph, alpha):
     """alpha, checked to be the key of a stratum of a central arrangement:
     the base of a specialization."""
@@ -363,7 +350,11 @@ def specialization_base(g: ArrangementGraph, alpha):
     return alpha
 
 
-def specialization_graph(g: ArrangementGraph, alpha) -> SpecializationGraph:
+def specialization_graph(g: ArrangementGraph, alpha) -> AdmissibleGraph:
+    """The class graph at alpha: the vertices of g merged along the
+    specialization equivalence, each class keyed by the sorted tuple of
+    its members, with an edge between two classes when some members span
+    one."""
     alpha = specialization_base(g, alpha)
 
     def signature(beta):
@@ -385,7 +376,7 @@ def specialization_graph(g: ArrangementGraph, alpha) -> SpecializationGraph:
     # joins the classes of its ends, which lie one level apart
     owner = {m: ck for ck in levels for m in ck}
     edges = {(owner[x], owner[y]) for x, y in g.edges}
-    return SpecializationGraph(tuple(levels), AdmissibleGraph(levels, edges))
+    return AdmissibleGraph(levels, edges)
 
 
 def discriminantal(weights):
@@ -457,6 +448,14 @@ def verify_graph_properties(g: AdmissibleGraph):
 
 # -- text format ----------------------------------------------------------------
 
+# The largest size an input may ask for: the `dim` of a .arr file, the
+# --dim rank of the CLI and a .qvr space dimension.  A size read from a
+# few bytes of input is otherwise only bounded by memory; every size in
+# the tests, the corpus and the benchmark is at most 6, and runs at 1000
+# take under a second.
+SIZE_CAP = 1000
+
+
 def parse_arrangement(text, path=None) -> Arrangement:
     """Parse the .arr format: a `dim N` line, then `H c0 c1 ... cN` lines;
     `#` starts a comment."""
@@ -473,6 +472,8 @@ def parse_arrangement(text, path=None) -> Arrangement:
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError("malformed dim line", path, lineno)
             dim = int(parts[1])
+            if dim > SIZE_CAP:
+                raise ParseError(f"dim {dim} exceeds the size cap {SIZE_CAP}", path, lineno)
         elif parts[0] == "H":
             if dim is None:
                 raise ParseError("H line before dim line", path, lineno)

@@ -18,12 +18,12 @@ import functools
 import json
 import sys
 
-from .arrangement import (build_graph, format_vertex_key, parse_arrangement,
+from .arrangement import (SIZE_CAP, build_graph, format_vertex_key, parse_arrangement,
                           parse_vertex_key, verify_graph_properties)
 from .cohomology import (aomoto_report, flag_report, intersection_cohomology,
                          local_system_cohomology, perverse_cohomology,
                          scalar_from_exponents)
-from .equivariant import EquivariantLevelZero, equivariant_cohomology, parse_group
+from .equivariant import FUNCTORS, EquivariantLevelZero, equivariant_cohomology, parse_group
 from .errors import (HypothesisError, InternalInconsistencyError,
                      InvalidQuiverError, MissingLoopError, NotFiniteError,
                      ParseError, ShapeError, SymmetryError, UnsupportedError)
@@ -33,7 +33,8 @@ from .liecheck import KZInstance, kz_check
 from .linalg import betti, parse_rational
 from .oscomplex import (ExponentAssignment, aomoto_complex, flag_space,
                         os_space, parse_exponents, shapovalov_scalar)
-from .quiver import LevelQuiver, _matrix_json, dual, parse_quiver, quiver_to_json
+from .quiver import (LevelQuiver, _format_key, _matrix_json, dual, parse_quiver,
+                     quiver_to_json)
 
 USAGE_ERRORS = (ParseError, ShapeError, MissingLoopError)
 HYPOTHESIS_ERRORS = (UnsupportedError, HypothesisError, InvalidQuiverError,
@@ -206,10 +207,9 @@ def cmd_shapovalov(args):
 def cmd_specialize(args):
     g = _graph(args)
     v = _quiver(args, g)
-    spq, sp = specialize(v, parse_vertex_key(args.vertex))
+    spq, classes = specialize(v, parse_vertex_key(args.vertex))
     out = quiver_to_json(spq)
-    out["classes"] = {"|".join(names): names for names in
-                      ([format_vertex_key(m) for m in ck] for ck in sp.classes)}
+    out["classes"] = {_format_key(ck): [format_vertex_key(m) for m in ck] for ck in classes}
     return out
 
 
@@ -258,13 +258,15 @@ def cmd_selftest(args):
 
 
 def _rank(text):
-    """The value of --dim: an integer rank of at least 1."""
+    """The value of --dim: an integer rank from 1 to `SIZE_CAP`."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError(f"the rank must be at least 1, got {n}")
+    if n > SIZE_CAP:
+        raise argparse.ArgumentTypeError(f"the rank {n} exceeds the size cap {SIZE_CAP}")
     return n
 
 
@@ -283,7 +285,7 @@ def build_parser():
             sp.add_argument("--qvr", help="quiver file (.qvr)")
             sp.add_argument("--exp", help="exponents file (.exp), scalar quiver")
             sp.add_argument("--dim", type=_rank, default=1,
-                            help="rank (at least 1) of the scalar quiver built from --exp")
+                            help=f"rank (1 to {SIZE_CAP}) of the scalar quiver built from --exp")
             sp.add_argument("--kappa", help="override the divisor of the .exp file")
         sp.set_defaults(fn=fn)
         return sp
@@ -312,8 +314,7 @@ def build_parser():
                     choices=["perverse", "local", "ih", "aomoto", "flag"])
     sp = add("equivariant", cmd_equivariant, quiver_input=True)
     sp.add_argument("--grp", required=True, help="group file (.grp)")
-    sp.add_argument("--functor", required=True,
-                    choices=["star", "shriek", "macpherson"])
+    sp.add_argument("--functor", required=True, choices=FUNCTORS)
     sp.add_argument("--twist-det", action="store_true")
     sp = add("kz-check", cmd_kz_check, needs_arr=False)
     sp.add_argument("--type", required=True, choices=["A1", "A2", "A3", "B2"])

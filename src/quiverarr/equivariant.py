@@ -18,7 +18,10 @@ product against one lookup table.  What depends only on the graph and a
 hyperplane permutation is kept with the graph (`arrangement.per_graph`):
 the permuted Orlik-Solomon and flag bases of each degree, so a chain
 automorphism tensors only rho.  The MacPherson degree inclusions are
-built once per `chain_automorphisms` call, for all its elements."""
+built once per `chain_automorphisms` call, for all its elements.
+`FUNCTORS` is the one table of the direct images a table is taken of,
+each with the model its report names; the CLI reads its `--functor`
+choices from it."""
 
 from __future__ import annotations
 
@@ -91,8 +94,7 @@ class GroupAction:
     identity first, the generator indices, and the induced hyperplane
     permutations.  The multiplication table is built on first use."""
 
-    def __init__(self, arrangement, elements, hyperplane_perm, generators):
-        self.arrangement = arrangement
+    def __init__(self, elements, hyperplane_perm, generators):
         self.elements = list(elements)
         self.hyperplane_perm = [dict(p) for p in hyperplane_perm]
         self.generators = list(generators)
@@ -185,7 +187,7 @@ def build_action(arrangement, maps, bound=4096) -> GroupAction:
     for ci in range(len(perms), len(elements)):
         ps, pe = (perms[f] for f in factors[ci])
         perms.append({j: ps[k] for j, k in pe.items()})
-    return GroupAction(arrangement, elements, perms, generators)
+    return GroupAction(elements, perms, generators)
 
 
 def det_character(act: GroupAction):
@@ -235,7 +237,9 @@ class EquivariantLevelZero:
                                     action)
 
 
-FUNCTORS = ("star", "shriek", "macpherson")
+# The direct images an equivariant table is taken of, each with the model
+# its report names.
+FUNCTORS = {"star": "local_system", "shriek": "flag", "macpherson": "intersection"}
 
 
 def _functor_quiver(graph, eq: EquivariantLevelZero, functor):
@@ -246,7 +250,7 @@ def _functor_quiver(graph, eq: EquivariantLevelZero, functor):
     if functor == "macpherson":
         mac = macpherson(graph, eq.base)
         return mac.quiver, mac
-    raise ShapeError(f"unknown functor {functor!r}; expected one of {FUNCTORS}")
+    raise ShapeError(f"unknown functor {functor!r}; expected one of {tuple(FUNCTORS)}")
 
 
 def _vertex_image(perm, key):
@@ -284,13 +288,6 @@ def _flag_images(graph, p, perm):
     return entries, fd.dim
 
 
-def _tensor_action(images, rho):
-    """One degree's permuted basis, (entries, dim) as `_os_images` and
-    `_flag_images` give it, tensored with rho."""
-    entries, dim = images
-    return _tensor_map(entries, dim, (rho,))
-
-
 def chain_automorphisms(eq: EquivariantLevelZero, functor, elements, mac=None):
     """{gi: the chain automorphism of element gi on C+ of the chosen
     direct image, one matrix per degree} for each gi in `elements`: the
@@ -301,7 +298,7 @@ def chain_automorphisms(eq: EquivariantLevelZero, functor, elements, mac=None):
     SymmetryError when the action does not preserve that image."""
     graph = eq.graph
     if functor not in FUNCTORS:
-        raise ShapeError(f"unknown functor {functor!r}; expected one of {FUNCTORS}")
+        raise ShapeError(f"unknown functor {functor!r}; expected one of {tuple(FUNCTORS)}")
     degrees = range(graph.max_level + 1)
     if functor == "macpherson":
         if mac is None:
@@ -315,7 +312,8 @@ def chain_automorphisms(eq: EquivariantLevelZero, functor, elements, mac=None):
         perm = tuple(eq.action.perm(gi, j) for j in hyperplanes)
         per_degree = []
         for p in degrees:
-            m = _tensor_action(images(graph, p, perm), eq.rho[gi])
+            entries, dim = images(graph, p, perm)
+            m = _tensor_map(entries, dim, (eq.rho[gi],))
             if functor == "macpherson":
                 m = solve_matrix(incs[p], m * incs[p])
                 if m is None:
@@ -368,13 +366,11 @@ def equivariant_cohomology(act: GroupAction, eq: EquivariantLevelZero,
     comp, autos = equivariant_c_plus(act, eq, functor)
     invariants = subcomplex(comp, generator_kernels(act, comp, autos, twist_by_det))
     n = graph.arrangement.ambient_dim
-    model = {"star": "local_system", "shriek": "flag",
-             "macpherson": "intersection"}[functor]
     hyps = [("central arrangement", "verified"),
             ("equivariant structure", "verified"),
             ("maps close to zero", smallness_status(graph, eq.base))]
     note = f"invariants of (C+ tensor {'det' if twist_by_det else 'trivial'})"
-    return CohomologyReport(model, _betti_map(invariants, 0, n), hyps, note)
+    return CohomologyReport(FUNCTORS[functor], _betti_map(invariants, 0, n), hyps, note)
 
 # -- text format (.grp) -----------------------------------------------------------------
 

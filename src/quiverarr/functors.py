@@ -42,9 +42,10 @@ solves for all its induced maps and its projection in one solve against
 the inclusion of an RREF basis, which `linalg.solve_matrix` reads off
 its unit rows.
 
-Every sum of vertex spaces here (the ambient sum at a new vertex, the
-hom coordinates) lists its vertices in the graph's sorted order, each
-block at its running offset (`linalg.block_offsets`).
+Every sum of vertex spaces here (the ambient sum at a new vertex, which
+is `quiver._boundary`, and the hom coordinates) lists its vertices in
+the graph's sorted order, each block at its running offset
+(`linalg.block_offsets`).
 """
 
 from __future__ import annotations
@@ -52,20 +53,20 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import permutations, product
 from math import lcm
-from typing import NamedTuple
 
 from .arrangement import (ArrangementGraph, per_graph, specialization_base,
                           specialization_graph, truncated_graph)
 from .errors import (InternalInconsistencyError, InvalidQuiverError,
                      ShapeError, UnsupportedError)
 from .linalg import (Matrix, Q0, _canonical, _from_int_rows, block_diag,
-                     block_offsets, char_poly_roots, image_basis, kernel_basis,
-                     kernel_rows, poly_format, product_is_zero, rank,
-                     solve_matrix, sort_with_sign)
+                     char_poly_roots, image_basis, kernel_basis, kernel_rows,
+                     poly_format, product_is_zero, rank, solve_matrix,
+                     sort_with_sign)
 from .oscomplex import flag_space, os_space
-from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _format_key,
-                     _level_map, _loop_sum, _matrix_json, _neighbors, _through,
-                     hom_equations, hom_offsets, morphism_from_coords)
+from .quiver import (LevelQuiver, Quiver, QuiverMorphism, _Boundary, _boundary,
+                     _format_key, _level_map, _loop_sum, _matrix_json, _neighbors,
+                     _through, hom_equations, hom_offsets, is_resonant_lambda,
+                     morphism_from_coords)
 
 
 class SubquotientWitness:
@@ -106,36 +107,7 @@ def restrict(v: Quiver, k) -> LevelQuiver:
     return LevelQuiver(t, spaces, maps, loops)
 
 
-def as_level_quiver(v: Quiver) -> LevelQuiver:
-    """v as a level quiver on its own graph, its own top truncation: a full
-    quiver at the top level, without loops."""
-    g = v.graph
-    return LevelQuiver(truncated_graph(g, g.max_level), v.spaces, v.maps, v.loop_ops)
-
-
 # -- one-step direct images -----------------------------------------------------------
-
-class _Boundary(NamedTuple):
-    """The sum over the vertices one level up from a new vertex beta, in
-    the graph's (sorted) order of `up`, with their offsets, and the maps
-    between them and the vertices two levels up (deltas): `up` (deltas x
-    ambient) carries the * constraints, the columns of `down` (ambient x
-    deltas) the ! relations."""
-    ups: list
-    offsets: dict
-    ambient: int
-    up: Matrix
-    down: Matrix
-
-
-def _boundary(v: LevelQuiver, beta) -> _Boundary:
-    full = v.graph.full
-    ups = full.up(beta)
-    offsets, ambient = block_offsets(ups, v.dim)
-    deltas = sorted({d for g in ups for d in full.up(g)})
-    return _Boundary(ups, offsets, ambient, _level_map(v, deltas, ups),
-                     _level_map(v, ups, deltas))
-
 
 def _boundary_op(v: LevelQuiver, beta, bd: _Boundary) -> Matrix:
     """The operator on the ambient sum at beta whose column block a is the
@@ -667,20 +639,20 @@ def s_general(v: LevelQuiver, l) -> QuiverMorphism:
 def specialize(v: Quiver, alpha):
     """The specialization of a quiver of a central arrangement at a vertex:
     class spaces are the sums over class members, class maps the sums of
-    the member maps.  Returns (quiver on the class graph, class data)."""
+    the member maps.  Returns (quiver on the class graph, the classes: that
+    graph's vertices)."""
     if isinstance(v, LevelQuiver):
         raise ShapeError("specialization takes a full quiver, not a level quiver")
     g = v.graph
     if not isinstance(g, ArrangementGraph):
         raise UnsupportedError("specialization needs the arrangement geometry")
-    sp = specialization_graph(g, alpha)
-    cg = sp.graph
-    spaces = {ck: sum(v.dim(m) for m in ck) for ck in sp.classes}
+    cg = specialization_graph(g, alpha)
+    spaces = {ck: sum(v.dim(m) for m in ck) for ck in cg.vertices}
     maps = {}
     for ck in cg.vertices:
         for ck2 in _neighbors(cg, ck):
             maps[(ck, ck2)] = _level_map(v, ck, ck2)
-    return Quiver(cg, spaces, maps), sp
+    return Quiver(cg, spaces, maps), cg.vertices
 
 
 def spec_nonres_ops(v: Quiver, alpha):
@@ -708,7 +680,7 @@ def spec_nonres_report(v: Quiver, alpha):
             "vertex": b,
             "char_poly": poly_format(p),
             "nonzero_integer_eigenvalues": sorted({int(r) for r in roots
-                                                   if r and r.denominator == 1}),
+                                                   if is_resonant_lambda(r)}),
         })
     return out
 

@@ -689,30 +689,10 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_sub(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [Q0] * (n - len(p))
-    q = list(q) + [Q0] * (n - len(q))
-    return poly_trim([a - b for a, b in zip(p, q)])
-
-
-def poly_eval(p, x):
-    x = frac(x)
-    acc = Q0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_degree(p):
-    p = poly_trim(p)
-    return len(p) - 1 if any(c != 0 for c in p) else -1
-
-
 def poly_format(p):
     """Human-readable form, e.g. 'x^2 - 3/2*x + 1'."""
     p = poly_trim(p)
-    if poly_degree(p) <= 0:
+    if len(p) == 1:     # a constant, zero included
         return str(p[0])
     parts = []
     for d in range(len(p) - 1, -1, -1):

@@ -15,7 +15,11 @@ sum of loops at a vertex is `_loop_sum`, one integer pass over the
 loops' rows.  This module owns the relation
 checker, the duality tau, the complexes C+ and C-, the local and
 monodromy operators with their spectra, non-resonance reports, and Hom
-spaces.
+spaces.  It also owns the boundary sum at a vertex (`_boundary`): the
+spaces one level up, with the maps between them and the level above,
+from which `functors` builds the one-step direct images and `local_ops`
+takes Tbar.  "A nonzero integer" is tested in one place,
+`is_resonant_lambda`.
 
 All of them work on level-to-level block matrices of the maps
 (`_level_map`), where a target with one map takes that map's stored rows.
@@ -34,9 +38,11 @@ from functools import cached_property
 from itertools import compress, repeat
 from math import lcm
 from operator import add
+from typing import NamedTuple
 
-from .arrangement import (AdmissibleGraph, ArrangementGraph, format_vertex_key,
-                          parse_vertex_key, per_graph, truncated_graph)
+from .arrangement import (SIZE_CAP, AdmissibleGraph, ArrangementGraph,
+                          format_vertex_key, parse_vertex_key, per_graph,
+                          truncated_graph)
 from .errors import (InvalidComplexError, InvalidQuiverError,
                      MissingLoopError, ParseError, ShapeError)
 from .linalg import (_ZERO_ROW, ChainComplex, Matrix, Q0, Subspace, _cleared,
@@ -411,6 +417,28 @@ class LocalOps:
         return self._stilde()
 
 
+class _Boundary(NamedTuple):
+    """The sum over the vertices one level up from a vertex beta, in the
+    graph's (sorted) order of `up`, with their offsets, and the maps
+    between them and the vertices two levels up (deltas): `up` (deltas x
+    ambient) carries the * constraints of a new vertex, the columns of
+    `down` (ambient x deltas) its ! relations, and Tbar = down up."""
+    ups: list
+    offsets: dict
+    ambient: int
+    up: Matrix
+    down: Matrix
+
+
+def _boundary(v: Quiver, beta) -> _Boundary:
+    full = v.graph.full
+    ups = full.up(beta)
+    offsets, ambient = block_offsets(ups, v.dim)
+    deltas = sorted({d for g in ups for d in full.up(g)})
+    return _Boundary(ups, offsets, ambient, _level_map(v, deltas, ups),
+                     _level_map(v, ups, deltas))
+
+
 def local_ops(v: Quiver, beta) -> LocalOps:
     """S, T, Tbar, Stilde at a vertex; T and Tbar act on the sum of the
     spaces one level up, in the graph's (sorted) order of `up`.
@@ -418,13 +446,10 @@ def local_ops(v: Quiver, beta) -> LocalOps:
     Each operator is one product of two level-to-level map matrices (see
     `_level_map`): with R the maps from the spaces above back to beta and
     C those into them, S = R C and T = C R; Tbar is the same product taken
-    through the spaces two levels up."""
-    g = v.graph
-    ups = g.up(beta)
-    tops = sorted({d for a in ups for d in g.up(a)})
-    r, c = _level_map(v, [beta], ups), _level_map(v, ups, [beta])
-    tbar = (_level_map(v, ups, tops), _level_map(v, tops, ups))
-    return LocalOps((c, r), tbar, lambda: _stilde(v, beta))
+    through the spaces two levels up, the boundary sum's (`_boundary`)."""
+    bd = _boundary(v, beta)
+    r, c = _level_map(v, [beta], bd.ups), _level_map(v, bd.ups, [beta])
+    return LocalOps((c, r), (bd.down, bd.up), lambda: _stilde(v, beta))
 
 
 def _through(v: Quiver, b, keys):
@@ -516,10 +541,8 @@ def check_nonresonance_class(v: Quiver):
             status = "undetermined"
         else:
             vals = set(t_roots)
-            ok = all(x == 0 or x.denominator != 1 for x in vals)
-            ok = ok and all((x - y == 0) or (x - y).denominator != 1
-                            for x in vals for y in vals if x != y)
-            status = "verified" if ok else "violated"
+            bad = any(is_resonant_lambda(x - y) for x in vals for y in vals | {Q0})
+            status = "violated" if bad else "verified"
         report.append({
             "vertex": b,
             "char_poly_T": poly_format(pt),
@@ -547,8 +570,6 @@ def hom_equations(v: Quiver, w: Quiver) -> Matrix:
     g = v.graph
     if w.graph is not g and w.graph.vertices != g.vertices:
         raise ShapeError("hom between quivers on different graphs")
-    if isinstance(v, LevelQuiver) != isinstance(w, LevelQuiver):
-        raise ShapeError("hom between quivers of different kinds")
     if v.level != w.level:
         raise ShapeError("hom between quivers of different levels")
     offsets, total = hom_offsets(v, w)
@@ -630,10 +651,12 @@ def quiver_to_json(v: Quiver, witness=None):
 
 
 def _json_size(value, what):
-    """A level or a dimension: a JSON integer >= 0 (not a float, a string
-    or a boolean, which int() would truncate or coerce)."""
+    """A level or a dimension: a JSON integer from 0 to `SIZE_CAP` (not a
+    float, a string or a boolean, which int() would truncate or coerce)."""
     if type(value) is not int or value < 0:
         raise ParseError(f"{what} must be a nonnegative integer, got {value!r}")
+    if value > SIZE_CAP:
+        raise ParseError(f"{what} {value} exceeds the size cap {SIZE_CAP}")
     return value
 
 

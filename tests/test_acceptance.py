@@ -15,10 +15,9 @@ from quiverarr.arrangement import build_graph
 from quiverarr.cohomology import (intersection_cohomology,
                                   local_system_cohomology,
                                   scalar_from_exponents)
-from quiverarr.functors import (as_level_quiver, fourier_dual, j0_shriek,
-                                j0_star, macpherson, push_shriek,
-                                push_shriek_step, push_star, push_star_step,
-                                restrict, s0, specialize)
+from quiverarr.functors import (fourier_dual, j0_shriek, j0_star, macpherson,
+                                push_shriek, push_shriek_step, push_star,
+                                push_star_step, restrict, s0, specialize)
 from quiverarr.liecheck import KZInstance, kz_check
 from quiverarr.linalg import Matrix, char_poly, char_poly_roots, poly_mul
 from quiverarr.oscomplex import (ExponentAssignment, aomoto_complex,

@@ -219,26 +219,26 @@ def test_truncation_is_the_filtered_graph_on_random_arrangements(arr):
 
 def test_specialization_single_hyperplane_identity():
     g = build_graph(corpus.single_hyperplane())
-    sp = specialization_graph(g, (1,))
-    assert len(sp.classes) == 2
-    assert all(len(ck) == 1 for ck in sp.classes)
-    assert len(sp.graph.edges) == 1
+    cg = specialization_graph(g, (1,))
+    assert len(cg.vertices) == 2
+    assert all(len(ck) == 1 for ck in cg.vertices)
+    assert len(cg.edges) == 1
 
 
 def test_specialization_at_top_is_identity():
     g = build_graph(corpus.three_lines())
-    sp = specialization_graph(g, ())
-    assert len(sp.classes) == len(g.vertices)
-    assert len(sp.graph.edges) == len(g.edges)
+    cg = specialization_graph(g, ())
+    assert len(cg.vertices) == len(g.vertices)
+    assert len(cg.edges) == len(g.edges)
 
 
 def test_specialization_three_lines_merges_other_lines():
     g = build_graph(corpus.three_lines())
-    sp = specialization_graph(g, (1,))
-    assert sorted(sp.classes) == [((),), ((1,),), ((1, 2, 3),), ((2,), (3,))]
-    assert all(ck == tuple(sorted(ck)) for ck in sp.classes)
-    assert len(sp.graph.edges) == 4
-    assert sp.graph.level[sp.class_of((2,))] == 1
+    cg = specialization_graph(g, (1,))
+    assert sorted(cg.vertices) == [((),), ((1,),), ((1, 2, 3),), ((2,), (3,))]
+    assert all(ck == tuple(sorted(ck)) for ck in cg.vertices)
+    assert len(cg.edges) == 4
+    assert cg.level[((2,), (3,))] == 1
 
 
 def assert_specialization_edges_are_the_pairwise_scan(g):
@@ -247,11 +247,11 @@ def assert_specialization_edges_are_the_pairwise_scan(g):
     members, found by testing every pair of classes and of members."""
     for alpha in g.vertices:
         try:
-            sp = specialization_graph(g, alpha)
+            cg = specialization_graph(g, alpha)
         except UnsupportedError:
             continue
-        classes, level = sp.classes, sp.graph.level
-        assert sp.graph.edges == {
+        classes, level = cg.vertices, cg.level
+        assert cg.edges == {
             frozenset((a, b)) for a in classes for b in classes
             if level[a] + 1 == level[b]
             and any(g.adjacent(x, y) for x in a for y in b)}

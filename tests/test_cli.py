@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from quiverarr.arrangement import format_arrangement
+from quiverarr.arrangement import SIZE_CAP, format_arrangement
 from quiverarr.cli import main
 from quiverarr.corpus import CORPUS
 
@@ -1084,6 +1085,42 @@ def test_dim_below_one_is_refused_where_it_is_parsed(files, capsys, rank):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--dim" in captured.err and f"at least 1, got {int(rank)}" in captured.err
+
+
+def refused_at_once(*argv):
+    """A run refusing a size past `SIZE_CAP`: exit 2 with the cap named on
+    standard error, no report, within a second; an option refused by
+    argparse ends in SystemExit."""
+    start = time.perf_counter()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    assert time.perf_counter() - start < 1
+    assert (code, out.getvalue()) == (2, "")
+    assert f"exceeds the size cap {SIZE_CAP}" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_arr_dim_past_the_cap_exits_2(files, tmp_path):
+    arr = tmp_path / "huge.arr"
+    arr.write_text("dim 1000000000\n")
+    refused_at_once("cohomology", str(arr), "--model", "local", "--exp", files["zero.exp"])
+
+
+def test_rank_past_the_cap_exits_2(files):
+    refused_at_once("cohomology", files["single.arr"], "--model", "local",
+                    "--exp", files["zero.exp"], "--dim", "100000000")
+
+
+def test_qvr_space_past_the_cap_exits_2(files, capsys, tmp_path):
+    qvr = tmp_path / "huge.qvr"
+    qvr.write_text(json.dumps({"level": 0, "spaces": {"()": 100000000}}))
+    refused_at_once("cohomology", files["single.arr"], "--model", "local", "--qvr", str(qvr))
+    qvr.write_text(json.dumps({"level": 0, "spaces": {"()": SIZE_CAP}}))
+    assert run(capsys, "check-quiver", files["single.arr"], "--qvr", str(qvr))[0] == 0
 
 
 def test_dim_one_is_the_default_rank(files, capsys):

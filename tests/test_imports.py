@@ -160,3 +160,34 @@ def test_unreferenced_nested_function_is_caught():
                    "    return used() + deeper() + in_loop()\n")
     other = ("t.py", "from m import f\nf()\n")
     assert unreferenced([lib], [other]) == [("m.py", 4, "unused"), ("m.py", 7, "gone")]
+
+
+# -- every module-level function serves the library, its exports or the benchmark -----
+
+def used_only_by_tests(library, uses):
+    """(file, line, name) of every module-level function of the `library`
+    sources that `unreferenced` finds unreferenced from the library and
+    from `uses`: the package's `__init__.py`, whose imports are its
+    exports, and the programs built on the library.  Such a function
+    serves only the tests, and belongs with them."""
+    module_level = {(name, d.name) for name, text in library for d in ast.parse(text).body
+                    if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return [hit for hit in unreferenced(library, uses) if (hit[0], hit[2]) in module_level]
+
+
+def test_every_module_level_function_is_used_or_exported():
+    library = [(p.name, p.read_text(encoding="utf-8")) for p in MODULES]
+    uses = [(str(p), p.read_text(encoding="utf-8")) for p in SOURCES
+            if p not in MODULES and p.parent.name != "tests"]
+    assert used_only_by_tests(library, uses) == []
+
+
+def test_function_used_only_by_tests_is_caught():
+    lib = ("m.py", "def used():\n    return helper()\n\n"
+                   "def helper():\n    return 1\n\n"
+                   "def exported():\n    return 2\n\n"
+                   "def tested():\n    return 3\n\n"
+                   "class C:\n    def method(self):\n        return 4\n")
+    init = ("__init__.py", "from .m import exported\n")
+    program = ("run.py", "from m import used\nused()\n")
+    assert used_only_by_tests([lib], [init, program]) == [("m.py", 10, "tested")]

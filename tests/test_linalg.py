@@ -11,7 +11,7 @@ from quiverarr.errors import InvalidComplexError, ShapeError
 from quiverarr.linalg import (
     ChainComplex, ChainMap, Matrix, betti, block_offsets, char_poly,
     char_poly_roots, det, image_basis, image_complex, integer_roots,
-    kernel_basis, kernel_rows, poly_eval, poly_format, poly_mul, poly_sub,
+    kernel_basis, kernel_rows, poly_format, poly_mul,
     poly_trim, rank, rational_roots, rref, solve, solve_matrix,
 )
 from quiverarr import linalg
@@ -20,6 +20,22 @@ from quiverarr.linalg import _canonical, _cleared, block_diag
 
 def M(rows):
     return Matrix.from_rows(rows)
+
+
+def poly_sub(p, q):
+    """p - q, both lowest degree first, trimmed."""
+    n = max(len(p), len(q))
+    p = list(p) + [0] * (n - len(p))
+    q = list(q) + [0] * (n - len(q))
+    return poly_trim([a - b for a, b in zip(p, q)])
+
+
+def poly_eval(p, x):
+    """p(x) by Horner's rule, over Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -141,7 +157,6 @@ def test_integer_roots_rational_coefficients():
     # (x - 2)(x + 1/2) has the single integer root 2
     p = poly_mul((-2, 1), (Fraction(1, 2), 1))
     assert integer_roots(p) == {2}
-    assert poly_eval(p, 2) == 0
 
 
 def test_poly_format():
@@ -546,12 +561,21 @@ def fraction_rational_roots(p):
     d = math.lcm(*(c.denominator for c in sq))
     ints = [int(c * d) for c in sq]
     n = len(ints) - 1
-    # Cauchy's bound on the roots of the monic sq; b^n sq(a/b) over Z
+    # Cauchy's bound on the roots of the monic sq; b^n sq(a/b) over Z.  A
+    # root a/b in lowest terms makes b x - a divide ints over Z (Gauss), so
+    # b - a divides ints(1) and b + a divides ints(-1): a cheap first test.
     bound = 1 + max(abs(c) for c in sq[:-1])
+    at_one, at_minus_one = sum(ints), sum(c * (-1) ** i for i, c in enumerate(ints))
+
+    def divides(k, m):
+        return m % k == 0 if k else m == 0
+
     numerators = divisors(ints[0])
     candidates = {Fraction(a, b) for b in divisors(ints[-1]) for x in numerators
-                  if x <= bound * b for a in (x, -x)
-                  if sum(c * a ** i * b ** (n - i) for i, c in enumerate(ints)) == 0}
+                  for a in (x, -x)
+                  if divides(b - a, at_one) and divides(b + a, at_minus_one)
+                  and x <= bound * b
+                  and sum(c * a ** i * b ** (n - i) for i, c in enumerate(ints)) == 0}
     rest = tuple(coeffs)
     for r in sorted(candidates):
         while len(rest) > 1 and poly_eval(rest, r) == 0:

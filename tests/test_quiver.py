@@ -590,10 +590,11 @@ def test_check_quiver_sees_a_shared_vertex_with_a_falsy_key():
 def test_truncations_and_quiver_kinds_are_decided_in_one_place_each():
     """`truncated_graph` is the only caller of `TruncatedGraph(`, and an
     `isinstance(..., LevelQuiver)` test appears only where the kind carries
-    meaning: the CLI's input requirements, the `.qvr` output, the
-    refusals of specialization, the Fourier dual and the perverse model,
-    and the kind check of the Hom equations.  Loops, the top level and
-    the full graph are read off the graph everywhere else."""
+    meaning: the CLI's input requirements, the `.qvr` output and the
+    refusals of specialization, the Fourier dual and the perverse model
+    (the Hom equations compare levels, and a full quiver's is None).
+    Loops, the top level and the full graph are read off the graph
+    everywhere else."""
     import ast
     from pathlib import Path
 
@@ -615,9 +616,20 @@ def test_truncations_and_quiver_kinds_are_decided_in_one_place_each():
     assert truncators == {("arrangement.py", "truncated_graph")}
     assert kind_tests == {
         ("cli.py", "_level_zero"), ("cli.py", "cmd_push"),
-        ("quiver.py", "quiver_to_json"), ("quiver.py", "hom_equations"),
+        ("quiver.py", "quiver_to_json"),
         ("functors.py", "specialize"), ("functors.py", "spec_nonres_ops"),
         ("functors.py", "fourier_dual"), ("cohomology.py", "perverse_cohomology")}
+
+
+def test_hom_refuses_a_full_and_a_top_level_quiver():
+    """A full quiver's level is None and a top-level quiver's is the top,
+    so the level test of the Hom equations refuses the pair either way."""
+    g = graph("three_lines")
+    full = Quiver(g, dict.fromkeys(g.vertices, 1), {})
+    top = LevelQuiver(g, full.spaces, {})
+    for v, w in ((full, top), (top, full)):
+        with pytest.raises(ShapeError, match="different levels"):
+            hom_space(v, w)
 
 
 def test_truncating_a_truncation_cuts_from_the_full_graph():
